@@ -88,6 +88,7 @@ def cmd_flatnorm(args) -> int:
     dec = flat_norm(chain)
     report = {
         "value": dec.value,
+        "solver": dec.solver,
         "iterations": dec.iterations,
         "subdivide": args.subdivide,
         "R": _chain_payload(dec.R),

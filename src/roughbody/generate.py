@@ -9,7 +9,7 @@ import numpy as np
 from .bodies import Body, body_from_simplices
 from .chains import Chain
 from .forms import Cochain
-from .maps import PAMap, is_embedding
+from .maps import PAMap
 from .mesh import Complex, HalfSpace, build_complex
 from .sharp import SharpField
 
@@ -105,7 +105,7 @@ def random_embedding_map(cx: Complex, rng: np.random.Generator, amplitude: float
         jitter = rng.normal(size=cx.vertices.shape) * amplitude * h
         A = np.eye(cx.dim) + rng.normal(size=(cx.dim, cx.dim)) * amplitude
         F = PAMap(cx, cx.vertices @ A.T + jitter)
-        if not is_embedding(F).ok:
+        if not F.embedding().ok:
             continue
         if all(F.det(i) > 0 for i in range(cx.n_simplices(cx.top_degree))):
             return F

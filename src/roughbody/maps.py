@@ -47,6 +47,7 @@ class PAMap:
         self.target_dim = images.shape[1]
         self._jacobians: dict[int, np.ndarray] = {}
         self._image: ImageData | None = None
+        self._embedding: EmbeddingVerdict | None = None
 
     # -- differentials -----------------------------------------------------
 
@@ -85,6 +86,12 @@ class PAMap:
         if self._image is None:
             self._image = self._build_image()
         return self._image
+
+    def embedding(self) -> "EmbeddingVerdict":
+        """is_embedding(self), computed once per map like the image and Jacobians."""
+        if self._embedding is None:
+            self._embedding = is_embedding(self)
+        return self._embedding
 
     @property
     def image_complex(self) -> Complex:

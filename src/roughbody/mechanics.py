@@ -23,7 +23,7 @@ from .errors import (
 )
 from .flatnorm import cochain_flat_norm
 from .forms import Cochain, EvaluableCurrent, FormField, whitney_realize
-from .maps import PAMap, is_embedding, pullback_form, pushforward
+from .maps import PAMap, pullback_form, pushforward
 from .mesh import Complex
 from .poly import Poly, integrate_over_simplex
 from .sharp import SharpField, multiply
@@ -35,7 +35,7 @@ class Configuration:
     """A PA map validated as an embedding; the deformed mesh is its image."""
 
     def __init__(self, pamap: PAMap):
-        verdict = is_embedding(pamap)
+        verdict = pamap.embedding()
         if not verdict.ok:
             raise ValueError(f"configuration map is not an embedding: {verdict.witness}")
         self.map = pamap

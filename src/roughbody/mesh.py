@@ -78,6 +78,7 @@ class Complex:
         self._volumes: dict[int, np.ndarray] = {}
         self._tangents: dict[int, np.ndarray] = {}
         self._barygrads: dict[tuple[int, int], np.ndarray] = {}
+        self._incidence_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- basic geometry ------------------------------------------------
 
@@ -102,6 +103,13 @@ class Complex:
                 det = np.linalg.det(gram)
                 self._volumes[k] = np.sqrt(np.maximum(det, 0.0)) / factorial(k)
         return self._volumes[k]
+
+    def incidence_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(faces, signs), each (m_k, k + 1): row j lists simplex j's facets and incidences."""
+        if k not in self._incidence_arrays:
+            rows = np.asarray(self.incidence[k], dtype=np.intp).reshape(self.n_simplices(k), k + 1, 2)
+            self._incidence_arrays[k] = (rows[:, :, 0], rows[:, :, 1])
+        return self._incidence_arrays[k]
 
     def volume(self, k: int, idx: int) -> float:
         return float(self.volumes(k)[idx])

@@ -25,6 +25,7 @@ class LPResult:
     value: float
     iterations: int
     status: str  # "optimal" | "infeasible"
+    reduced: np.ndarray | None = None  # final phase-2 reduced costs, c - y.A per column
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -152,7 +153,7 @@ def solve_lp(
     mrows = T2.shape[0] - 1
     x[basis_arr] = T2[:mrows, -1]
     value = float(c @ x)
-    return LPResult(x, value, total_it, "optimal")
+    return LPResult(x, value, total_it, "optimal", T2[-1, :n].copy())
 
 
 def feasible_point(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray | None:

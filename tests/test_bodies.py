@@ -255,6 +255,23 @@ class TestKochBoundarySequence:
         for k, d in enumerate(rep.distances):
             assert d <= A0 / 3.0 * (4.0 / 9.0) ** k + 1e-9
 
+    def test_level5_flat_distances_match_highs(self):
+        # F(bd T_{k+1} - bd T_k) for k = 2, 3, 4 on the 8439-edge level-5 mesh
+        from highs_oracle import highs_flat_norm
+
+        from roughbody.flatnorm import certify_cauchy
+
+        gb = koch_generalized_body(5)
+        boundaries = [b.chain.boundary() for b in gb.bodies[2:]]
+        assert boundaries[0].complex.n_simplices(1) == 8439
+        bound = 4.0 / 9.0 + 1e-3
+        rep = certify_cauchy(boundaries, eps=0.01, ratio_bound=bound, method="flat")
+        assert rep.passed
+        assert all(r <= bound for r in rep.ratios)
+        for d, expected, (a, b) in zip(rep.distances, (0.02851, 0.01267, 0.005632), zip(boundaries, boundaries[1:])):
+            assert d == pytest.approx(highs_flat_norm(b - a), rel=1e-7)
+            assert d == pytest.approx(expected, rel=1e-3)
+
 
 class TestBodies3D:
     def test_cube_stokes(self):

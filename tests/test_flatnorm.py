@@ -1,39 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughbody.chains import Chain, elementary
+from roughbody.errors import LPNumericalFailure
 from roughbody.flatnorm import (
+    CERT_RTOL,
+    certify,
     certify_cauchy,
     cochain_flat_norm,
     flat_distance,
     flat_norm,
 )
 from roughbody.forms import Cochain, evaluate
-from roughbody.generate import grid_mesh, random_chain, random_cochain
+from roughbody.generate import cube_mesh, grid_mesh, random_chain, random_cochain
 from roughbody.mesh import barycentric_refine, build_complex
 
-
-def scipy_flat_norm_oracle(T):
-    """Independent route: same LP solved by scipy's HiGHS."""
-    from scipy.optimize import linprog
-
-    cx = T.complex
-    k = T.degree
-    if k >= cx.top_degree:
-        return T.mass()
-    m, p = cx.n_simplices(k), cx.n_simplices(k + 1)
-    t = np.zeros(m)
-    for i, a in T.coeffs.items():
-        t[i] = a
-    B = np.zeros((m, p))
-    for j, row in enumerate(cx.incidence[k + 1]):
-        for fidx, sgn in row:
-            B[fidx, j] += sgn
-    A = np.hstack([np.eye(m), -np.eye(m), B, -B])
-    c = np.concatenate([cx.volumes(k)] * 2 + [cx.volumes(k + 1)] * 2)
-    res = linprog(c, A_eq=A, b_eq=t, bounds=(0, None), method="highs")
-    assert res.success
-    return res.fun
+from highs_oracle import highs_flat_norm
 
 
 class TestFlatNorm:
@@ -96,7 +80,7 @@ class TestFlatNorm:
             for _ in range(5):
                 T = random_chain(grid44, k, rng)
                 assert flat_norm(T).value == pytest.approx(
-                    scipy_flat_norm_oracle(T), abs=1e-7
+                    highs_flat_norm(T), abs=1e-7
                 )
 
     def test_f_leq_m_randomized(self, rng):
@@ -258,3 +242,149 @@ class TestAnalyticOracles:
         dec = flat_norm(shell)
         assert dec.value == pytest.approx(1.0, abs=1e-9)  # volume 1 beats area 6
         assert dec.R.is_zero()
+
+
+# -- solver dispatch, certificates and scaling ------------------------------
+
+GRID = grid_mesh(4, 4)
+CUBE = cube_mesh(2, 2, 2)
+# (complex, degree, solver the dispatch must pick)
+CASES = {
+    "grid-1": (GRID, 1, "network-simplex"),
+    "cube-2": (CUBE, 2, "network-simplex"),
+    "grid-0": (GRID, 0, "dense-simplex"),
+    "cube-1": (CUBE, 1, "dense-simplex"),
+}
+
+
+def _rescaled(cx, a):
+    """The same complex with coordinates multiplied by a (same numbering)."""
+    top = cx.top_degree
+    out = build_complex(cx.vertices * a, {top: cx.simplices[top]}, check_overlap=False)
+    assert all(out.simplices[k] == cx.simplices[k] for k in cx.simplices)
+    return out
+
+
+def _assert_certified(T, dec):
+    """phi is feasible and proves value within CERT_RTOL M(T)."""
+    cx, k = T.complex, T.degree
+    assert np.all(np.abs(dec.phi) <= cx.volumes(k))
+    faces, signs = cx.incidence_arrays(k + 1)
+    dphi = (signs * dec.phi[faces]).sum(axis=1)
+    assert np.all(np.abs(dphi) <= cx.volumes(k + 1))
+    t = np.zeros(cx.n_simplices(k))
+    for i, a in T.coeffs.items():
+        t[i] = a
+    assert dec.value - t @ dec.phi == pytest.approx(dec.gap, abs=1e-15 * (1 + dec.value))
+    assert dec.gap <= CERT_RTOL * T.mass()
+
+
+class TestSolverDispatch:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dispatch_and_certificate(self, case, rng):
+        cx, k, solver = CASES[case]
+        for _ in range(3):
+            T = random_chain(cx, k, rng)
+            dec = flat_norm(T)
+            assert dec.solver == solver
+            _assert_certified(T, dec)
+
+    def test_segment_points_take_the_flow_path(self):
+        from roughbody.generate import segment_mesh
+
+        cx = segment_mesh(4)
+        dec = flat_distance(elementary(cx, 0, 1), elementary(cx, 0, 0))
+        assert dec == pytest.approx(0.25, abs=1e-12)
+        assert flat_norm(elementary(cx, 0, 1)).solver == "network-simplex"
+
+    def test_folded_mesh_falls_back_to_dense(self):
+        # two triangles folded onto the same side of their shared edge:
+        # oriented by sign(det), both give that edge the same incidence
+        cx = build_complex(
+            [[0, 0], [1, 0], [0.5, 1.0], [0.4, 0.5]], {2: [(0, 1, 2), (0, 1, 3)]}, check_overlap=False
+        )
+        edge = cx.index[1][frozenset((0, 1))]
+        for T in (
+            elementary(cx, 1, edge),
+            Chain(cx, 2, {0: 1.0}).boundary() - Chain(cx, 2, {1: 0.5}).boundary(),
+        ):
+            dec = flat_norm(T)
+            assert dec.solver == "dense-simplex"
+            assert dec.value == pytest.approx(highs_flat_norm(T), rel=1e-7)
+            _assert_certified(T, dec)
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize(
+        "cx, k, solver",
+        [
+            (grid_mesh(6, 6), 1, "network-simplex"),
+            (cube_mesh(2, 2, 1), 2, "network-simplex"),
+            (cube_mesh(2, 2, 1), 1, "dense-simplex"),
+        ],
+        ids=["grid-1-chains", "cube-2-chains", "cube-1-chains"],
+    )
+    def test_seeded_chains(self, cx, k, solver):
+        for seed in range(4):
+            T = random_chain(cx, k, np.random.default_rng(seed))
+            dec = flat_norm(T)
+            assert dec.solver == solver
+            assert dec.value == pytest.approx(highs_flat_norm(T), rel=1e-7)
+
+
+class TestCertificateCheck:
+    @pytest.mark.parametrize("case", ["grid-1", "cube-1"])
+    def test_perturbed_fill_is_rejected(self, case, rng):
+        cx, k, _ = CASES[case]
+        T = random_chain(cx, k, rng)
+        dec = flat_norm(T)
+        assert certify(T, dec.S, dec.phi, dec.solver).value == pytest.approx(dec.value, rel=1e-15)
+        bump = Chain(cx, k + 1, {0: 1e-3 * max(abs(a) for a in T.coeffs.values())})
+        with pytest.raises(LPNumericalFailure, match=dec.solver):
+            certify(T, dec.S + bump, dec.phi, dec.solver)
+
+    def test_weakened_certificate_is_rejected(self, rng):
+        T = random_chain(GRID, 1, rng)
+        dec = flat_norm(T)
+        with pytest.raises(LPNumericalFailure, match="duality gap"):
+            certify(T, dec.S, 0.99 * dec.phi, dec.solver)
+
+    def test_small_coefficients_stay_optimal(self):
+        # an absolute pivot tolerance once made F(1e-8 T) 0.65 % too high
+        # and F(1e-12 T) 90 % too high on this chain
+        T = random_chain(grid_mesh(4, 4), 1, np.random.default_rng(1))
+        unit = flat_norm(T).value
+        assert unit == pytest.approx(2.677827, abs=1e-6)
+        for a in (1e-8, 1e-12):
+            assert flat_norm(T.scale(a)).value == pytest.approx(a * unit, rel=1e-12)
+
+
+class TestScaling:
+    @settings(max_examples=24, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(CASES)),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.sampled_from([1e-12, 1e-8, 1e6]),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_homogeneity(self, case, seed, a, sign):
+        cx, k, _ = CASES[case]
+        T = random_chain(cx, k, np.random.default_rng(seed))
+        scaled = flat_norm(T.scale(sign * a))
+        assert scaled.value == pytest.approx(a * flat_norm(T).value, rel=1e-9)
+        _assert_certified(T.scale(sign * a), scaled)
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(CASES)),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.sampled_from([1e-3, 1e3]),
+    )
+    def test_coordinate_scaling_matches_highs(self, case, seed, a):
+        cx, k, solver = CASES[case]
+        T = random_chain(cx, k, np.random.default_rng(seed))
+        Ts = Chain(_rescaled(cx, a), k, T.coeffs)
+        dec = flat_norm(Ts)
+        assert dec.solver == solver
+        assert dec.value == pytest.approx(highs_flat_norm(Ts), rel=1e-7)
+        _assert_certified(Ts, dec)

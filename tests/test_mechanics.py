@@ -278,6 +278,31 @@ class TestStrainAndPower:
         assert worst <= 1e-8
 
 
+class TestConfigurationValidation:
+    def _count_embedding_checks(self, monkeypatch):
+        import roughbody.maps as maps
+
+        checked = []
+        original = maps.is_embedding
+        monkeypatch.setattr(maps, "is_embedding", lambda F: checked.append(F) or original(F))
+        return checked
+
+    def test_sampled_map_is_checked_once(self, monkeypatch, rng):
+        checked = self._count_embedding_checks(monkeypatch)
+        F = random_embedding_map(grid_mesh(2, 2), rng)
+        Configuration(F)
+        assert sum(G is F for G in checked) == 1
+
+    def test_supplied_map_is_checked(self, monkeypatch, split_square):
+        checked = self._count_embedding_checks(monkeypatch)
+        Configuration(PAMap(split_square, split_square.vertices.copy()))
+        assert len(checked) == 1
+        folded = split_square.vertices.copy()
+        folded[4] = [0.5, -1.0]  # folds triangles (0, 1, 4) and (1, 5, 4) over
+        with pytest.raises(ValueError, match="not an embedding"):
+            Configuration(PAMap(split_square, folded))
+
+
 class TestStressReport:
     def test_identity_piola_equals_cauchy(self, identity_config, body_chain, rng):
         icx = identity_config.image_complex
