@@ -156,28 +156,21 @@ def _rot60(v: np.ndarray) -> np.ndarray:
 class KochLevel:
     complex: Complex
     body: Body
-    loop: list[int]  # CCW boundary vertex ids
 
 
-def _koch_build(levels: int) -> list[KochLevel]:
-    """Hierarchical Koch construction.
+def _koch_build(levels: int) -> list[tuple[np.ndarray, list]]:
+    """Hierarchical Koch construction: (points, triangles) of levels 0..levels.
 
     Each step trisects the boundary edges, re-cones the triangles touching
     them (keeping the complex free of T-junctions) and attaches the bump
     triangles; earlier bodies stay exactly representable on later meshes.
+    No complex is built here, so a caller builds only the levels it needs.
     """
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
     pool_pts = [base[i] for i in range(3)]
     tris: list[tuple[int, int, int]] = [(0, 1, 2)]
     loop = [0, 1, 2]
-    out: list[KochLevel] = []
-
-    def snapshot() -> KochLevel:
-        cx = build_complex(np.asarray(pool_pts), {2: list(tris)}, check_overlap=False)
-        body = Body(Chain(cx, 2, {i: 1.0 for i in range(len(tris))}))
-        return KochLevel(cx, body, list(loop))
-
-    out.append(snapshot())
+    out = [(np.asarray(pool_pts), tris)]
     for _ in range(levels):
         pts = np.asarray(pool_pts)
         boundary_edges = {}
@@ -224,15 +217,20 @@ def _koch_build(levels: int) -> list[KochLevel]:
             new_loop.extend([a, i1, it, i2])
         tris = new_tris
         loop = new_loop
-        out.append(snapshot())
+        out.append((np.asarray(pool_pts), tris))
     return out
+
+
+def _koch_level(points: np.ndarray, tris: list) -> KochLevel:
+    cx = build_complex(points, {2: tris}, check_overlap=False)
+    return KochLevel(cx, Body(Chain(cx, 2, {i: 1.0 for i in range(len(tris))})))
 
 
 def koch_prefractal(level: int) -> Body:
     """Triangulated level-k Koch snowflake body of unit base side."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    return _koch_build(level)[-1].body
+    return _koch_level(*_koch_build(level)[-1]).body
 
 
 @dataclass
@@ -254,7 +252,7 @@ def koch_generalized_body(levels: int, eps: float = 1e-2, method: str = "mass") 
     on a single complex; method "mass" uses mass(T_{k+1} - T_k) = annexed
     area, a rigorous flat-distance upper bound.
     """
-    hierarchy = _koch_build(levels)
+    hierarchy = [_koch_level(*state) for state in _koch_build(levels)]
     finest = hierarchy[-1].complex
     carried = [_carry_onto(lv.body, finest) for lv in hierarchy]
     report = certify_cauchy([b.chain for b in carried], finest, eps=eps, method=method)

@@ -177,10 +177,9 @@ def _solve_dense(t, vol_k, vol_k1, faces, signs):
     m, p = t.size, vol_k1.size
     B = np.zeros((m, p))
     np.add.at(B, (faces, np.arange(p)[:, None]), signs)
-    A = np.hstack([np.eye(m), -np.eye(m), B, -B])
     c = np.concatenate([vol_k, vol_k, vol_k1, vol_k1])
     basis = [i if t[i] >= 0 else m + i for i in range(m)]
-    res = solve_lp(c, A, t, basis=basis)
+    res = solve_lp(c, np.hstack([np.eye(m), -np.eye(m), B, -B]), t, basis=basis)
     s = res.x[2 * m : 2 * m + p] - res.x[2 * m + p :]
     return s, vol_k - res.reduced[:m], res.iterations
 

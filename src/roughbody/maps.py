@@ -17,9 +17,8 @@ import numpy as np
 from .chains import Chain
 from .errors import ComplexMismatch, EmptyRegion, NonSimplexImage
 from .forms import Cochain, FormField
-from .mesh import Complex, _perm_parity, _VertexPool, build_complex
+from .mesh import Complex, _perm_parity, _VertexPool, build_complex, first_overlapping_pair
 from .poly import Poly
-from .simplex_lp import simplex_interiors_intersect
 
 DEGEN_TOL = 1e-12
 
@@ -38,6 +37,9 @@ class PAMap:
         images = np.asarray(images, dtype=float)
         if images.ndim != 2 or images.shape[0] != source.vertices.shape[0]:
             raise ValueError("need one image point per source vertex")
+        bad = np.flatnonzero(~np.isfinite(images).all(axis=1))
+        if bad.size:
+            raise ValueError(f"image of vertex {bad[0]} has a non-finite coordinate {images[bad[0]]}")
         if images.shape[1] < source.dim:
             raise NonSimplexImage("target dimension below source dimension")
         if images.shape[1] > 3:
@@ -217,8 +219,9 @@ def is_embedding(F: PAMap) -> EmbeddingVerdict:
     """Full-rank Jacobians plus pairwise interior-disjointness of image simplices.
 
     Returns the extreme singular values (c, d); a failure carries a witness
-    simplex or pair.  Interior overlap is decided by an interior-point
-    feasibility program with barycentric margin 1e-6.
+    simplex or pair.  Interior overlap of the image simplices is decided
+    exactly, by the same sweep that validates meshes
+    (mesh.first_overlapping_pair).
     """
     src = F.source
     K = src.top_degree
@@ -232,21 +235,10 @@ def is_embedding(F: PAMap) -> EmbeddingVerdict:
         if smin <= 1e-12 * max(d, 1.0):
             return EmbeddingVerdict(False, 0.0, d, ("degenerate", i))
         c = min(c, smin)
-    imgs = np.asarray([F.images[list(src.simplices[K][i])] for i in range(m)])
-    lo = imgs.min(axis=1)
-    hi = imgs.max(axis=1)
-    pad = 1e-9 * max(1.0, float(np.abs(F.images).max()))
-    order = np.argsort(lo[:, 0])
-    for a_pos in range(m):
-        a = order[a_pos]
-        for b_pos in range(a_pos + 1, m):
-            b = order[b_pos]
-            if lo[b, 0] > hi[a, 0] + pad:
-                break
-            if np.any(lo[b] > hi[a] + pad) or np.any(lo[a] > hi[b] + pad):
-                continue
-            if simplex_interiors_intersect(imgs[a], imgs[b]):
-                return EmbeddingVerdict(False, float(c), float(d), ("overlap", (int(a), int(b))))
+    imgs = F.images[np.asarray(src.simplices[K], dtype=int)]
+    pair = first_overlapping_pair(imgs)
+    if pair is not None:
+        return EmbeddingVerdict(False, float(c), float(d), ("overlap", pair))
     return EmbeddingVerdict(True, float(c), float(d), None)
 
 

@@ -328,7 +328,17 @@ def stress_report(
     img = config.map.image()
     forms = [whitney_realize(X) for X in cochains]
 
-    m_surface = m_body = m_internal = 0.0
+    # per component, the n-forms d(v_i w_i), d w_i and (d v_i) ^ w_i on the image tops of T
+    tops = [e[0] for e in (img.simplex_map[n][idx] for idx in support) if e is not None]
+    terms = []
+    for i, w in enumerate(forms):
+        here = [t for t in tops if t in w.comps]
+        vw = FormField(w.complex, n - 1, {t: [v[i].as_poly(t) * p for p in w.comps[t]] for t in here})
+        dw = FormField(w.complex, n - 1, {t: w.comps[t] for t in here}).d()
+        dv = FormField(w.complex, 1, {t: [Poly.constant(n, g) for g in v[i].gradient(t)] for t in here})
+        terms.append((vw.d(), dw, dv.wedge(w)))
+
+    material = np.zeros(3)
     for idx in support:
         coeff = T.coeffs[idx]
         entry = img.simplex_map[n][idx]
@@ -339,64 +349,18 @@ def stress_report(
         J = config.jacobian_det(idx)
         coords = src.coords(n, idx)
         vol = src.volume(n, idx)
-        for i, w in enumerate(forms):
-            polys = w.comps.get(image_top)
-            if polys is None:
+        for i, (d_vw, dw, dv_w) in enumerate(terms):
+            if image_top not in dw.comps:
                 continue
-            v_poly = v[i].as_poly(image_top)
-            # d(v_i w_i): the single n-covector component of the derivative
-            vw = [v_poly * p for p in polys]
-            d_vw = _d_single_component(vw, n)
-            m_surface += coeff * J * integrate_over_simplex(d_vw.compose_affine(M, c), coords, vol)
-            # v_i * (d w_i)
-            dw = _d_single_component(polys, n)
-            m_body -= coeff * J * integrate_over_simplex(
-                (v_poly * dw).compose_affine(M, c), coords, vol
-            )
-            # (d v_i) ^ w_i
-            grad = v[i].gradient(image_top)
-            dv_wedge = _wedge_1_with(polys, grad, n)
-            m_internal += coeff * J * integrate_over_simplex(
-                dv_wedge.compose_affine(M, c), coords, vol
+            body = (v[i].as_poly(image_top) * dw.comps[image_top][0]).scale(-1.0)
+            polys = (d_vw.comps[image_top][0], body, dv_w.comps[image_top][0])
+            material += coeff * J * np.array(
+                [integrate_over_simplex(p.compose_affine(M, c), coords, vol) for p in polys]
             )
 
     spatial = (vp.surface_power, vp.body_power, vp.internal_power)
-    material = (m_surface, m_body, m_internal)
+    material = tuple(material.tolist())
     dev = max(abs(a - b) for a, b in zip(spatial, material))
     pk = tuple(pullback_form(config.map, w) for w in forms)
     return StressReport(spatial, material, dev, pk, tuple(forms))
 
-
-def _d_single_component(polys: list[Poly], n: int) -> Poly:
-    """The lone component of d(omega) for an (n-1)-form's component polynomials."""
-    from . import multivec
-
-    out = Poly.zero(n)
-    out_index = multivec.basis_index(n, n)
-    for i, I in enumerate(multivec.basis_tuples(n, n - 1)):
-        for dax in range(n):
-            sign, merged = multivec.merge_sign((dax,), I)
-            if sign == 0:
-                continue
-            dp = polys[i].diff(dax)
-            if not dp.is_zero():
-                assert out_index[merged] == 0
-                out = out + dp.scale(sign)
-    return out
-
-
-def _wedge_1_with(polys: list[Poly], grad: np.ndarray, n: int) -> Poly:
-    """Single component of (constant 1-covector grad) ^ (n-1)-form polys."""
-    from . import multivec
-
-    out = Poly.zero(n)
-    for dax in range(n):
-        g = float(grad[dax])
-        if g == 0.0:
-            continue
-        for i, I in enumerate(multivec.basis_tuples(n, n - 1)):
-            sign, _ = multivec.merge_sign((dax,), I)
-            if sign == 0 or polys[i].is_zero():
-                continue
-            out = out + polys[i].scale(sign * g)
-    return out

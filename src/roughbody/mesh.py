@@ -177,14 +177,20 @@ def build_complex(vertices, simplices, check_overlap: bool = True) -> Complex:
     """Assemble a complex from vertex coordinates and per-degree simplex lists.
 
     Faces of the given simplices are derived automatically; a face shared by
-    several simplices is stored once.  Raises DegenerateSimplex for simplices
-    of numerically zero volume and NonManifoldOverlap when two same-degree
-    simplices have intersecting interiors (top degree and explicitly given
-    degrees are tested; disable with check_overlap=False for trusted input).
+    several simplices is stored once.  Raises ValueError for a vertex with a
+    non-finite coordinate, DegenerateSimplex for simplices of numerically
+    zero volume and NonManifoldOverlap when two same-degree simplices have
+    intersecting relative interiors (top degree and explicitly given degrees
+    are tested; disable with check_overlap=False for trusted input).  The
+    overlap test is exact (see first_overlapping_pair): shared faces never
+    count, and no overlap is too shallow to be found.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] not in (1, 2, 3):
         raise ValueError("vertices must be (V, n) with n in {1, 2, 3}")
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]} has a non-finite coordinate {vertices[bad[0]]}")
     nv = vertices.shape[0]
 
     table: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(nv)]}
@@ -269,33 +275,32 @@ def build_complex(vertices, simplices, check_overlap: bool = True) -> Complex:
 
     cx.validation = {"degeneracy": True, "boundary_of_boundary": True, "disjoint_interiors": False}
     if check_overlap:
-        degrees = {max_deg} | explicit_degrees
-        for k in degrees:
-            _check_disjoint_interiors(cx, k)
+        for k in ({max_deg} | explicit_degrees) - {0}:
+            pair = first_overlapping_pair(cx.all_coords(k))
+            if pair is not None:
+                raise NonManifoldOverlap(f"degree-{k} simplices {pair[0]} and {pair[1]} overlap")
         cx.validation["disjoint_interiors"] = True
     return cx
 
 
-def _check_disjoint_interiors(cx: Complex, k: int) -> None:
-    m = cx.n_simplices(k)
-    if m < 2 or k == 0:
-        return
-    C = cx.all_coords(k)
-    lo = C.min(axis=1)
-    hi = C.max(axis=1)
-    scale = max(cx.diameter(), 1.0)
-    pad = 1e-9 * scale
+def first_overlapping_pair(C: np.ndarray) -> tuple[int, int] | None:
+    """First pair (a, b) of simplices, vertex coordinates C[a] and C[b], whose interiors meet.
+
+    A sweep over the simplices sorted by their lowest x finds the pairs
+    whose bounding boxes meet; the exact predicate decides each of them.
+    Boxes that only touch are tested, because the predicate is exact.
+    """
+    lo, hi = C.min(axis=1), C.max(axis=1)
     order = np.argsort(lo[:, 0])
-    for a_pos in range(m):
-        a = order[a_pos]
-        for b_pos in range(a_pos + 1, m):
-            b = order[b_pos]
-            if lo[b, 0] > hi[a, 0] + pad:
-                break
-            if np.any(lo[b] > hi[a] + pad) or np.any(lo[a] > hi[b] + pad):
-                continue
+    C, lo, hi = C[order], lo[order], hi[order]
+    ends = np.searchsorted(lo[:, 0], hi[:, 0], side="right")
+    for a in range(len(C)):
+        near = slice(a + 1, ends[a])
+        meet = np.all(lo[near] <= hi[a], axis=1) & np.all(hi[near] >= lo[a], axis=1)
+        for b in a + 1 + np.flatnonzero(meet):
             if simplex_interiors_intersect(C[a], C[b]):
-                raise NonManifoldOverlap(f"degree-{k} simplices {a} and {b} overlap")
+                return int(order[a]), int(order[b])
+    return None
 
 
 # -- operations ---------------------------------------------------------
@@ -579,40 +584,13 @@ def clip_simplex(cx: Complex, k: int, idx: int, hs: HalfSpace) -> list[np.ndarra
     """Exact simplicial subdivision of (simplex intersect half-space).
 
     Returns vertex-coordinate arrays, each oriented like the parent simplex;
-    an empty intersection yields an empty list.
+    an empty intersection yields an empty list.  The simplex is refined on
+    its own by refine_by_halfspace and the pieces on the + side are kept.
     """
-    vids = cx.simplices[k][idx]
-    C = cx.coords(k, idx)
-    lam, s = hs.unit()
-    d = C @ lam - s
-    snap = VALUE_SNAP * max(float(np.abs(C).max()), 1.0)
-    d = np.where(np.abs(d) <= snap, 0.0, d)
-    pool = _VertexPool(C)
-    dvals = list(d)
-
-    def crossing(u: int, v: int) -> int:
-        a, b = (u, v) if u < v else (v, u)
-        da, db = dvals[a], dvals[b]
-        t = da / (da - db)
-        x = pool.coords[a] + t * (pool.coords[b] - pool.coords[a])
-        vid = pool.add(x)
-        if vid == len(dvals):
-            dvals.append(0.0)
-        return vid
-
-    local = tuple(range(len(vids)))
-    if k == 0:
-        return [C.copy()] if d[0] >= 0 else []
-    plus, _ = _split_ids(local, [dvals[v] for v in local], crossing)
-    E = (C[1:] - C[0]).T
-    pinv = np.linalg.pinv(E)
-    scale = _longest_edges(C[None, :, :])[0] ** k
-    out = []
-    for piece in plus:
-        oriented = _orient_like(piece, pinv, pool, DEGENERACY_TOL * scale)
-        if oriented is not None:
-            out.append(np.asarray([pool.coords[v] for v in oriented]))
-    return out
+    one = build_complex(cx.coords(k, idx), {k: [tuple(range(k + 1))]}, check_overlap=False)
+    ref = refine_by_halfspace(one, hs)
+    sides = side_of_simplices(ref.complex, k, hs)
+    return [ref.complex.coords(k, j) for j in ref.carry[k][0] if sides[j] > 0]
 
 
 # -- barycentric refinement ----------------------------------------------

@@ -1,16 +1,23 @@
-"""Dense primal simplex solver with Bland's anti-cycling rule.
+"""Dense primal simplex solver and the exact simplex-overlap predicate.
 
-Solves   min c.x   s.t.  A x = b,  x >= 0.
+`solve_lp` solves   min c.x   s.t.  A x = b,  x >= 0.
 
 Problems in this package are small (at most a few thousand variables), so
 a dense tableau is adequate and keeps the package free of external solver
 dependencies.  Bland's rule guarantees termination on the degenerate
 problems that chain geometry produces routinely.
+
+`simplex_interiors_intersect` decides whether two simplices share a point
+of their relative interiors.  It needs no LP and no tolerance: the float
+coordinates are scaled to Python integers by one power of two, and a
+separating-axis test runs in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations, product
+from operator import sub
 
 import numpy as np
 
@@ -93,25 +100,24 @@ def solve_lp(
     variables establishes feasibility first.
     """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
     total_it = 0
 
-    neg = b < 0
-    if neg.any():
-        A = A.copy()
-        A[neg] *= -1.0
-        b[neg] *= -1.0
+    # rows with b < 0 enter the tableau negated; the tableau is then the only
+    # dense copy of the constraints that the pivots keep alive
+    T = np.zeros((m + 1, n + 1 + (m if basis is None else 0)))
+    np.multiply(A, np.where(b < 0, -1.0, 1.0)[:, None], out=T[:m, :n])
+    del A
+    b = np.abs(b)
+    T[:m, -1] = b
 
     if basis is None:
         # phase 1: artificial identity basis
-        T = np.zeros((m + 1, n + m + 1))
-        T[:m, :n] = A
         T[:m, n : n + m] = np.eye(m)
-        T[:m, -1] = b
         bas = np.arange(n, n + m)
-        T[-1, :n] = -A.sum(axis=0)
+        T[-1, :n] = -T[:m, :n].sum(axis=0)
         T[-1, -1] = -b.sum()
         total_it += _simplex_core(T, bas, n + m, max_iter)
         if T[-1, -1] < -FEAS_TOL * (1.0 + abs(b).sum()):
@@ -135,9 +141,7 @@ def solve_lp(
         basis_arr = bas
     else:
         basis_arr = np.asarray(basis, dtype=int)
-        T2 = np.zeros((m + 1, n + 1))
-        T2[:m, :n] = A
-        T2[:m, -1] = b
+        T2 = T
         for row, col in enumerate(basis_arr):
             if abs(T2[row, col] - 1.0) > FEAS_TOL or np.abs(np.delete(T2[:m, col], row)).max(initial=0.0) > FEAS_TOL:
                 raise LPNumericalFailure("supplied basis does not index an identity submatrix")
@@ -156,38 +160,92 @@ def solve_lp(
     return LPResult(x, value, total_it, "optimal", T2[-1, :n].copy())
 
 
-def feasible_point(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray | None:
-    """Phase-1 feasibility for A x = b, x >= 0; returns a point or None."""
-    res = solve_lp(np.zeros(A.shape[1]), A, b)
-    if res.status == "infeasible":
-        return None
-    if np.abs(A @ res.x - b).max(initial=0.0) > 1e-6 * (1.0 + np.abs(b).max(initial=0.0)):
-        return None
-    return res.x
+def simplex_interiors_intersect(V: np.ndarray, W: np.ndarray) -> bool:
+    """Whether two simplices (vertex rows V, W in R^n, n <= 3) share a relative-interior point.
 
-
-def simplex_interiors_intersect(V: np.ndarray, W: np.ndarray, margin: float = 1e-6) -> bool:
-    """Whether two simplices (vertex rows V, W) share an interior point.
-
-    Solved as feasibility of V't = W'u with t, u barycentric and bounded
-    below by `margin` (barycentric depth), which excludes touching along
-    shared faces; the margin must sit well above the solver tolerance.
+    The relative interiors are disjoint exactly when some axis u properly
+    separates the simplices: max V.u <= min W.u (or the reverse) with not
+    every projection equal (Rockafellar, Convex Analysis, Thm 11.3).  When
+    such an axis exists, a normal of the affine hull of the Minkowski
+    difference W - V or a normal of one of its facets within that hull is
+    one, and every such normal is among the candidates that `_axes` builds
+    from the edge vectors.  Everything is computed on the exact integer
+    images of the coordinates, so touching along shared faces never counts
+    as overlap and no overlap is too shallow to count.
     """
-    n = V.shape[1]
-    ka, kb = V.shape[0], W.shape[0]
-    scale = max(np.abs(V).max(), np.abs(W).max(), 1.0)
-    # variables a, b >= 0 with t = margin + a, u = margin + b
-    A = np.zeros((n + 2, ka + kb))
-    A[:n, :ka] = V.T
-    A[:n, ka:] = -W.T
-    A[n, :ka] = 1.0
-    A[n + 1, ka:] = 1.0
-    rhs = np.zeros(n + 2)
-    rhs[:n] = margin * (W.T.sum(axis=1) - V.T.sum(axis=1))
-    rhs[n] = 1.0 - ka * margin
-    rhs[n + 1] = 1.0 - kb * margin
-    if rhs[n] <= 0 or rhs[n + 1] <= 0:
-        return False
-    A[:n] /= scale
-    rhs[:n] /= scale
-    return feasible_point(A, rhs) is not None
+    A, B = _integer_rows(V, W)
+    return not any(_properly_separates(u, A, B) for u in _axes(A, B))
+
+
+def _integer_rows(V: np.ndarray, W: np.ndarray) -> tuple[list[tuple], list[tuple]]:
+    """Both vertex lists scaled by one power of two so that every coordinate is an int."""
+    ratios = [x.as_integer_ratio() for x in V.ravel().tolist() + W.ravel().tolist()]
+    bits = max([q for _, q in ratios]).bit_length()
+    flat = [p << (bits - q.bit_length()) for p, q in ratios]
+    rows = list(zip(*[iter(flat)] * V.shape[1]))
+    return rows[: len(V)], rows[len(V) :]
+
+
+def _sub(p, q):
+    return tuple(map(sub, p, q))
+
+
+def _cross(g, h):
+    return (g[1] * h[2] - g[2] * h[1], g[2] * h[0] - g[0] * h[2], g[0] * h[1] - g[1] * h[0])
+
+
+def _axes(A, B):
+    """Candidate separating axes, facet normals first, generated lazily.
+
+    G holds every edge vector of both simplices and a0 - b0.  In R^1 the
+    axes are the g in G; in R^2 they are the perpendiculars of the g, edges
+    of A and B first, then the g themselves.  In R^3 they are the facet
+    normals, then the nonzero g x h for g an edge of A and h an edge of B or
+    for g any edge and h = a0 - b0, and, when both simplices have degree
+    below 3, each such g x h crossed with every l in G.  When every g x h
+    vanishes the pair is collinear and the g themselves are the axes.
+    """
+    n = len(A[0])
+    if n == 2:
+        yield from ((p[1] - q[1], q[0] - p[0]) for P in (A, B) for p, q in combinations(P, 2))
+    elif n == 3:
+        yield from (_cross(_sub(q, p), _sub(r, p)) for P in (A, B) for p, q, r in combinations(P, 3))
+    ea = [_sub(q, p) for p, q in combinations(A, 2)]
+    eb = [_sub(q, p) for p, q in combinations(B, 2)]
+    G = ea + eb + [_sub(A[0], B[0])]
+    if n < 3:
+        if n == 2:
+            yield (-G[-1][1], G[-1][0])
+        yield from G
+        return
+    normals = []
+    for g, h in chain(product(ea, eb), product(ea + eb, G[-1:])):
+        u = _cross(g, h)
+        if any(u):
+            normals.append(u)
+            yield u
+    if not normals:
+        yield from G
+    elif max(len(A), len(B)) <= 3:
+        yield from (_cross(u, g) for u in normals for g in G)
+
+
+def _properly_separates(u, A, B) -> bool:
+    if len(u) == 3:
+        ux, uy, uz = u
+        pa = [x * ux + y * uy + z * uz for x, y, z in A]
+        pb = [x * ux + y * uy + z * uz for x, y, z in B]
+    elif len(u) == 2:
+        ux, uy = u
+        pa = [x * ux + y * uy for x, y in A]
+        pb = [x * ux + y * uy for x, y in B]
+    else:
+        pa = [a[0] * u[0] for a in A]
+        pb = [b[0] * u[0] for b in B]
+    hi_a, lo_b = max(pa), min(pb)
+    if hi_a <= lo_b:
+        return min(pa) < max(pb)
+    hi_b, lo_a = max(pb), min(pa)
+    if hi_b <= lo_a:
+        return lo_b < hi_a
+    return False

@@ -67,6 +67,21 @@ class TestCLI:
         bad.write_text(json.dumps({"dim": 2, "vertices": "nope"}))
         assert main(["mesh", "validate", "--mesh", str(bad)]) == 2
 
+    def test_non_finite_vertex_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        verts = [[0, 0], [1, 0], [0, float("nan")]]
+        bad.write_text(json.dumps({"dim": 2, "vertices": verts, "simplices": {"2": [[0, 1, 2]]}}))
+        assert main(["mesh", "validate", "--mesh", str(bad)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValueError" and "vertex 2" in err["error"]
+
+    def test_koch_level5_mesh_validates(self, tmp_path, capsys):
+        out_path = tmp_path / "k5.json"
+        assert main(["fractal", "--type", "koch", "--level", "5", "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        assert main(["mesh", "validate", "--mesh", str(tmp_path / "k5.mesh.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"]
+
     def test_flatnorm_square_boundary(self, square_files, tmp_path, capsys):
         _, mesh_path, _, cx = square_files
         bnd = io.load_chain(square_files[2], mesh=cx).boundary()

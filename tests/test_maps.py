@@ -19,6 +19,7 @@ from roughbody.maps import (
     pullback_form,
     pushforward,
 )
+from roughbody.mesh import build_complex
 
 
 def chain_coords_map(chain):
@@ -74,6 +75,21 @@ class TestEmbedding:
         v = is_embedding(fold)
         assert not v.ok
         assert v.witness[0] == "overlap"
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-12])
+    def test_folded_sliver_rejected(self, eps):
+        # the image of the lower apex is pushed eps across the shared edge; side 0.25 keeps
+        # the eps = 1e-12 image above the 1e-12 singular-value floor
+        src = build_complex([[0, 0], [0.25, 0], [0, 0.25], [0, -0.25]], {2: [(0, 1, 2), (0, 1, 3)]})
+        v = is_embedding(PAMap(src, [[0, 0], [0.25, 0], [0, 0.25], [0, eps]]))
+        assert not v.ok
+        assert v.witness == ("overlap", (0, 1))
+
+    def test_non_finite_image_rejected(self, square):
+        images = square.vertices.copy()
+        images[2, 0] = np.nan
+        with pytest.raises(ValueError, match="image of vertex 2 has a non-finite coordinate"):
+            PAMap(square, images)
 
     def test_perturbation_keeps_embedding(self, grid44, rng):
         # the embedding set is open: small perturbations stay embeddings

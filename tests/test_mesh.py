@@ -47,6 +47,18 @@ class TestBuildComplex:
         with pytest.raises(NonManifoldOverlap):
             build_complex(verts, {1: [(0, 1), (2, 3)]})
 
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-12])
+    def test_folded_sliver_rejected(self, eps):
+        # the apex of the second triangle is pushed eps across the edge it shares with the first;
+        # side 0.25 keeps the eps = 1e-12 sliver above the 1e-12 (longest edge)^2 degeneracy floor
+        with pytest.raises(NonManifoldOverlap):
+            build_complex([[0, 0], [0.25, 0], [0, 0.25], [0, eps]], {2: [(0, 1, 2), (0, 1, 3)]})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_vertex_rejected(self, bad):
+        with pytest.raises(ValueError, match="vertex 1 has a non-finite coordinate"):
+            build_complex([[0, 0], [1, bad], [0, 1]], {2: [(0, 1, 2)]})
+
     def test_shared_diagonal_sign_consistent(self, square):
         # the diagonal appears once and receives opposite signs from the two triangles
         diag = square.index[1][frozenset((0, 2))]
