@@ -103,8 +103,9 @@ def geometric_boundary_surface(body: Body) -> Surface:
     vol_vec = np.zeros(multivec.dim(n, n))
     vol_vec[0] = 1.0  # e_1 ^ ... ^ e_n
     owners: dict[int, int] = {}
+    faces = cx.incidence_arrays(n)[0]
     for tidx in body.chain.coeffs:
-        for fidx, _ in cx.incidence[n][tidx]:
+        for fidx in faces[tidx].tolist():
             owners.setdefault(fidx, tidx)
     coeffs: dict[int, float] = {}
     for fidx in bnd.coeffs:

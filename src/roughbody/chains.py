@@ -77,14 +77,15 @@ class Chain:
         if self.degree == 0:
             raise DegreeZero("0-chains have no boundary")
         out: dict[int, float] = {}
-        inc = self.complex.incidence[self.degree]
-        for idx, a in self.coeffs.items():
-            for fidx, sgn in inc[idx]:
-                v = out.get(fidx, 0.0) + sgn * a
-                if v == 0.0:
-                    out.pop(fidx, None)
-                else:
-                    out[fidx] = v
+        faces, signs = self.complex.incidence_arrays(self.degree)
+        idx = np.fromiter(self.coeffs, dtype=np.intp, count=len(self.coeffs))
+        terms = signs[idx] * np.fromiter(self.coeffs.values(), dtype=float, count=len(idx))[:, None]
+        for fidx, t in zip(faces[idx].ravel().tolist(), terms.ravel().tolist()):
+            v = out.get(fidx, 0.0) + t
+            if v == 0.0:
+                out.pop(fidx, None)
+            else:
+                out[fidx] = v
         return Chain(self.complex, self.degree - 1, out)
 
     def mass(self) -> float:

@@ -39,7 +39,7 @@ from .mechanics import (
     flux_from_cochains,
     virtual_power_report,
 )
-from .mesh import barycentric_refine
+from .mesh import barycentric_refine, sort_parity
 from .sharp import SharpField, boundary_product, check_product_bounds, multiply
 
 
@@ -322,12 +322,7 @@ def _rekey_cochain(X: Cochain, target) -> Cochain:
         order_t = sorted(
             range(len(stored_tgt)), key=lambda t: tuple(target.vertices[stored_tgt[t]])
         )
-        from .mesh import _perm_parity
-
-        sign = _perm_parity(tuple(order), tuple(range(len(order)))) * _perm_parity(
-            tuple(order_t), tuple(range(len(order_t)))
-        )
-        out[j] = sign * a
+        out[j] = int(sort_parity(order) * sort_parity(order_t)) * a
     return Cochain(target, k, out)
 
 

@@ -22,7 +22,7 @@ from .errors import (
     DegreeOverflow,
     TopDegree,
 )
-from .mesh import Complex, barycentric_refine
+from .mesh import Complex, _cut_vertices, _split_ids, barycentric_refine, simplex_volumes
 from .poly import Poly, integrate_over_simplex
 
 
@@ -74,16 +74,14 @@ def coboundary(X: Cochain) -> Cochain:
     cx = X.complex
     if X.degree >= cx.top_degree:
         raise TopDegree("coboundary exceeds the top degree of the mesh")
-    out: dict[int, float] = {}
-    for idx, row in enumerate(cx.incidence[X.degree + 1]):
-        acc = 0.0
-        for fidx, sgn in row:
-            c = X.coeffs.get(fidx)
-            if c:
-                acc += sgn * c
-        if acc != 0.0:
-            out[idx] = acc
-    return Cochain(cx, X.degree + 1, out)
+    faces, signs = cx.incidence_arrays(X.degree + 1)
+    x = np.zeros(cx.n_simplices(X.degree))
+    x[list(X.coeffs)] = list(X.coeffs.values())
+    acc = np.zeros(len(faces))
+    for i in range(faces.shape[1]):
+        acc = acc + signs[:, i] * x[faces[:, i]]
+    nonzero = np.flatnonzero(acc)
+    return Cochain(cx, X.degree + 1, dict(zip(nonzero.tolist(), acc[nonzero].tolist())))
 
 
 class FormField:
@@ -225,15 +223,12 @@ def whitney_realize(X: Cochain) -> FormField:
     if not X.coeffs:
         return FormField(cx, k, comps)
     ncomp = multivec.dim(n, k)
+    faces = cx.face_table(K, k).tolist()
     for top, verts in enumerate(cx.simplices[K]):
         G = cx.barygrads(top)  # row i: (grad lambda_i, const)
         res = None
         pos_of = {v: i for i, v in enumerate(verts)}
-        for sub in combinations(range(K + 1), k + 1):
-            key = frozenset(verts[i] for i in sub)
-            fidx = cx.index[k].get(key)
-            if fidx is None:
-                continue
+        for fidx in faces[top]:
             coeff = X.coeffs.get(fidx)
             if not coeff:
                 continue
@@ -415,37 +410,23 @@ def _integral_abs_affine(coords: np.ndarray, vertex_vals: np.ndarray, vol: float
     if (vals >= 0).all() or (vals <= 0).all():
         return vol * float(np.abs(vals).mean()) if k >= 0 else 0.0
     pieces = _split_coords_by_values(coords, vals)
+    vols = simplex_volumes(np.stack([pc for pc, _ in pieces]))
     total = 0.0
-    for pc, pv in pieces:
-        E = (pc[1:] - pc[0]).T
-        gram = E.T @ E
-        pvol = np.sqrt(max(np.linalg.det(gram), 0.0)) / factorial(k)
+    for pvol, (_, pv) in zip(vols, pieces):
         total += pvol * float(np.abs(pv).mean())
     return total
 
 
+_EDGES = {v: np.array(list(combinations(range(v), 2))) for v in (2, 3, 4)}
+
+
 def _split_coords_by_values(coords: np.ndarray, vals: np.ndarray):
     """Split a simplex along the zero set of an affine scalar (vertex values)."""
-    from .mesh import _split_ids
-
-    pts = [np.asarray(c, dtype=float) for c in coords]
-    vlist = list(map(float, vals))
-
-    def crossing(u: int, v: int) -> int:
-        da, db = vlist[u], vlist[v]
-        t = da / (da - db)
-        pts.append(pts[u] + t * (pts[v] - pts[u]))
-        vlist.append(0.0)
-        return len(pts) - 1
-
-    ids = tuple(range(len(pts)))
-    plus, minus = _split_ids(ids, vlist, crossing)
-    out = []
-    for piece in plus + minus:
-        pc = np.asarray([pts[i] for i in piece])
-        pv = np.asarray([vlist[i] for i in piece])
-        out.append((pc, pv))
-    return out
+    ids = tuple(range(len(coords)))
+    pts, crossing = _cut_vertices(np.asarray(coords, dtype=float), vals, _EDGES[len(ids)])
+    vals = np.concatenate([vals, np.zeros(len(pts) - len(ids))])
+    plus, minus = _split_ids(ids, vals.tolist(), crossing)
+    return [(pts[list(piece)], vals[list(piece)]) for piece in plus + minus]
 
 
 def _adaptive_norm_integral(coords: np.ndarray, density: list[Poly], vol: float, tol: float) -> float:

@@ -17,7 +17,16 @@ import numpy as np
 from .chains import Chain
 from .errors import ComplexMismatch, EmptyRegion, NonSimplexImage
 from .forms import Cochain, FormField
-from .mesh import Complex, _perm_parity, _VertexPool, build_complex, first_overlapping_pair
+from .mesh import (
+    Complex,
+    _first_seen,
+    _longest_edges,
+    _row_codes,
+    build_complex,
+    first_overlapping_pair,
+    simplex_volumes,
+    sort_parity,
+)
 from .poly import Poly
 
 DEGEN_TOL = 1e-12
@@ -100,49 +109,30 @@ class PAMap:
         return self.image().complex
 
     def _build_image(self) -> ImageData:
-        src = self.source
-        pool = _VertexPool(np.zeros((0, self.target_dim)))
-        vmap = [pool.add(self.images[v]) for v in range(self.images.shape[0])]
-        table: dict[int, list[tuple[int, ...]]] = {}
-        positions: dict[int, dict[frozenset, int]] = {}
+        # coincident images, on a grid of DEGEN_TOL times the image diameter, share one vertex
+        extent = float(np.linalg.norm(self.images.max(axis=0) - self.images.min(axis=0)))
+        grid = np.round(self.images / (DEGEN_TOL * extent)) if extent > 0.0 else self.images
+        vmap, first = _first_seen(np.unique(grid, axis=0, return_inverse=True)[1].ravel())
+        points = self.images[first]
+        table: dict[int, np.ndarray] = {}
         smap: dict[int, list[tuple[int, int] | None]] = {}
-        from math import factorial
-
-        for k in sorted(src.simplices):
-            table[k] = []
-            positions[k] = {}
-            smap[k] = []
-            for verts in src.simplices[k]:
-                img = tuple(vmap[v] for v in verts)
-                if len(set(img)) != len(img):
-                    smap[k].append(None)
-                    continue
-                if k > 0:
-                    C = pool.array()[list(img)]
-                    E = C[1:] - C[0]
-                    gram = E @ E.T
-                    vol = np.sqrt(max(np.linalg.det(gram), 0.0)) / factorial(k)
-                    longest = max(
-                        np.linalg.norm(C[i] - C[j])
-                        for i in range(k + 1)
-                        for j in range(i + 1, k + 1)
-                    )
-                    if vol <= DEGEN_TOL * max(longest**k, 1e-300):
-                        smap[k].append(None)
-                        continue
-                key = frozenset(img)
-                pos = positions[k].get(key)
-                if pos is None:
-                    pos = len(table[k])
-                    positions[k][key] = pos
-                    table[k].append(img)
-                    sign = 1
-                else:
-                    sign = _perm_parity(img, table[k][pos])
-                smap[k].append((pos, sign))
-        cx = build_complex(pool.array(), table, check_overlap=False)
+        for k, S in self.source.arrays.items():
+            img = vmap[S]
+            key = np.sort(img, axis=1)
+            ok = (key[:, 1:] != key[:, :-1]).all(axis=1)
+            if k > 0:
+                C = points[img]
+                ok &= simplex_volumes(C) > DEGEN_TOL * np.maximum(_longest_edges(C) ** k, 1e-300)
+            rows = np.flatnonzero(ok)
+            pos, first = _first_seen(_row_codes(key[rows], nv=len(points))[0])
+            table[k] = img[rows][first]
+            sign = sort_parity(img[rows]) * sort_parity(table[k][pos])
+            smap[k] = [None] * len(S)
+            for r, p, sg in zip(rows.tolist(), pos.tolist(), sign.tolist()):
+                smap[k][r] = (p, sg)
+        cx = build_complex(points, table, check_overlap=False)
         # table positions are preserved by build_complex (explicit first)
-        return ImageData(cx, vmap, smap)
+        return ImageData(cx, vmap.tolist(), smap)
 
     def __call__(self, x: np.ndarray, top_idx: int) -> np.ndarray:
         M, c = self.affine_on(top_idx)

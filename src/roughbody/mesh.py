@@ -1,12 +1,20 @@
 """Oriented simplicial complexes in R^n (n <= 3).
 
-A Complex stores, per degree k, ordered vertex-index tuples (the order is
-the orientation) together with signed incidence tables.  Face tables are
-derived automatically and shared faces appear exactly once, which makes
-the combinatorial identity "boundary of boundary = 0" structural.
+A Complex stores, per degree k, an (m_k, k + 1) array of vertex ids (the
+order of a row is the orientation of its simplex) and per-degree boundary
+arrays: faces[j, i] is the facet of simplex j opposite its vertex i, and
+signs[j, i] is that facet's incidence.  Faces are derived automatically
+and a shared face is stored once, which makes "boundary of boundary = 0"
+structural.  The tuple lists `simplices`, the frozenset-keyed `index` and
+the list-form `incidence` are views of these arrays.
 
-The half-space splitter produces an exact simplicial refinement with the
-cut hyperplane as an interface.  Sub-polytopes are triangulated with the
+Refinement addresses every new vertex by the simplex it comes from, so no
+coordinate lookup is needed: the half-space splitter appends one crossing
+per cut edge, in edge order, and barycentric subdivision one barycenter
+per simplex of degree >= 1, in (degree, index) order.  Each degree is
+refined in whole-array passes.  The half-space splitter produces an exact
+simplicial refinement with the cut hyperplane as an interface.  Uncut
+simplices are carried as themselves; cut ones are triangulated with the
 pulling rule (cone from the globally smallest vertex id, quads split along
 the diagonal through their smallest vertex), which makes the piece
 triangulations of shared faces agree between neighbouring simplices.
@@ -15,19 +23,18 @@ triangulations of shared faces agree between neighbouring simplices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
 
 from .errors import DegenerateSimplex, NonManifoldOverlap
-from .multivec import MultiVector, simple_from_columns
+from .multivec import MultiVector, basis_tuples, simple_from_columns
 from .simplex_lp import simplex_interiors_intersect
 
 DEGENERACY_TOL = 1e-12
-COORD_SNAP = 1e-12
 VALUE_SNAP = 1e-10
-
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -52,33 +59,99 @@ class HalfSpace:
         return np.asarray(points) @ lam - s
 
 
-def _perm_parity(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Parity of the permutation taking tuple a to tuple b (same elements)."""
-    perm = [b.index(x) for x in a]
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def sort_parity(rows) -> np.ndarray:
+    """Sign of the permutation that sorts each row (last axis) of distinct entries."""
+    rows = np.asarray(rows)
+    odd = np.zeros(rows.shape[:-1], dtype=bool)
+    for i, j in combinations(range(rows.shape[-1]), 2):
+        odd ^= rows[..., i] > rows[..., j]
+    return np.where(odd, -1, 1)
+
+
+def kvectors(C: np.ndarray) -> np.ndarray:
+    """Components of (v_1 - v_0) ^ ... ^ (v_k - v_0) for each simplex of C.
+
+    C holds the vertex coordinates of m k-simplices in R^n, shape
+    (m, k + 1, n); the result is (m, C(n, k)), its columns the k x k minors
+    of the edge matrix, indexed like multivec.basis_tuples(n, k).
+    """
+    m, v, n = C.shape
+    E = C[:, 1:, :] - C[:, :1, :]
+    if v == 1:
+        return np.ones((m, 1))
+    if v > n + 1:  # more edges than dimensions: no nonzero k-vector
+        return np.zeros((m, 0))
+    if v == 2:
+        return E[:, 0, :]
+    if v == n + 1:
+        return np.linalg.det(E)[:, None]
+    # a triangle in R^3: the 2 x 2 minors
+    return np.stack([E[:, 0, i] * E[:, 1, j] - E[:, 0, j] * E[:, 1, i] for i, j in basis_tuples(n, 2)], axis=1)
+
+
+def simplex_volumes(C: np.ndarray) -> np.ndarray:
+    """k-volumes of the simplices with vertex coordinates C, shape (m, k + 1, n).
+
+    |det E| / k! when k is the ambient dimension, and below it the norm of
+    the simple k-vector of the edges (the root sum of squared k x k minors)
+    over k!.  A Gram determinant would cancel catastrophically on slivers.
+    """
+    W = kvectors(C)
+    norms = np.abs(W[:, 0]) if W.shape[1] == 1 else np.linalg.norm(W, axis=1)
+    return norms / factorial(C.shape[1] - 1)
+
+
+def _row_codes(*blocks: np.ndarray, nv: int) -> list[np.ndarray]:
+    """One integer per row of each (r, w) block of vertex ids < nv; equal rows, equal codes."""
+    w = blocks[0].shape[1]
+    if nv**w < 2**62:
+        radix = nv ** np.arange(w - 1, -1, -1, dtype=np.int64)
+        return [b.astype(np.int64) @ radix for b in blocks]
+    _, inv = np.unique(np.concatenate(blocks), axis=0, return_inverse=True)
+    return np.split(inv.ravel(), np.cumsum([len(b) for b in blocks])[:-1])
+
+
+def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each code's number in order of first appearance, and the first positions (ascending)."""
+    _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(first)
+    rank[order] = np.arange(len(first))
+    return rank[inv], first[order]
 
 
 class Complex:
     """Immutable oriented simplicial complex; use build_complex to construct."""
 
-    def __init__(self, dim, vertices, simplices, index, incidence, face_parent):
+    def __init__(self, dim, vertices, arrays, incidence_arrays, face_parent):
         self.dim = dim
         self.vertices = vertices
-        self.simplices = simplices
-        self.index = index
-        self.incidence = incidence
-        self.face_parent = face_parent
-        self.top_degree = max(k for k, lst in simplices.items() if lst)
+        self.arrays = arrays  # k -> (m_k, k + 1) vertex ids
+        ids = list(range(len(vertices)))  # one int object per vertex id, shared by all tuples
+        self.simplices = {
+            k: list(zip(*(map(ids.__getitem__, col) for col in a.T.tolist()))) for k, a in arrays.items()
+        }
+        self.face_parent = face_parent  # k -> (m_k,) first (k+1)-simplex having the face, or -1
+        self.top_degree = max(k for k, a in arrays.items() if len(a))
         self.validation: dict[str, bool] = {}
+        self._incidence_arrays = incidence_arrays  # k -> (faces, signs), each (m_k, k + 1)
         self._volumes: dict[int, np.ndarray] = {}
         self._tangents: dict[int, np.ndarray] = {}
         self._barygrads: dict[tuple[int, int], np.ndarray] = {}
-        self._incidence_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._face_tables: dict[tuple[int, int], np.ndarray] = {}
+
+    @cached_property
+    def index(self) -> dict[int, dict[frozenset, int]]:
+        """Per degree, vertex set -> simplex index (built on first use)."""
+        return {k: {frozenset(s): i for i, s in enumerate(lst)} for k, lst in self.simplices.items()}
+
+    @cached_property
+    def incidence(self) -> dict[int, list[list[tuple[int, int]]]]:
+        """Per degree, per simplex, [(facet index, incidence sign), ...] (built on first use)."""
+        return {
+            k: [list(zip(f, s)) for f, s in zip(faces.tolist(), signs.tolist())]
+            for k, (faces, signs) in self._incidence_arrays.items()
+        }
 
     # -- basic geometry ------------------------------------------------
 
@@ -86,30 +159,37 @@ class Complex:
         return len(self.simplices.get(k, []))
 
     def coords(self, k: int, idx: int) -> np.ndarray:
-        return self.vertices[list(self.simplices[k][idx])]
+        return self.vertices[self.arrays[k][idx]]
 
     def all_coords(self, k: int) -> np.ndarray:
-        tuples = np.asarray(self.simplices[k], dtype=int)
-        return self.vertices[tuples]
+        return self.vertices[self.arrays[k]]
 
     def volumes(self, k: int) -> np.ndarray:
         if k not in self._volumes:
-            if k == 0:
-                self._volumes[k] = np.ones(self.n_simplices(0))
-            else:
-                C = self.all_coords(k)
-                E = C[:, 1:, :] - C[:, :1, :]
-                gram = E @ E.transpose(0, 2, 1)
-                det = np.linalg.det(gram)
-                self._volumes[k] = np.sqrt(np.maximum(det, 0.0)) / factorial(k)
+            self._volumes[k] = simplex_volumes(self.all_coords(k))
         return self._volumes[k]
 
     def incidence_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(faces, signs), each (m_k, k + 1): row j lists simplex j's facets and incidences."""
-        if k not in self._incidence_arrays:
-            rows = np.asarray(self.incidence[k], dtype=np.intp).reshape(self.n_simplices(k), k + 1, 2)
-            self._incidence_arrays[k] = (rows[:, :, 0], rows[:, :, 1])
         return self._incidence_arrays[k]
+
+    def face_table(self, k: int, j: int) -> np.ndarray:
+        """(m_k, C(k+1, j+1)) indices of the j-faces of every k-simplex, in combinations order."""
+        key = (k, j)
+        if key not in self._face_tables:
+            S = self.arrays[k]
+            if j == 0:
+                table = S
+            elif j == k:
+                table = np.arange(len(S))[:, None]
+            else:
+                sub = np.sort(S[:, list(combinations(range(k + 1), j + 1))], axis=2)
+                nv = len(self.vertices)
+                own, want = _row_codes(np.sort(self.arrays[j], axis=1), sub.reshape(-1, j + 1), nv=nv)
+                order = np.argsort(own)
+                table = order[np.searchsorted(own, want, sorter=order)].reshape(len(S), -1)
+            self._face_tables[key] = table
+        return self._face_tables[key]
 
     def volume(self, k: int, idx: int) -> float:
         return float(self.volumes(k)[idx])
@@ -146,7 +226,7 @@ class Complex:
         """Index of a top-degree simplex having (k, idx) as an iterated face."""
         cur_k, cur = k, idx
         while cur_k < self.top_degree:
-            parent = self.face_parent[cur_k][cur]
+            parent = int(self.face_parent[cur_k][cur])
             if parent < 0:
                 raise ValueError(f"simplex ({k},{idx}) is not a face of any top simplex")
             cur_k, cur = cur_k + 1, parent
@@ -154,8 +234,7 @@ class Complex:
 
     def faces(self, k: int, idx: int, j: int) -> list[int]:
         """Indices of the j-faces of simplex (k, idx)."""
-        verts = self.simplices[k][idx]
-        return [self.index[j][frozenset(c)] for c in combinations(verts, j + 1)]
+        return self.face_table(k, j)[idx].tolist()
 
     def diameter(self) -> float:
         lo = self.vertices.min(axis=0)
@@ -173,17 +252,66 @@ def _longest_edges(C: np.ndarray) -> np.ndarray:
     return best
 
 
+def _simplex_rows(entries, k: int) -> np.ndarray:
+    """Degree-k simplices as an (m, k + 1) array of vertex ids."""
+    try:
+        S = np.asarray(entries, dtype=np.intp)
+    except (TypeError, ValueError):
+        S = None
+    if S is None or S.ndim != 2 or S.shape[1] != k + 1:
+        for s in entries:
+            if len(s) != k + 1:
+                raise ValueError(f"degree-{k} simplex {tuple(s)} has {len(s)} vertices")
+        raise ValueError(f"degree-{k} simplices must be rows of {k + 1} vertex indices")
+    return S
+
+
+def _distinct_simplices(S: np.ndarray, nv: int) -> np.ndarray:
+    """The rows of S in first-occurrence order, each vertex set once."""
+    bad = np.flatnonzero(((S < 0) | (S >= nv)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"simplex {tuple(S[bad[0]].tolist())} references a missing vertex")
+    key = np.sort(S, axis=1)
+    bad = np.flatnonzero((key[:, 1:] == key[:, :-1]).any(axis=1))
+    if bad.size:
+        raise DegenerateSimplex(f"simplex {tuple(S[bad[0]].tolist())} repeats a vertex")
+    ids, first = _first_seen(_row_codes(key, nv=nv)[0])
+    stored = first[ids]
+    bad = np.flatnonzero(sort_parity(S) != sort_parity(S[stored]))
+    if bad.size:
+        s, t = S[bad[0]], S[stored[bad[0]]]
+        raise ValueError(f"simplex {tuple(s.tolist())} duplicates {tuple(t.tolist())} with opposite orientation")
+    return S[first]
+
+
+def _derive_facets(F: np.ndarray, known: np.ndarray, nv: int):
+    """Indices of the facets F, shape (m, v, v - 1), and the completed face array.
+
+    A facet not among the `known` faces is appended, in the orientation
+    and order in which it is first met.
+    """
+    m, v, _ = F.shape
+    if v == 2:
+        return F[:, :, 0], known
+    flat = F.reshape(-1, v - 1)
+    c_known, c_flat = _row_codes(np.sort(known, axis=1), np.sort(flat, axis=1), nv=nv)
+    ids, first = _first_seen(np.concatenate([c_known, c_flat]))
+    new = first[first >= len(known)] - len(known)
+    return ids[len(known) :].reshape(m, v), np.concatenate([known, flat[new]])
+
+
 def build_complex(vertices, simplices, check_overlap: bool = True) -> Complex:
     """Assemble a complex from vertex coordinates and per-degree simplex lists.
 
     Faces of the given simplices are derived automatically; a face shared by
     several simplices is stored once.  Raises ValueError for a vertex with a
     non-finite coordinate, DegenerateSimplex for simplices of numerically
-    zero volume and NonManifoldOverlap when two same-degree simplices have
-    intersecting relative interiors (top degree and explicitly given degrees
-    are tested; disable with check_overlap=False for trusted input).  The
-    overlap test is exact (see first_overlapping_pair): shared faces never
-    count, and no overlap is too shallow to be found.
+    zero volume (below DEGENERACY_TOL times the longest edge to the power k)
+    and NonManifoldOverlap when two same-degree simplices have intersecting
+    relative interiors (top degree and explicitly given degrees are tested;
+    disable with check_overlap=False for trusted input).  The overlap test
+    is exact (see first_overlapping_pair): shared faces never count, and no
+    overlap is too shallow to be found.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] not in (1, 2, 3):
@@ -193,85 +321,55 @@ def build_complex(vertices, simplices, check_overlap: bool = True) -> Complex:
         raise ValueError(f"vertex {bad[0]} has a non-finite coordinate {vertices[bad[0]]}")
     nv = vertices.shape[0]
 
-    table: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(nv)]}
-    index: dict[int, dict[frozenset, int]] = {0: {frozenset((i,)): i for i in range(nv)}}
+    arrays: dict[int, np.ndarray] = {0: np.arange(nv, dtype=np.intp)[:, None]}
     explicit_degrees = set()
-
     for k in sorted(simplices):
-        entries = [tuple(int(v) for v in s) for s in simplices[k]]
-        if not entries:
+        if len(simplices[k]) == 0:
             continue
+        S = _simplex_rows(simplices[k], k)
         if k == 0:
-            for s in entries:
-                if s[0] < 0 or s[0] >= nv:
-                    raise ValueError(f"vertex index {s[0]} out of range")
+            bad = S[(S < 0) | (S >= nv)]
+            if bad.size:
+                raise ValueError(f"vertex index {bad[0]} out of range")
             continue
+        arrays[k] = _distinct_simplices(S, nv)
         explicit_degrees.add(k)
-        table.setdefault(k, [])
-        index.setdefault(k, {})
-        for s in entries:
-            if len(s) != k + 1:
-                raise ValueError(f"degree-{k} simplex {s} has {len(s)} vertices")
-            if any(v < 0 or v >= nv for v in s):
-                raise ValueError(f"simplex {s} references a missing vertex")
-            if len(set(s)) != len(s):
-                raise DegenerateSimplex(f"simplex {s} repeats a vertex")
-            key = frozenset(s)
-            if key in index[k]:
-                stored = table[k][index[k][key]]
-                if stored != s and _perm_parity(s, stored) != 1:
-                    raise ValueError(f"simplex {s} duplicates {stored} with opposite orientation")
-                continue
-            index[k][key] = len(table[k])
-            table[k].append(s)
 
-    max_deg = max(table)
-    incidence: dict[int, list[list[tuple[int, int]]]] = {}
-    face_parent: dict[int, list[int]] = {}
+    max_deg = max(arrays)
+    incidence: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    face_parent: dict[int, np.ndarray] = {}
     for k in range(max_deg, 0, -1):
-        table.setdefault(k - 1, [])
-        index.setdefault(k - 1, {})
-        incidence[k] = []
-        if k - 1 not in face_parent:
-            face_parent[k - 1] = [-1] * len(table[k - 1])
-        for idx, s in enumerate(table[k]):
-            row = []
-            for i in range(k + 1):
-                face = s[:i] + s[i + 1 :]
-                key = frozenset(face)
-                fidx = index[k - 1].get(key)
-                if fidx is None:
-                    fidx = len(table[k - 1])
-                    index[k - 1][key] = fidx
-                    table[k - 1].append(face)
-                    face_parent[k - 1].append(idx)
-                elif face_parent[k - 1][fidx] < 0:
-                    face_parent[k - 1][fidx] = idx
-                sign = (1 if i % 2 == 0 else -1) * _perm_parity(face, table[k - 1][fidx])
-                row.append((fidx, sign))
-            incidence[k].append(row)
+        # facet i of a simplex omits its vertex i
+        facets = arrays[k][:, [[j for j in range(k + 1) if j != i] for i in range(k + 1)]]
+        faces, arrays[k - 1] = _derive_facets(facets, arrays.get(k - 1, np.empty((0, k), dtype=np.intp)), nv)
+        alternating = np.where(np.arange(k + 1) % 2 == 0, 1, -1)
+        signs = alternating * sort_parity(facets) * sort_parity(arrays[k - 1][faces])
+        incidence[k] = (faces, signs)
+        parent = np.full(len(arrays[k - 1]), -1, dtype=np.intp)
+        met, first = np.unique(faces.ravel(), return_index=True)
+        parent[met] = first // (k + 1)
+        face_parent[k - 1] = parent
 
-    cx = Complex(vertices.shape[1], vertices, table, index, incidence, face_parent)
+    cx = Complex(vertices.shape[1], vertices, dict(sorted(arrays.items())), incidence, face_parent)
 
     # degeneracy (scale-aware)
     for k in range(1, max_deg + 1):
-        if not table[k]:
+        if not len(arrays[k]):
             continue
-        vols = cx.volumes(k)
         scale = _longest_edges(cx.all_coords(k)) ** k
-        bad = np.nonzero(vols < DEGENERACY_TOL * np.maximum(scale, 1e-300))[0]
+        bad = np.flatnonzero(cx.volumes(k) < DEGENERACY_TOL * np.maximum(scale, 1e-300))
         if bad.size:
             raise DegenerateSimplex(f"degree-{k} simplex {int(bad[0])} is degenerate")
 
-    # boundary of boundary vanishes, combinatorially
+    # boundary of boundary vanishes, combinatorially: per k-simplex, the
+    # signed count of every (k-2)-face over its facets' facets is zero
     for k in range(2, max_deg + 1):
-        for idx in range(len(table[k])):
-            acc: dict[int, int] = {}
-            for fidx, sgn in incidence[k][idx]:
-                for gidx, sgn2 in incidence[k - 1][fidx]:
-                    acc[gidx] = acc.get(gidx, 0) + sgn * sgn2
-            if any(v != 0 for v in acc.values()):
-                raise RuntimeError("incidence construction violated del o del = 0")
+        faces, signs = incidence[k]
+        sub_faces, sub_signs = incidence[k - 1]
+        ridge = np.arange(len(faces))[:, None, None] * len(arrays[k - 2]) + sub_faces[faces]
+        _, which = np.unique(ridge.ravel(), return_inverse=True)
+        if np.bincount(which, weights=(signs[:, :, None] * sub_signs[faces]).ravel()).any():
+            raise RuntimeError("incidence construction violated del o del = 0")
 
     cx.validation = {"degeneracy": True, "boundary_of_boundary": True, "disjoint_interiors": False}
     if check_overlap:
@@ -307,7 +405,7 @@ def first_overlapping_pair(C: np.ndarray) -> tuple[int, int] | None:
 
 
 def simplex_volume(cx: Complex, k: int, idx: int) -> float:
-    """k-dimensional Hausdorff volume of one simplex (Gram determinant route)."""
+    """k-dimensional Hausdorff volume of one simplex (see simplex_volumes)."""
     return cx.volume(k, idx)
 
 
@@ -317,30 +415,6 @@ def unit_tangent(cx: Complex, k: int, idx: int) -> MultiVector:
 
 
 # -- half-space splitting ------------------------------------------------
-
-
-class _VertexPool:
-    """Vertex registry with coordinate-snap deduplication."""
-
-    def __init__(self, coords: np.ndarray):
-        self.coords = [np.asarray(c, dtype=float) for c in coords]
-        self._lookup = {self._key(c): i for i, c in enumerate(self.coords)}
-
-    @staticmethod
-    def _key(c) -> tuple[int, ...]:
-        return tuple(int(round(x / COORD_SNAP)) for x in c)
-
-    def add(self, c: np.ndarray) -> int:
-        key = self._key(c)
-        idx = self._lookup.get(key)
-        if idx is None:
-            idx = len(self.coords)
-            self.coords.append(np.asarray(c, dtype=float))
-            self._lookup[key] = idx
-        return idx
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords)
 
 
 def _quad_triangles(cycle: tuple[int, int, int, int]) -> list[tuple[int, int, int]]:
@@ -462,22 +536,57 @@ def _split_ids(vids, vals, crossing):
     return plus, minus
 
 
-def _orient_like(piece: tuple[int, ...], parent_pinv: np.ndarray, pool: _VertexPool, vol_floor: float):
-    """Reorder `piece` to match the parent orientation; None if degenerate."""
-    k = len(piece) - 1
-    if k == 0:
-        return piece
-    C = np.asarray([pool.coords[v] for v in piece])
-    F = (C[1:] - C[0]).T
-    G = parent_pinv @ F
-    det = np.linalg.det(G)
-    gram = F.T @ F
-    vol = np.sqrt(max(np.linalg.det(gram), 0.0)) / factorial(k)
-    if vol <= vol_floor or det == 0.0:
-        return None
-    if det < 0:
-        piece = (piece[1], piece[0]) + piece[2:]
-    return piece
+def _cut_vertices(X: np.ndarray, d: np.ndarray, edges: np.ndarray):
+    """Append one crossing per edge whose ends take opposite signs of d, in edge order.
+
+    The crossing on edge {a, b}, a < b, is X[a] + t (X[b] - X[a]) with
+    t = d[a] / (d[a] - d[b]).  Returns the extended vertex array and
+    crossing(u, v), the id of the crossing on edge {u, v}.
+    """
+    a, b = np.sort(edges, axis=1).T
+    side = np.sign(d)
+    cut = side[a] * side[b] < 0
+    a, b = a[cut], b[cut]
+    t = d[a] / (d[a] - d[b])
+    ids = dict(zip(zip(a.tolist(), b.tolist()), range(len(X), len(X) + len(a))))
+    return np.concatenate([X, X[a] + t[:, None] * (X[b] - X[a])]), lambda u, v: ids[(u, v) if u < v else (v, u)]
+
+
+def _orient_pieces(pieces: np.ndarray, parent_coords: np.ndarray, vertices: np.ndarray):
+    """The pieces above the volume floor, each in its parent's orientation, and the keep mask.
+
+    Row i of parent_coords holds the vertex coordinates of piece i's parent.
+    A piece keeps its orientation when its k-vector has a positive inner
+    product with its parent's, and swaps its first two vertices otherwise;
+    it is dropped when its volume is at most DEGENERACY_TOL times the
+    parent's longest edge to the power k.
+    """
+    k = pieces.shape[1] - 1
+    C = vertices[pieces]
+    same = np.einsum("ij,ij->i", kvectors(C), kvectors(parent_coords))
+    keep = (simplex_volumes(C) > DEGENERACY_TOL * _longest_edges(parent_coords) ** k) & (same != 0.0)
+    pieces = pieces.copy()
+    pieces[same < 0, :2] = pieces[same < 0, 1::-1]
+    return pieces[keep], keep
+
+
+def _splice(S: np.ndarray, cut: np.ndarray, pieces: np.ndarray, parents: np.ndarray):
+    """S with each cut row replaced by its pieces, and the carry map of every row.
+
+    `pieces` lists the pieces of the rows `cut` (ascending) in order;
+    parents[i] is the row of piece i.
+    """
+    counts = np.ones(len(S), dtype=np.intp)
+    counts[cut] = np.bincount(parents, minlength=len(S))[cut]
+    in_cut = np.zeros(len(S), dtype=bool)
+    in_cut[cut] = True
+    from_cut = np.repeat(in_cut, counts)
+    out = np.empty((len(from_cut), S.shape[1]), dtype=np.intp)
+    out[~from_cut] = S[~in_cut]
+    out[from_cut] = pieces
+    ends = np.cumsum(counts).tolist()
+    positions = list(range(len(out)))
+    return out, [positions[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 @dataclass
@@ -508,76 +617,40 @@ class Refinement:
 
 
 def refine_by_halfspace(cx: Complex, hs: HalfSpace) -> Refinement:
-    """Exact refinement of the whole complex by the cut hyperplane of hs."""
+    """Exact refinement of the whole complex by the cut hyperplane of hs.
+
+    A vertex within VALUE_SNAP * diameter of the hyperplane counts as on
+    it.  Vertex ids: those of cx, then one crossing per cut edge in edge
+    order.  Each simplex is replaced by its pieces in place.
+    """
     lam, s = hs.unit()
     d = cx.vertices @ lam - s
-    snap = VALUE_SNAP * max(cx.diameter(), 1.0)
-    d = np.where(np.abs(d) <= snap, 0.0, d)
-    dvals = list(d)
-    pool = _VertexPool(cx.vertices)
-    cross_cache: dict[tuple[int, int], int] = {}
-
-    def crossing(u: int, v: int) -> int:
-        a, b = (u, v) if u < v else (v, u)
-        cached = cross_cache.get((a, b))
-        if cached is not None:
-            return cached
-        da, db = dvals[a], dvals[b]
-        t = da / (da - db)
-        x = pool.coords[a] + t * (pool.coords[b] - pool.coords[a])
-        vid = pool.add(x)
-        if vid == len(dvals):
-            dvals.append(0.0)
-        cross_cache[(a, b)] = vid
-        return vid
-
-    def piece_fn(k, idx, vids, p):
-        if k == 0:
-            return [vids]
-        plus, minus = _split_ids(vids, [dvals[v] for v in vids], crossing)
-        C = np.asarray([p.coords[v] for v in vids])
-        E = (C[1:] - C[0]).T
-        pinv = np.linalg.pinv(E)
-        scale = _longest_edges(C[None, :, :])[0] ** k
-        out = []
-        for piece in plus + minus:
-            oriented = _orient_like(piece, pinv, p, DEGENERACY_TOL * scale)
-            if oriented is not None:
-                out.append(oriented)
-        return out
-
-    return _split_complex_with_pool(cx, piece_fn, pool)
-
-
-def _split_complex_with_pool(cx: Complex, piece_fn, pool: _VertexPool) -> Refinement:
-    new_simplices: dict[int, list[tuple[int, ...]]] = {}
-    positions: dict[int, dict[tuple[int, ...], int]] = {}
-    carry: dict[int, list[list[int]]] = {}
-    for k in sorted(cx.simplices):
-        new_simplices[k] = []
-        positions[k] = {}
-        carry[k] = []
-        for idx, vids in enumerate(cx.simplices[k]):
-            pieces = piece_fn(k, idx, vids, pool)
-            dest = []
-            for piece in pieces:
-                pos = positions[k].get(piece)
-                if pos is None:
-                    pos = len(new_simplices[k])
-                    positions[k][piece] = pos
-                    new_simplices[k].append(piece)
-                dest.append(pos)
-            carry[k].append(dest)
-    new_cx = build_complex(pool.array(), new_simplices, check_overlap=False)
-    return Refinement(new_cx, cx, carry)
+    d[np.abs(d) <= VALUE_SNAP * cx.diameter()] = 0.0
+    vertices, crossing = _cut_vertices(cx.vertices, d, cx.arrays.get(1, np.empty((0, 2), dtype=np.intp)))
+    side = np.sign(d)
+    values = d.tolist()
+    new: dict[int, np.ndarray] = {0: cx.arrays[0]}
+    carry = {0: [[i] for i in range(len(cx.arrays[0]))]}
+    for k in range(1, max(cx.arrays) + 1):
+        S = cx.arrays[k]
+        cut = np.flatnonzero((side[S] > 0).any(axis=1) & (side[S] < 0).any(axis=1))
+        pieces, parents = [], []
+        for j, vids in zip(cut.tolist(), S[cut].tolist()):
+            plus, minus = _split_ids(tuple(vids), [values[v] for v in vids], crossing)
+            pieces += plus + minus
+            parents += [j] * (len(plus) + len(minus))
+        parents = np.array(parents, dtype=np.intp)
+        pieces = np.array(pieces, dtype=np.intp).reshape(-1, k + 1)
+        pieces, keep = _orient_pieces(pieces, cx.all_coords(k)[parents], vertices)
+        new[k], carry[k] = _splice(S, cut, pieces, parents[keep])
+    return Refinement(build_complex(vertices, new, check_overlap=False), cx, carry)
 
 
 def side_of_simplices(cx: Complex, k: int, hs: HalfSpace) -> np.ndarray:
-    """+1 / -1 side labels for the k-simplices of cx (in-plane counts as +1)."""
+    """+1 / -1 side labels for the k-simplices of cx (within VALUE_SNAP * diameter counts as +1)."""
     lam, s = hs.unit()
     d = cx.barycenters(k) @ lam - s
-    snap = VALUE_SNAP * max(cx.diameter(), 1.0)
-    return np.where(d >= -snap, 1, -1)
+    return np.where(d >= -VALUE_SNAP * cx.diameter(), 1, -1)
 
 
 def clip_simplex(cx: Complex, k: int, idx: int, hs: HalfSpace) -> list[np.ndarray]:
@@ -615,33 +688,39 @@ def _compose(first: Refinement, second: Refinement) -> Refinement:
 
 
 def _barycentric_once(cx: Complex) -> Refinement:
-    pool = _VertexPool(cx.vertices)
-    from itertools import permutations
+    """One barycentric subdivision.
 
-    def piece_fn(k, idx, vids, p):
-        if k == 0:
-            return [vids]
-        C = cx.coords(k, idx)
-        E = (C[1:] - C[0]).T
-        pinv = np.linalg.pinv(E)
-        scale = _longest_edges(C[None, :, :])[0] ** k
-        verts = list(vids)
-        out = []
-        for perm in permutations(range(k + 1)):
-            piece = []
-            for j in range(k + 1):
-                subset = [verts[perm[i]] for i in range(j + 1)]
-                if j == 0:
-                    piece.append(subset[0])
-                else:
-                    b = np.mean([pool.coords[v] for v in subset], axis=0)
-                    piece.append(pool.add(b))
-            oriented = _orient_like(tuple(piece), pinv, pool, DEGENERACY_TOL * scale)
-            if oriented is not None:
-                out.append(oriented)
-        return out
-
-    return _split_complex_with_pool(cx, piece_fn, pool)
+    Vertex ids: those of cx, then the barycenter of every simplex of degree
+    >= 1 in (degree, index) order.  A k-simplex (v_0, ..., v_k) is replaced
+    by its (k+1)! flag simplices, one per permutation p in lexicographic
+    order: (v_p0, b(v_p0, v_p1), ..., b(v_p0, ..., v_pk)).  The flag simplex
+    of p has orientation sign(p) relative to its parent, so odd ones swap
+    their first two vertices.
+    """
+    top = max(cx.arrays)
+    centers, offset = [cx.vertices], {0: 0}
+    for k in range(1, top + 1):
+        C = cx.all_coords(k)
+        total = C[:, 0]
+        for j in range(1, k + 1):
+            total = total + C[:, j]
+        offset[k] = offset[k - 1] + len(centers[-1])
+        centers.append(total / (k + 1))
+    new: dict[int, np.ndarray] = {0: cx.arrays[0]}
+    carry = {0: [[i] for i in range(len(cx.arrays[0]))]}
+    for k in range(1, top + 1):
+        flags = list(permutations(range(k + 1)))
+        levels = []
+        for j in range(k + 1):
+            column = {c: i for i, c in enumerate(combinations(range(k + 1), j + 1))}
+            levels.append(offset[j] + cx.face_table(k, j)[:, [column[tuple(sorted(p[: j + 1]))] for p in flags]])
+        pieces = np.stack(levels, axis=2)
+        odd = sort_parity(np.array(flags)) < 0
+        pieces[:, odd, :2] = pieces[:, odd, 1::-1]
+        new[k] = pieces.reshape(-1, k + 1)
+        positions = list(range(len(new[k])))
+        carry[k] = [positions[i : i + len(flags)] for i in range(0, len(positions), len(flags))]
+    return Refinement(build_complex(np.concatenate(centers), new, check_overlap=False), cx, carry)
 
 
 def barycentric_subdivide(cx: Complex, levels: int) -> Complex:

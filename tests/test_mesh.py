@@ -37,6 +37,10 @@ class TestBuildComplex:
         with pytest.raises(DegenerateSimplex):
             build_complex([[0, 0], [1, 0], [2, 0]], {2: [(0, 1, 2)]})
 
+    def test_tetrahedron_in_the_plane_is_degenerate(self):
+        with pytest.raises(DegenerateSimplex):
+            build_complex([[0, 0], [1, 0], [0, 1], [1, 1]], {3: [(0, 1, 2, 3)]})
+
     def test_overlapping_triangles_rejected(self):
         verts = [[0, 0], [1, 0], [0, 1], [0.2, 0.2], [1.2, 0.2], [0.2, 1.2]]
         with pytest.raises(NonManifoldOverlap):
