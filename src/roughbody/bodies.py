@@ -271,7 +271,7 @@ def _carry_onto(body: Body, finest: Complex) -> Body:
         if region.contains(b):
             coeffs[i] = 1.0
     carried = Body(Chain(finest, finest.dim, coeffs))
-    if abs(carried.mass() - body.mass()) > 1e-9 * max(1.0, body.mass()):
+    if abs(carried.mass() - body.mass()) > 1e-9 * body.mass():
         raise OverlayFailure("carried body volume drifted")
     return carried
 
@@ -287,7 +287,7 @@ class _RegionLocator:
         self.lo = C.min(axis=1)
         self.hi = C.max(axis=1)
         self.grads = [self.cx.barygrads(i) for i in self.idxs]
-        self.tol = 1e-9 * max(self.cx.diameter(), 1.0)
+        self.tol = 1e-9 * self.cx.diameter()
 
     def contains(self, x: np.ndarray) -> bool:
         hit = np.nonzero(
@@ -305,8 +305,13 @@ class _RegionLocator:
 
 
 def _facet_halfspaces(cx: Complex) -> list[HalfSpace]:
-    """Deduplicated supporting hyperplanes of all top-simplex facets."""
+    """Deduplicated supporting hyperplanes of all top-simplex facets.
+
+    Two planes are one when their unit normals and their offsets over the
+    mesh diameter agree to 1e-9.
+    """
     n = cx.dim
+    diam = cx.diameter()
     seen = {}
     out = []
     for idx in range(cx.n_simplices(n - 1)):
@@ -328,7 +333,7 @@ def _facet_halfspaces(cx: Complex) -> list[HalfSpace]:
                     nu = -nu
                 break
         s = float(nu @ C[0])
-        key = tuple(round(v / 1e-9) for v in (*nu, s))
+        key = tuple(round(v / 1e-9) for v in (*nu, s / diam))
         if key not in seen:
             seen[key] = True
             out.append(HalfSpace(tuple(nu), s))
@@ -379,7 +384,7 @@ def common_refinement(a: Body, b: Body) -> tuple[Complex, Body, Body]:
     if a.complex.dim != b.complex.dim:
         raise OverlayFailure("bodies live in different ambient dimensions")
     points = np.vstack([a.complex.vertices, b.complex.vertices])
-    pad = 0.125 * max(1.0, float(np.ptp(points)))
+    pad = 0.125 * float(np.ptp(points, axis=0).max())
     cx = _bbox_mesh(points, pad)
     planes = _facet_halfspaces(a.complex) + _facet_halfspaces(b.complex)
     for hs in planes:
@@ -392,7 +397,7 @@ def common_refinement(a: Body, b: Body) -> tuple[Complex, Body, Body]:
     body_a = Body(Chain(cx, cx.dim, ca))
     body_b = Body(Chain(cx, cx.dim, cb))
     for orig, new in ((a, body_a), (b, body_b)):
-        if abs(orig.mass() - new.mass()) > 1e-10 * max(1.0, orig.mass()):
+        if abs(orig.mass() - new.mass()) > 1e-10 * orig.mass():
             raise OverlayFailure(
                 f"volume drifted from {orig.mass()} to {new.mass()} in the overlay"
             )
@@ -400,27 +405,30 @@ def common_refinement(a: Body, b: Body) -> tuple[Complex, Body, Body]:
 
 
 def _coplanar_overlap(cx_a: Complex, ia: int, cx_b: Complex, ib: int, tol: float) -> bool:
-    """Positive (n-1)-measure overlap of two facets (same supporting plane)."""
+    """Positive (n-1)-measure overlap of two facets (same supporting plane).
+
+    B lies in A's hyperplane when its vertices are within tol of it.  Both
+    facets are then projected by dropping the coordinate along which the
+    hyperplane's normal is largest, an exact and injective map on that
+    hyperplane, and their interiors are compared in n - 1 dimensions.
+    """
     A = cx_a.coords(cx_a.dim - 1, ia)
     B = cx_b.coords(cx_b.dim - 1, ib)
     n = cx_a.dim
-    span = (A[1:] - A[0]).T if n > 1 else np.zeros((n, 0))
-    # same hyperplane?
-    for x in B:
-        rel = x - A[0]
-        if span.size:
-            resid = rel - span @ np.linalg.pinv(span) @ rel
-        else:
-            resid = rel
-        if np.linalg.norm(resid) > tol:
-            return False
+    E = A[1:] - A[0]
+    if n == 1:
+        normal = np.ones(1)
+    elif n == 2:
+        normal = np.array([-E[0, 1], E[0, 0]])
+    else:
+        normal = np.cross(E[0], E[1])
+    normal = normal / np.linalg.norm(normal)
+    if np.abs((B - A[0]) @ normal).max() > tol:
+        return False
     if n == 1:
         return True  # coincident points
-    # express both in the facet plane coordinates and test interior overlap
-    basis, _ = np.linalg.qr(span)
-    A2 = (A - A[0]) @ basis
-    B2 = (B - A[0]) @ basis
-    return simplex_interiors_intersect(A2, B2)
+    keep = np.arange(n) != np.argmax(np.abs(normal))
+    return simplex_interiors_intersect(A[:, keep], B[:, keep])
 
 
 def trace(part: Body, generator: Body) -> tuple[Chain, Complex]:
@@ -431,7 +439,7 @@ def trace(part: Body, generator: Body) -> tuple[Chain, Complex]:
     precondition H^{n-1}(boundary(P) cap boundary(M)) = 0 is enforced by
     exact facet-coincidence testing.
     """
-    tol = 1e-9 * max(part.complex.diameter(), generator.complex.diameter(), 1.0)
+    tol = 1e-9 * max(part.complex.diameter(), generator.complex.diameter())
     bnd_p = part.chain.boundary()
     bnd_m = generator.chain.boundary()
     for ia in bnd_p.coeffs:

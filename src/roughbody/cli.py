@@ -30,6 +30,7 @@ from .generate import (
     random_embedding_map,
     random_sharp_field,
 )
+from .maps import DEGEN_TOL
 from .mechanics import (
     CauchyFlux,
     Configuration,
@@ -303,26 +304,27 @@ def cmd_verify_balance(args) -> int:
 
 
 def _rekey_cochain(X: Cochain, target) -> Cochain:
-    """Re-express a cochain on a geometrically identical complex."""
+    """Re-express a cochain on a geometrically identical complex.
+
+    A vertex matches the target vertex on the same point of a grid of
+    DEGEN_TOL times the target's diameter, the grid on which a PA map's image
+    complex merges vertices; a simplex matches the target simplex on the
+    matched vertices, and its coefficient changes sign with the vertex order.
+    """
     src = X.complex
     k = X.degree
-
-    def key(cx, idx):
-        return frozenset(tuple(round(float(v), 9) for v in p) for p in cx.coords(k, idx))
-
-    lookup = {key(target, i): i for i in range(target.n_simplices(k))}
+    h = DEGEN_TOL * target.diameter() or 1.0
+    where = {p: v for v, p in enumerate(map(tuple, np.round(target.vertices / h).tolist()))}
+    vmap = [where.get(p) for p in map(tuple, np.round(src.vertices / h).tolist())]
+    lookup = {frozenset(s): j for j, s in enumerate(target.simplices[k])}
     out: dict[int, float] = {}
     for i, a in X.coeffs.items():
-        j = lookup.get(key(src, i))
+        img = [vmap[v] for v in src.simplices[k][i]]
+        j = lookup.get(frozenset(img))
         if j is None:
             raise SchemaViolation("flux mesh does not match the configuration's image mesh")
-        stored_src = src.simplices[k][i]
-        stored_tgt = target.simplices[k][j]
-        order = sorted(range(len(stored_src)), key=lambda t: tuple(src.vertices[stored_src[t]]))
-        order_t = sorted(
-            range(len(stored_tgt)), key=lambda t: tuple(target.vertices[stored_tgt[t]])
-        )
-        out[j] = int(sort_parity(order) * sort_parity(order_t)) * a
+        stored = target.simplices[k][j]
+        out[j] = int(sort_parity([stored.index(v) for v in img])) * a
     return Cochain(target, k, out)
 
 

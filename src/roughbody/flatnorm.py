@@ -11,11 +11,18 @@ Two solvers sit behind the one entry point.  For a codimension-one chain
 incidences once the (k+1)-simplices are oriented by sign(det), the LP's
 dual is a min-cost circulation on the dual graph (Ibrahim, Krishnamoorthy
 & Vixie, arXiv:1105.5104) and the network simplex solves it; every other
-case goes to the dense simplex.  Both solve a normalised problem (t over
-max|t|, both volume vectors over one common scale) and both return a dual
-k-cochain phi.  A result is accepted only when phi, scaled into
-feasibility (|phi_i| <= vol_k(i), |(delta phi)_j| <= vol_k+1(j)), proves
-the lower bound t.phi within CERT_RTOL * M(T) of the value M(R) + M(S).
+case goes to a Mehrotra predictor-corrector interior-point method, whose
+only dense array is the m x m normal matrix.  Both solve a normalised
+problem (t over max|t|, both volume vectors over one common scale) and
+both return a dual k-cochain phi.  A result is accepted only when phi,
+scaled into feasibility (|phi_i| <= vol_k(i), |(delta phi)_j| <=
+vol_k+1(j)), proves the lower bound t.phi within CERT_RTOL * M(T) of the
+value M(R) + M(S).
+
+An interior-point result that fails this check is solved again on the
+dense tableau of `simplex_lp.solve_lp`, and `solver` then reads
+"dense-simplex".  No benchmark operation and no test except the one that
+forces it takes this fallback.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ from .simplex_lp import solve_lp
 CERT_RTOL = 1e-9  # accepted duality gap, relative to M(T)
 S_DROP = 1e-12  # fill coefficients below this times max|t| are dropped
 EPS = float(np.finfo(float).eps)
+IPM_GAP = 1e-11  # interior-point stop: x.z <= IPM_GAP max(1, c.x)
+IPM_STEP = 0.99  # fraction of the step to the boundary of x >= 0, z >= 0
+IPM_MAX_ITER = 100
 
 
 @dataclass
@@ -68,14 +78,19 @@ def flat_norm(T: Chain, ambient: Complex | None = None) -> FlatDecomposition:
     nu = float(max(vol_k.max(), vol_k1.max()))
     faces, signs = cx.incidence_arrays(k + 1)
     arcs = _dual_arcs(cx, k, faces, signs)
+    lp = (t / tau, vol_k / nu, vol_k1 / nu)
     if arcs is not None:
-        s, phi, pivots = _solve_flow(t / tau, vol_k / nu, vol_k1 / nu, *arcs)
-        solver = "network-simplex"
-    else:
-        s, phi, pivots = _solve_dense(t / tau, vol_k / nu, vol_k1 / nu, faces, signs)
-        solver = "dense-simplex"
-    S = Chain(cx, k + 1, {j: tau * s[j] for j in np.nonzero(np.abs(s) > S_DROP)[0]})
-    return certify(T, S, nu * phi, solver, pivots)
+        return _certified(T, tau, nu, "network-simplex", *_solve_flow(*lp, *arcs))
+    try:
+        return _certified(T, tau, nu, "interior-point", *_solve_interior(*lp, faces, signs))
+    except LPNumericalFailure:
+        return _certified(T, tau, nu, "dense-simplex", *_solve_dense(*lp, faces, signs))
+
+
+def _certified(T, tau, nu, solver, s, phi, iterations) -> FlatDecomposition:
+    """Scale a normalised solution back and certify it."""
+    S = Chain(T.complex, T.degree + 1, {j: tau * s[j] for j in np.nonzero(np.abs(s) > S_DROP)[0]})
+    return certify(T, S, nu * phi, solver, iterations)
 
 
 def certify(T: Chain, S: Chain | None, phi: np.ndarray, solver: str, iterations: int = 0) -> FlatDecomposition:
@@ -166,6 +181,99 @@ def _solve_flow(t, vol_k, vol_k1, tail, head, sigma):
     )
     s = sigma * (res.potential[p] - res.potential[:p])
     return s, res.flow[:m], res.pivots
+
+
+def _solve_interior(t, vol_k, vol_k1, faces, signs):
+    """Fill, certificate and iterations from a primal-dual interior-point solve.
+
+    Mehrotra's predictor-corrector on the sign-split LP min c.x, A x = t,
+    x >= 0, with x = (r+, r-, s+, s-), A = [I, -I, B, -B] and c = (vol_k,
+    vol_k, vol_k+1, vol_k+1).  It starts feasible, x = (t+ + 1, t- + 1, 1, 1),
+    y = 0, z = c, and stops when x.z <= IPM_GAP max(1, c.x): `certify`
+    recomputes R = T - bd S exactly, so the primal residual needs no test.
+    Each step solves the normal equations with the m x m matrix
+    diag(d_r+ + d_r-) + B diag(d_s+ + d_s-) B^T, d = x / z, the only dense
+    array; B and B^T act through the incidence arrays.  The equality duals y
+    are the certificate.
+    """
+    m, p = t.size, vol_k1.size
+    face = faces.ravel()
+    pair = (faces[:, :, None] * m + faces[:, None, :]).ravel()
+    pair_sign = (signs[:, :, None] * signs[:, None, :]).reshape(p, -1)
+    diag = np.arange(m) * (m + 1)
+
+    def A(v):
+        r, s = v[:m] - v[m : 2 * m], v[2 * m : 2 * m + p] - v[2 * m + p :]
+        return r + np.bincount(face, (signs * s[:, None]).ravel(), minlength=m)
+
+    def At(y):
+        bty = (signs * y[faces]).sum(axis=1)
+        return np.concatenate([y, -y, bty, -bty])
+
+    c = np.concatenate([vol_k, vol_k, vol_k1, vol_k1])
+    x = np.concatenate([np.maximum(t, 0.0) + 1.0, np.maximum(-t, 0.0) + 1.0, np.ones(2 * p)])
+    y = np.zeros(m)
+    z = c.copy()
+    it = 0
+    while x @ z > IPM_GAP * max(1.0, c @ x) and it < IPM_MAX_ITER:
+        it += 1
+        d = x / z
+        ds = d[2 * m : 2 * m + p] + d[2 * m + p :]
+        M = np.bincount(pair, (pair_sign * ds[:, None]).ravel(), minlength=m * m)
+        M[diag] += d[:m] + d[m : 2 * m]
+        solve = _normal_solver(M.reshape(m, m))
+        del M  # with `del solve` below, at most two m x m arrays are alive at once
+        rp, rd = t - A(x), c - At(y) - z
+
+        def newton(rc):
+            dy = solve(rp + A(d * rd - rc / z))
+            dz = rd - At(dy)
+            return rc / z - d * dz, dy, dz
+
+        dx, dy, dz = newton(-x * z)
+        ap, ad = _step(x, dx), _step(z, dz)
+        mu = (x @ z) / x.size
+        sigma = (((x + ap * dx) @ (z + ad * dz)) / x.size / mu) ** 3
+        dx, dy, dz = newton(sigma * mu - x * z - dx * dz)
+        ap, ad = IPM_STEP * _step(x, dx), IPM_STEP * _step(z, dz)
+        x += ap * dx
+        y += ad * dy
+        z += ad * dz
+        del solve
+    s = x[2 * m : 2 * m + p] - x[2 * m + p :]
+    return s, y, it
+
+
+def _step(v, dv):
+    """Largest a <= 1 with v + a dv >= 0."""
+    neg = dv < 0
+    return min(1.0, float((-v[neg] / dv[neg]).min(initial=np.inf)))
+
+
+def _normal_solver(M):
+    """rhs -> M^-1 rhs by Cholesky, or by a diagonally scaled lstsq when Cholesky breaks down."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        e = 1.0 / np.sqrt(M.diagonal())
+        Ms = e[:, None] * M * e
+        return lambda r: e * np.linalg.lstsq(Ms, e * r, rcond=None)[0]
+    return lambda r: _cholesky_solve(L, r)
+
+
+def _cholesky_solve(L, r, block=64):
+    """(L L^T)^-1 r by blocked forward and back substitution (numpy has no triangular solve)."""
+    n = r.size
+    w = r.copy()
+    for i in range(0, n, block):
+        j = i + block
+        w[i:j] = np.linalg.solve(L[i:j, i:j], w[i:j])
+        w[j:] -= L[j:, i:j] @ w[i:j]
+    for j in range(n, 0, -block):
+        i = max(0, j - block)
+        w[i:j] = np.linalg.solve(L[i:j, i:j].T, w[i:j])
+        w[:i] -= L[i:j, :i].T @ w[i:j]
+    return w
 
 
 def _solve_dense(t, vol_k, vol_k1, faces, signs):

@@ -2,10 +2,12 @@
 
 `solve_lp` solves   min c.x   s.t.  A x = b,  x >= 0.
 
-Problems in this package are small (at most a few thousand variables), so
-a dense tableau is adequate and keeps the package free of external solver
-dependencies.  Bland's rule guarantees termination on the degenerate
-problems that chain geometry produces routinely.
+It is the fallback of `flatnorm.flat_norm`, run only when an
+interior-point result fails the dual certificate; the network simplex and
+the interior-point method solve every flat norm first.  The tableau is
+dense and cubic in cost, so it suits small problems only.  Bland's rule
+guarantees termination on the degenerate problems that chain geometry
+produces routinely.
 
 `simplex_interiors_intersect` decides whether two simplices share a point
 of their relative interiors.  It needs no LP and no tolerance: the float

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughbody.bodies import (
     Body,
@@ -291,3 +293,42 @@ def test_stokes_1d_segment():
     s = geometric_boundary_surface(body)
     assert s.chain.max_coefficient_diff(body.chain.boundary()) == 0.0
     assert s.mass() == pytest.approx(2.0)  # two endpoint atoms
+
+
+def _square(a, offset=(0.0, 0.0), size=(1.0, 1.0)):
+    """Body of the axis-aligned rectangle offset + [0, size], all scaled by a."""
+    corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) * size + offset
+    return body_from_simplices(build_complex(corners * a, {2: [(0, 1, 2), (0, 2, 3)]}), [0, 1])
+
+
+class TestTraceScaling:
+    """Traces are invariant under scaling every coordinate by 2^e."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(e=st.integers(-40, 20))
+    def test_trace_slab(self, e):
+        a = 2.0**e
+        tr, _ = trace(_square(a), _square(a, (0.5, -1.0), (1.5, 3.0)))
+        assert tr.mass() / a == pytest.approx(2.0, rel=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(e=st.integers(-40, 20))
+    def test_facet_coincidence_rejected(self, e):
+        a = 2.0**e
+        with pytest.raises(GeneratorOverlap):
+            trace(_square(a), _square(a, (1.0, -1.0), (2.0, 3.0)))
+
+    def test_trace_slab_3d_small_scale(self):
+        # at 2^-34 an absolute 1e-9 tolerance once put every facet in every plane
+        from roughbody.generate import cube_mesh
+
+        a = 2.0**-34
+        c = cube_mesh(1, 1, 1)
+
+        def box(offset, size):
+            return body_from_simplices(build_complex((c.vertices * size + offset) * a, {3: c.simplices[3]}), range(6))
+
+        tr, _ = trace(box(0.0, 1.0), box([0.5, -1, -1], [1.5, 3, 3]))
+        assert tr.mass() / a**2 == pytest.approx(3.0, rel=1e-10)
+        with pytest.raises(GeneratorOverlap):
+            trace(box(0.0, 1.0), box([1, 0, 0], 1.0))

@@ -264,3 +264,23 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert code == 0, out
         assert out["passed"]
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e6])
+def test_rekey_cochain_is_scale_invariant(scale):
+    # a 9-decimal absolute grid once sent all 33 edges of this mesh at scale
+    # 1e-10 to one edge
+    from roughbody.cli import _rekey_cochain
+    from roughbody.forms import Cochain
+    from roughbody.mesh import build_complex
+
+    base = grid_mesh(3, 3)
+    src = build_complex(base.vertices * scale, {2: base.simplices[2]}, check_overlap=False)
+    tgt = build_complex(src.vertices, {2: base.simplices[2][::-1]}, check_overlap=False)
+    X = Cochain(src, 1, {i: float(i + 1) for i in range(src.n_simplices(1))})
+    Y = _rekey_cochain(X, tgt)
+    assert len(Y.coeffs) == src.n_simplices(1) == 33
+    for i, a in X.coeffs.items():
+        u, v = src.simplices[1][i]
+        j = tgt.index[1][frozenset((u, v))]
+        assert Y.coeffs[j] == (a if tgt.simplices[1][j] == (u, v) else -a)

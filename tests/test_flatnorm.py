@@ -252,8 +252,8 @@ CUBE = cube_mesh(2, 2, 2)
 CASES = {
     "grid-1": (GRID, 1, "network-simplex"),
     "cube-2": (CUBE, 2, "network-simplex"),
-    "grid-0": (GRID, 0, "dense-simplex"),
-    "cube-1": (CUBE, 1, "dense-simplex"),
+    "grid-0": (GRID, 0, "interior-point"),
+    "cube-1": (CUBE, 1, "interior-point"),
 }
 
 
@@ -297,7 +297,7 @@ class TestSolverDispatch:
         assert dec == pytest.approx(0.25, abs=1e-12)
         assert flat_norm(elementary(cx, 0, 1)).solver == "network-simplex"
 
-    def test_folded_mesh_falls_back_to_dense(self):
+    def test_folded_mesh_leaves_the_flow_path(self):
         # two triangles folded onto the same side of their shared edge:
         # oriented by sign(det), both give that edge the same incidence
         cx = build_complex(
@@ -309,9 +309,25 @@ class TestSolverDispatch:
             Chain(cx, 2, {0: 1.0}).boundary() - Chain(cx, 2, {1: 0.5}).boundary(),
         ):
             dec = flat_norm(T)
-            assert dec.solver == "dense-simplex"
+            assert dec.solver == "interior-point"
             assert dec.value == pytest.approx(highs_flat_norm(T), rel=1e-7)
             _assert_certified(T, dec)
+
+    def test_uncertified_interior_point_falls_back_to_dense(self, monkeypatch):
+        from roughbody import flatnorm
+
+        solve = flatnorm._solve_interior
+
+        def halved(*lp):
+            s, phi, iterations = solve(*lp)
+            return s, 0.5 * phi, iterations
+
+        monkeypatch.setattr(flatnorm, "_solve_interior", halved)
+        T = random_chain(CUBE, 1, np.random.default_rng(0))
+        dec = flat_norm(T)
+        assert dec.solver == "dense-simplex"
+        _assert_certified(T, dec)
+        assert dec.value == pytest.approx(highs_flat_norm(T), rel=1e-7)
 
 
 class TestAgainstHighs:
@@ -320,7 +336,7 @@ class TestAgainstHighs:
         [
             (grid_mesh(6, 6), 1, "network-simplex"),
             (cube_mesh(2, 2, 1), 2, "network-simplex"),
-            (cube_mesh(2, 2, 1), 1, "dense-simplex"),
+            (cube_mesh(2, 2, 1), 1, "interior-point"),
         ],
         ids=["grid-1-chains", "cube-2-chains", "cube-1-chains"],
     )
@@ -388,3 +404,41 @@ class TestScaling:
         assert dec.solver == solver
         assert dec.value == pytest.approx(highs_flat_norm(Ts), rel=1e-7)
         _assert_certified(Ts, dec)
+
+
+def _folded(cx, ratio=0.8):
+    """cx with the half x > 0.5 folded back over x < 0.5 (built without the overlap check)."""
+    V = cx.vertices.copy()
+    right = V[:, 0] > 0.5
+    V[right, 0] = 0.5 - ratio * (V[right, 0] - 0.5)
+    top = cx.top_degree
+    return build_complex(V, {top: cx.simplices[top]}, check_overlap=False)
+
+
+SWEEP = {
+    "grid-0": (GRID, 0),
+    "cube-0": (CUBE, 0),
+    "cube-1": (CUBE, 1),
+    "folded-grid-0": (_folded(GRID), 0),
+    "folded-grid-1": (_folded(GRID), 1),
+    "folded-cube-1": (_folded(CUBE), 1),
+    "folded-cube-2": (_folded(CUBE), 2),
+}
+
+
+class TestInteriorPointSweep:
+    """Every degree the flow path leaves, on flat and folded meshes, at coefficient scales 1e-12 to 1e6."""
+
+    @pytest.mark.parametrize("case", sorted(SWEEP))
+    def test_no_fallback(self, case):
+        cx, k = SWEEP[case]
+        for seed in range(6):
+            T = random_chain(cx, k, np.random.default_rng(seed))
+            for a in (1e-12, 1e-6, 1.0, 1e6):
+                Ta = T.scale(a)
+                dec = flat_norm(Ta)
+                assert dec.solver == "interior-point"
+                assert dec.value == pytest.approx(highs_flat_norm(Ta), rel=1e-7)
+                again = flat_norm(Ta)
+                assert again.value == dec.value
+                assert np.array_equal(again.phi, dec.phi)
