@@ -340,40 +340,6 @@ def _facet_halfspaces(cx: Complex) -> list[HalfSpace]:
     return out
 
 
-def _bbox_mesh(points: np.ndarray, pad: float) -> Complex:
-    n = points.shape[1]
-    lo = points.min(axis=0) - pad
-    hi = points.max(axis=0) + pad
-    if n == 1:
-        verts = np.array([[lo[0]], [hi[0]]])
-        return build_complex(verts, {1: [(0, 1)]}, check_overlap=False)
-    if n == 2:
-        verts = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-        return build_complex(verts, {2: [(0, 1, 2), (0, 2, 3)]}, check_overlap=False)
-    corners = np.array(
-        [[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
-    )
-
-    def vid(i, j, k):
-        return i * 4 + j * 2 + k
-
-    from itertools import permutations
-
-    tets = []
-    for perm in permutations(range(3)):
-        path = [np.array([0, 0, 0])]
-        for ax in perm:
-            nxt = path[-1].copy()
-            nxt[ax] = 1
-            path.append(nxt)
-        t = [vid(*p) for p in path]
-        E = (corners[t][1:] - corners[t][0]).T
-        if np.linalg.det(E) < 0:
-            t[0], t[1] = t[1], t[0]
-        tets.append(tuple(t))
-    return build_complex(corners, {3: tets}, check_overlap=False)
-
-
 def common_refinement(a: Body, b: Body) -> tuple[Complex, Body, Body]:
     """Overlay complex on which both bodies are simplicial, volumes preserved.
 
@@ -383,9 +349,13 @@ def common_refinement(a: Body, b: Body) -> tuple[Complex, Body, Body]:
     """
     if a.complex.dim != b.complex.dim:
         raise OverlayFailure("bodies live in different ambient dimensions")
+    from .generate import cube_mesh, grid_mesh, segment_mesh  # generate imports this module
+
     points = np.vstack([a.complex.vertices, b.complex.vertices])
     pad = 0.125 * float(np.ptp(points, axis=0).max())
-    cx = _bbox_mesh(points, pad)
+    lo, hi = points.min(axis=0) - pad, points.max(axis=0) + pad
+    n = len(lo)
+    cx = segment_mesh(1, lo[0], hi[0]) if n == 1 else grid_mesh(1, 1, lo, hi) if n == 2 else cube_mesh(1, 1, 1, lo, hi)
     planes = _facet_halfspaces(a.complex) + _facet_halfspaces(b.complex)
     for hs in planes:
         cx = refine_by_halfspace(cx, hs).complex

@@ -209,9 +209,11 @@ def is_embedding(F: PAMap) -> EmbeddingVerdict:
     """Full-rank Jacobians plus pairwise interior-disjointness of image simplices.
 
     Returns the extreme singular values (c, d); a failure carries a witness
-    simplex or pair.  Interior overlap of the image simplices is decided
-    exactly, by the same sweep that validates meshes
-    (mesh.first_overlapping_pair).
+    simplex or pair.  A simplex is degenerate when its Jacobian's smallest
+    singular value is at most DEGEN_TOL times its largest, which makes the
+    verdict invariant under scaling of the map.  Interior overlap of the
+    image simplices is decided exactly, by the same sweep that validates
+    meshes (mesh.first_overlapping_pair).
     """
     src = F.source
     K = src.top_degree
@@ -222,7 +224,7 @@ def is_embedding(F: PAMap) -> EmbeddingVerdict:
         sv = F.singular_values(i)
         d = max(d, float(sv[0]))
         smin = float(sv[-1]) if len(sv) >= src.dim else 0.0
-        if smin <= 1e-12 * max(d, 1.0):
+        if smin <= DEGEN_TOL * float(sv[0]):
             return EmbeddingVerdict(False, 0.0, d, ("degenerate", i))
         c = min(c, smin)
     imgs = F.images[np.asarray(src.simplices[K], dtype=int)]

@@ -14,18 +14,20 @@ per cut edge, in edge order, and barycentric subdivision one barycenter
 per simplex of degree >= 1, in (degree, index) order.  Each degree is
 refined in whole-array passes.  The half-space splitter produces an exact
 simplicial refinement with the cut hyperplane as an interface.  Uncut
-simplices are carried as themselves; cut ones are triangulated with the
-pulling rule (cone from the globally smallest vertex id, quads split along
-the diagonal through their smallest vertex), which makes the piece
-triangulations of shared faces agree between neighbouring simplices.
+simplices are carried as themselves; each side of a cut one is given its
+pulling triangulation (every face coned from its smallest vertex or
+crossing id), which makes the piece triangulations of shared faces agree
+between neighbouring simplices.  The triangulation depends only on the
+sign pattern and the order of the ids, and is computed once per pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from operator import itemgetter
 
 import numpy as np
 
@@ -136,7 +138,6 @@ class Complex:
         self.validation: dict[str, bool] = {}
         self._incidence_arrays = incidence_arrays  # k -> (faces, signs), each (m_k, k + 1)
         self._volumes: dict[int, np.ndarray] = {}
-        self._tangents: dict[int, np.ndarray] = {}
         self._barygrads: dict[tuple[int, int], np.ndarray] = {}
         self._face_tables: dict[tuple[int, int], np.ndarray] = {}
 
@@ -252,6 +253,11 @@ def _longest_edges(C: np.ndarray) -> np.ndarray:
     return best
 
 
+def _too_thin(C: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+    """Which simplices (coordinates C, k-volumes `volumes`) are below DEGENERACY_TOL x (longest edge)^k."""
+    return volumes < DEGENERACY_TOL * np.maximum(_longest_edges(C) ** (C.shape[1] - 1), 1e-300)
+
+
 def _simplex_rows(entries, k: int) -> np.ndarray:
     """Degree-k simplices as an (m, k + 1) array of vertex ids."""
     try:
@@ -356,8 +362,7 @@ def build_complex(vertices, simplices, check_overlap: bool = True) -> Complex:
     for k in range(1, max_deg + 1):
         if not len(arrays[k]):
             continue
-        scale = _longest_edges(cx.all_coords(k)) ** k
-        bad = np.flatnonzero(cx.volumes(k) < DEGENERACY_TOL * np.maximum(scale, 1e-300))
+        bad = np.flatnonzero(_too_thin(cx.all_coords(k), cx.volumes(k)))
         if bad.size:
             raise DegenerateSimplex(f"degree-{k} simplex {int(bad[0])} is degenerate")
 
@@ -417,123 +422,74 @@ def unit_tangent(cx: Complex, k: int, idx: int) -> MultiVector:
 # -- half-space splitting ------------------------------------------------
 
 
-def _quad_triangles(cycle: tuple[int, int, int, int]) -> list[tuple[int, int, int]]:
-    """Split a quad cycle along the diagonal through its smallest vertex id."""
-    pos = cycle.index(min(cycle))
-    a, b, c, d = (cycle[(pos + i) % 4] for i in range(4))
-    return [(a, b, c), (a, c, d)]
-
-
-def _pull_cone(facets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Pulling triangulation of a convex 3-polytope given facet cycles."""
-    verts = sorted({v for f in facets for v in f})
-    w = verts[0]
-    tets = []
-    for f in facets:
-        if w in f:
-            continue
-        tris = [f] if len(f) == 3 else _quad_triangles(f)
-        for t in tris:
-            tets.append((w,) + tuple(t))
-    return tets
-
-
 def _split_ids(vids, vals, crossing):
-    """Split simplex `vids` by the sign pattern of `vals`.
+    """Split simplex `vids` by the signs of its values `vals` (extra values are ignored).
 
     Returns (plus_pieces, minus_pieces) as vertex-id tuples (orientation
-    unset).  `crossing(u, v)` returns the cut vertex id on edge (u, v).
+    unset).  `crossing(u, v)` returns the id of the cut vertex on edge
+    (u, v).  Both sides are triangulated by the pulling rule on the vertex
+    and crossing ids (see _pulled_pieces).
     """
-    P = [v for v, d in zip(vids, vals) if d > 0]
-    M = [v for v, d in zip(vids, vals) if d < 0]
-    Z = [v for v, d in zip(vids, vals) if d == 0]
-    if not M:
+    signs = tuple(1 if v > 0 else -1 if v < 0 else 0 for _, v in zip(vids, vals))
+    if -1 not in signs:
         return [tuple(vids)], []
-    if not P:
+    if 1 not in signs:
         return [], [tuple(vids)]
-    k = len(vids) - 1
-    if k == 1:
-        c = crossing(P[0], M[0])
-        return [(P[0], c)], [(M[0], c)]
-    if k == 2:
-        if Z:
-            c = crossing(P[0], M[0])
-            return [(P[0], c, Z[0])], [(M[0], c, Z[0])]
-        if len(P) == 2:
-            p1, p2, m = P[0], P[1], M[0]
-            c1, c2 = crossing(p1, m), crossing(p2, m)
-            return _quad_triangles((p1, p2, c2, c1)), [(m, c1, c2)]
-        p, m1, m2 = P[0], M[0], M[1]
-        c1, c2 = crossing(p, m1), crossing(p, m2)
-        return [(p, c1, c2)], _quad_triangles((m1, m2, c2, c1))
-    # k == 3
-    if len(Z) == 2:
-        c = crossing(P[0], M[0])
-        return [(P[0], c, Z[0], Z[1])], [(M[0], c, Z[0], Z[1])]
-    if len(Z) == 1:
-        z = Z[0]
-        if len(P) == 2:
-            p1, p2, m = P[0], P[1], M[0]
-            c1, c2 = crossing(p1, m), crossing(p2, m)
-            plus = _pull_cone(
-                [(p1, p2, z), (p1, c1, z), (p2, c2, z), (z, c1, c2), (p1, p2, c2, c1)]
-            )
-            return plus, [(m, c1, c2, z)]
-        p, m1, m2 = P[0], M[0], M[1]
-        c1, c2 = crossing(p, m1), crossing(p, m2)
-        minus = _pull_cone(
-            [(m1, m2, z), (m1, c1, z), (m2, c2, z), (z, c1, c2), (m1, m2, c2, c1)]
-        )
-        return [(p, c1, c2, z)], minus
-    if len(P) == 3:
-        p1, p2, p3, m = P[0], P[1], P[2], M[0]
-        c1, c2, c3 = crossing(p1, m), crossing(p2, m), crossing(p3, m)
-        plus = _pull_cone(
-            [
-                (p1, p2, p3),
-                (c1, c2, c3),
-                (p1, p2, c2, c1),
-                (p2, p3, c3, c2),
-                (p1, p3, c3, c1),
-            ]
-        )
-        return plus, [(m, c1, c2, c3)]
-    if len(M) == 3:
-        m1, m2, m3, p = M[0], M[1], M[2], P[0]
-        c1, c2, c3 = crossing(p, m1), crossing(p, m2), crossing(p, m3)
-        minus = _pull_cone(
-            [
-                (m1, m2, m3),
-                (c1, c2, c3),
-                (m1, m2, c2, c1),
-                (m2, m3, c3, c2),
-                (m1, m3, c3, c1),
-            ]
-        )
-        return [(p, c1, c2, c3)], minus
-    # 2 | 2
-    p1, p2, m1, m2 = P[0], P[1], M[0], M[1]
-    c11, c12 = crossing(p1, m1), crossing(p1, m2)
-    c21, c22 = crossing(p2, m1), crossing(p2, m2)
-    plus = _pull_cone(
-        [
-            (p1, c11, c12),
-            (p2, c21, c22),
-            (p1, p2, c21, c11),
-            (p1, p2, c22, c12),
-            (c11, c21, c22, c12),
-        ]
-    )
-    minus = _pull_cone(
-        [
-            (m1, c11, c21),
-            (m2, c12, c22),
-            (m1, m2, c12, c11),
-            (m1, m2, c22, c21),
-            (c11, c21, c22, c12),
-        ]
-    )
-    return plus, minus
+    ids = list(vids) + [crossing(vids[i], vids[j]) for i, j in _cut_edges(signs)]
+    plus, minus = _pulled_pieces(signs, tuple(sorted(range(len(ids)), key=ids.__getitem__)))
+    return [piece(ids) for piece in plus], [piece(ids) for piece in minus]
+
+
+@lru_cache(maxsize=None)
+def _cut_edges(signs: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The position pairs (i, j), i < j, of opposite signs: the edges the plane cuts."""
+    return tuple((i, j) for i, j in combinations(range(len(signs)), 2) if signs[i] * signs[j] < 0)
+
+
+@lru_cache(maxsize=4096)  # a few hundred patterns in practice, but up to 8! id orders each
+def _pulled_pieces(signs: tuple[int, ...], order: tuple[int, ...]):
+    """Pulling triangulation of both sides of a cut simplex, each piece as a getter of its labels.
+
+    Vertex i has label i and the crossing on the e-th of _cut_edges(signs)
+    label len(signs) + e; `order` lists the labels by ascending id.  A face
+    of one side is a pair (F, on_plane) of a face F of the simplex and
+    whether it stands for F's part on the side or on the cut plane.  Its
+    vertices are F's kept and zero vertices (only the zero ones on the
+    plane) and the crossings of F's cut edges.  A face is the cone from its
+    smallest label over its facets that miss that label (De Loera, Rambau
+    and Santos, Triangulations, 2010), so the pieces of two simplices agree
+    on the face they share.  The facets of (F, on_plane) are the pairs of
+    F's facets and, off the plane, (F, True) that have one dimension less;
+    two pairs with the same vertices stand for one facet, used once.
+    """
+    rank = {label: r for r, label in enumerate(order)}
+    cross = {e: len(signs) + n for n, e in enumerate(_cut_edges(signs))}
+
+    def face(F, on, side):
+        """Vertices and dimension of the pair.
+
+        A cut F keeps its dimension on the side and loses one on the plane;
+        otherwise the pair is a simplex on its own vertices.
+        """
+        own = [v for v in F if signs[v] == 0 or (not on and signs[v] == side)]
+        cut = [cross[e] for e in combinations(F, 2) if e in cross]
+        return frozenset(own + cut), len(F) - 1 - on if cut else len(own) - 1
+
+    def pull(F, on, side):
+        verts, d = face(F, on, side)
+        if len(verts) == d + 1:  # a simplex: its own pulling triangulation
+            return [tuple(sorted(verts, key=rank.__getitem__))]
+        apex = min(verts, key=rank.__getitem__)
+        pieces, seen = [], set()
+        for G, g_on in [(G, on) for G in combinations(F, len(F) - 1)] + ([] if on else [(F, True)]):
+            facet, facet_dim = face(G, g_on, side)
+            if facet_dim == d - 1 and apex not in facet and facet not in seen:
+                seen.add(facet)
+                pieces += [(apex,) + t for t in pull(G, g_on, side)]
+        return pieces
+
+    everything = tuple(range(len(signs)))
+    return tuple(tuple(itemgetter(*p) for p in pull(everything, False, side)) for side in (1, -1))
 
 
 def _cut_vertices(X: np.ndarray, d: np.ndarray, edges: np.ndarray):
@@ -558,13 +514,12 @@ def _orient_pieces(pieces: np.ndarray, parent_coords: np.ndarray, vertices: np.n
     Row i of parent_coords holds the vertex coordinates of piece i's parent.
     A piece keeps its orientation when its k-vector has a positive inner
     product with its parent's, and swaps its first two vertices otherwise;
-    it is dropped when its volume is at most DEGENERACY_TOL times the
-    parent's longest edge to the power k.
+    it is dropped when build_complex would reject it as degenerate, its
+    volume below DEGENERACY_TOL times its own longest edge to the power k.
     """
-    k = pieces.shape[1] - 1
     C = vertices[pieces]
     same = np.einsum("ij,ij->i", kvectors(C), kvectors(parent_coords))
-    keep = (simplex_volumes(C) > DEGENERACY_TOL * _longest_edges(parent_coords) ** k) & (same != 0.0)
+    keep = ~_too_thin(C, simplex_volumes(C)) & (same != 0.0)
     pieces = pieces.copy()
     pieces[same < 0, :2] = pieces[same < 0, 1::-1]
     return pieces[keep], keep

@@ -3,10 +3,11 @@
 This is the simplex-at-a-time formulation that `roughbody.mesh` replaced with
 whole-degree array passes: new vertices are registered in a pool that
 deduplicates coordinates on a 1e-12 grid, every piece is oriented against
-its parent through a pseudo-inverse and floored by a Gram-determinant
-volume, and faces are derived through frozenset-keyed dictionaries with
-incidence signs from pairwise inversion counts.  The cut table itself
-(`mesh._split_ids`) is shared.  The tests require the array code to
+its parent through a pseudo-inverse and floored by its own longest edge and
+Gram-determinant volume, and faces are derived through frozenset-keyed
+dictionaries with incidence signs from pairwise inversion counts.  The
+splitter that triangulates each side of a cut simplex (`mesh._split_ids`)
+is shared.  The tests require the array code to
 reproduce these vertex arrays bitwise, and the simplex tables, carry maps,
 incidence and face parents exactly.
 """
@@ -115,13 +116,13 @@ class _Pool:
         return idx
 
 
-def _orient_like(piece, parent_pinv, pool, vol_floor):
+def _orient_like(piece, parent_pinv, pool):
     k = len(piece) - 1
     C = np.asarray([pool.coords[v] for v in piece])
     F = (C[1:] - C[0]).T
     det = np.linalg.det(parent_pinv @ F)
     vol = np.sqrt(max(np.linalg.det(F.T @ F), 0.0)) / factorial(k)
-    if vol <= vol_floor or det == 0.0:
+    if vol <= DEGENERACY_TOL * longest_edge(C) ** k or det == 0.0:
         return None
     return (piece[1], piece[0]) + piece[2:] if det < 0 else piece
 
@@ -166,8 +167,7 @@ def reference_refine_by_halfspace(cx, hs) -> RefTables:
         plus, minus = _split_ids(vids, [dvals[v] for v in vids], crossing)
         C = np.asarray([p.coords[v] for v in vids])
         pinv = np.linalg.pinv((C[1:] - C[0]).T)
-        floor = DEGENERACY_TOL * longest_edge(C) ** k
-        return [q for q in (_orient_like(piece, pinv, p, floor) for piece in plus + minus) if q]
+        return [q for q in (_orient_like(piece, pinv, p) for piece in plus + minus) if q]
 
     return _split_complex(cx, piece_fn, pool)
 
@@ -178,13 +178,12 @@ def reference_barycentric_once(cx) -> RefTables:
     def piece_fn(k, vids, p):
         C = np.asarray([p.coords[v] for v in vids])
         pinv = np.linalg.pinv((C[1:] - C[0]).T)
-        floor = DEGENERACY_TOL * longest_edge(C) ** k
         out = []
         for perm in permutations(range(k + 1)):
             piece = [vids[perm[0]]]
             for j in range(1, k + 1):
                 piece.append(p.add(np.mean([p.coords[vids[perm[i]]] for i in range(j + 1)], axis=0)))
-            oriented = _orient_like(tuple(piece), pinv, p, floor)
+            oriented = _orient_like(tuple(piece), pinv, p)
             if oriented is not None:
                 out.append(oriented)
         return out

@@ -91,6 +91,16 @@ class TestEmbedding:
         with pytest.raises(ValueError, match="image of vertex 2 has a non-finite coordinate"):
             PAMap(square, images)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e13])
+    def test_verdict_is_scale_invariant(self, scale):
+        # degeneracy is judged per simplex against its own largest singular value
+        cx = grid_mesh(2, 2)
+        unit = is_embedding(PAMap(cx, cx.vertices.copy()))
+        v = is_embedding(PAMap(cx, scale * cx.vertices))
+        assert v.ok and v.witness is None
+        assert v.c == pytest.approx(scale * unit.c, rel=1e-12)
+        assert v.d == pytest.approx(scale * unit.d, rel=1e-12)
+
     def test_perturbation_keeps_embedding(self, grid44, rng):
         # the embedding set is open: small perturbations stay embeddings
         base = PAMap(grid44, grid44.vertices.copy())

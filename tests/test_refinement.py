@@ -1,6 +1,6 @@
-"""Array-pass refinement against the per-simplex reference, and sliver and scale robustness."""
+"""Array-pass refinement against the per-simplex reference, the splitter's pieces, and sliver and scale robustness."""
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import numpy as np
@@ -17,18 +17,21 @@ from reference_refinement import (
 from roughbody.bodies import koch_prefractal
 from roughbody.chains import Chain, restrict
 from roughbody.forms import _integral_abs_affine, coboundary
-from roughbody.generate import cube_mesh, grid_mesh, random_chain, random_cochain
+from roughbody.generate import cube_mesh, grid_mesh, random_chain, random_cochain, random_halfspace
 from roughbody.mesh import (
     HalfSpace,
     _row_codes,
+    _split_ids,
     barycentric_refine,
     build_complex,
+    first_overlapping_pair,
     kvectors,
     refine_by_halfspace,
     simplex_volumes,
     sort_parity,
 )
 from roughbody.multivec import simple_from_columns
+from roughbody.simplex_lp import simplex_interiors_intersect
 
 MESHES = {
     "grid12": lambda: grid_mesh(12, 12),
@@ -101,6 +104,75 @@ def test_sort_parity_matches_inversion_count():
         perms = list(permutations(range(n)))
         got = sort_parity(np.array(perms))
         assert got.tolist() == [perm_parity(p, tuple(range(n))) for p in perms]
+
+
+# -- the half-space splitter --------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_split_pieces_tile_each_side(k):
+    # every sign pattern with both signs, every vertex order, random interleavings of the
+    # vertex and crossing ids, each on a random full-dimensional simplex in R^k (a jittered
+    # unit simplex: on a sliver the two volume sums would differ by its conditioning)
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(k)
+    for signs in product((-1, 0, 1), repeat=k + 1):
+        if 1 not in signs or -1 not in signs:
+            continue
+        n_cut = sum(signs[a] * signs[b] < 0 for a, b in combinations(range(k + 1), 2))
+        for perm in permutations(range(k + 1)):
+            for _ in range(3):
+                ids = rng.permutation(k + 1 + n_cut).tolist()
+                vids = [sorted(ids[: k + 1])[p] for p in perm]
+                fresh = iter(ids[k + 1 :])
+                X = dict(zip(vids, np.vstack([np.zeros(k), np.eye(k)]) + rng.uniform(-0.2, 0.2, (k + 1, k))))
+                f = dict(zip(vids, np.array(signs) * rng.uniform(0.5, 2.0, size=k + 1)))
+                cut = {}
+
+                def crossing(u, v):
+                    key = (min(u, v), max(u, v))
+                    if key not in cut:
+                        cut[key] = next(fresh)
+                        X[cut[key]] = X[u] + f[u] / (f[u] - f[v]) * (X[v] - X[u])
+                    return cut[key]
+
+                for side, pieces in zip((1, -1), _split_ids(tuple(vids), [f[v] for v in vids], crossing)):
+                    allowed = {v for v in vids if f[v] * side >= 0} | set(cut.values())
+                    assert all(len(set(p)) == k + 1 and set(p) <= allowed for p in pieces)
+                    C = np.array([[X[v] for v in p] for p in pieces])
+                    for a in range(len(C)):
+                        for b in range(a + 1, len(C)):
+                            assert not simplex_interiors_intersect(C[a], C[b])
+                    pts = np.array([X[v] for v in sorted(allowed)])
+                    want = float(np.ptp(pts)) if k == 1 else ConvexHull(pts).volume
+                    assert abs(simplex_volumes(C).sum() - want) <= 1e-12 * want
+
+
+def test_cut_cube_mesh_stays_conforming():
+    cx = cube_mesh(2, 2, 2)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        cx = refine_by_halfspace(cx, random_halfspace(rng, cx)).complex
+    assert first_overlapping_pair(cx.all_coords(3)) is None
+    cofaces = np.bincount(cx.incidence_arrays(3)[0].ravel(), minlength=cx.n_simplices(2))
+    C = cx.all_coords(2)  # a crossing on the cube's boundary keeps that coordinate exactly
+    on_boundary = ((C == 0.0).all(axis=1) | (C == 1.0).all(axis=1)).any(axis=1)
+    assert (cofaces[on_boundary] == 1).all()
+    assert (cofaces[~on_boundary] == 2).all()
+
+
+@given(st.integers(1, 30))
+@settings(max_examples=30, deadline=None)
+def test_small_cap_keeps_its_mass(e):
+    # the cap x >= 1 - delta at vertex e_1 of the unit triangle and tetrahedron; a piece is
+    # floored by its own longest edge, and the plane stays off the VALUE_SNAP band for e <= 30
+    delta = 2.0**-e
+    for n, want in ((2, delta**2 / 2), (3, delta**3 / 6)):
+        cx = build_complex(np.vstack([np.zeros(n), np.eye(n)]), {n: [tuple(range(n + 1))]})
+        hs = HalfSpace((1.0,) + (0.0,) * (n - 1), 1.0 - delta)
+        got = restrict(Chain(cx, n, {0: 1.0}), hs).mass()
+        assert abs(got - want) <= 1e-12 * want
 
 
 # -- slivers ---------------------------------------------------------------
