@@ -4,6 +4,12 @@ A body is the indicator n-chain of a polytopal region (coefficients in
 {0,1} on positively oriented top simplices).  Generalized (rough) bodies
 are represented by prefractal approximant sequences together with a
 flat-norm Cauchy certificate; no limit object is ever materialized.
+
+The Koch approximants are carried by ancestry: all levels live on the
+finest mesh, and level k is the set of triangles born at level k or
+earlier.  Overlays cut a box only by the boundary-facet planes of both
+bodies, so every overlay cell lies wholly inside or outside each body and
+is classified by a barycentric test at its barycenter.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from . import multivec
 from .chains import Chain
 from .errors import GeneratorOverlap, OverlayFailure, WrongDegree
 from .flatnorm import CauchyReport, certify_cauchy
-from .mesh import Complex, HalfSpace, build_complex, refine_by_halfspace
+from .mesh import Complex, HalfSpace, build_complex, kvectors, refine_by_halfspace
 from .simplex_lp import simplex_interiors_intersect
 
 ORIENTATION_TOL = 1e-12
@@ -153,26 +159,21 @@ def _rot60(v: np.ndarray) -> np.ndarray:
     return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
 
-@dataclass
-class KochLevel:
-    complex: Complex
-    body: Body
-
-
-def _koch_build(levels: int) -> list[tuple[np.ndarray, list]]:
-    """Hierarchical Koch construction: (points, triangles) of levels 0..levels.
+def _koch_build(levels: int) -> tuple[np.ndarray, list, list]:
+    """Hierarchical Koch construction: finest points, triangles and birth levels.
 
     Each step trisects the boundary edges, re-cones the triangles touching
     them (keeping the complex free of T-junctions) and attaches the bump
-    triangles; earlier bodies stay exactly representable on later meshes.
-    No complex is built here, so a caller builds only the levels it needs.
+    triangles.  A kept or re-coned triangle inherits its parent's birth
+    level and a bump attached at step j is born at j, so the level-k body
+    is exactly the set of triangles born at level <= k.
     """
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
     pool_pts = [base[i] for i in range(3)]
     tris: list[tuple[int, int, int]] = [(0, 1, 2)]
+    born = [0]
     loop = [0, 1, 2]
-    out = [(np.asarray(pool_pts), tris)]
-    for _ in range(levels):
+    for step in range(1, levels + 1):
         pts = np.asarray(pool_pts)
         boundary_edges = {}
         for a, b in zip(loop, loop[1:] + loop[:1]):
@@ -184,10 +185,12 @@ def _koch_build(levels: int) -> list[tuple[np.ndarray, list]]:
             it = len(pool_pts); pool_pts.append(tip)
             boundary_edges[frozenset((a, b))] = (a, b, i1, i2, it)
         new_tris: list[tuple[int, int, int]] = []
-        for t in tris:
+        new_born: list[int] = []
+        for t, level in zip(tris, born):
             touched = [frozenset((t[i], t[(i + 1) % 3])) in boundary_edges for i in range(3)]
             if not any(touched):
                 new_tris.append(t)
+                new_born.append(level)
                 continue
             centroid = np.mean([pool_pts[v] for v in t], axis=0)
             ic = len(pool_pts); pool_pts.append(centroid)
@@ -201,6 +204,7 @@ def _koch_build(levels: int) -> list[tuple[np.ndarray, list]]:
                         new_tris.append((ic, u, v))
                 else:
                     new_tris.append((ic, a, b))
+            new_born += [level] * (len(new_tris) - len(new_born))
         for a, b in zip(loop, loop[1:] + loop[:1]):
             ea, eb, i1, i2, it = boundary_edges[frozenset((a, b))]
             if ea != a:
@@ -210,28 +214,29 @@ def _koch_build(levels: int) -> list[tuple[np.ndarray, list]]:
             if np.linalg.det(E) < 0:
                 tri = (i2, i1, it)
             new_tris.append(tri)
+            new_born.append(step)
         new_loop = []
         for a, b in zip(loop, loop[1:] + loop[:1]):
             ea, eb, i1, i2, it = boundary_edges[frozenset((a, b))]
             if ea != a:
                 i1, i2 = i2, i1
             new_loop.extend([a, i1, it, i2])
-        tris = new_tris
-        loop = new_loop
-        out.append((np.asarray(pool_pts), tris))
-    return out
+        tris, born, loop = new_tris, new_born, new_loop
+    return np.asarray(pool_pts), tris, born
 
 
-def _koch_level(points: np.ndarray, tris: list) -> KochLevel:
-    cx = build_complex(points, {2: tris}, check_overlap=False)
-    return KochLevel(cx, Body(Chain(cx, 2, {i: 1.0 for i in range(len(tris))})))
+def _koch_area(level: int) -> float:
+    """Closed-form area of the level-k Koch snowflake of unit base side."""
+    return np.sqrt(3.0) / 4.0 * (1.0 + 3.0 / 5.0 * (1.0 - (4.0 / 9.0) ** level))
 
 
 def koch_prefractal(level: int) -> Body:
     """Triangulated level-k Koch snowflake body of unit base side."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    return _koch_level(*_koch_build(level)[-1]).body
+    points, tris, _ = _koch_build(level)
+    cx = build_complex(points, {2: tris}, check_overlap=False)
+    return Body(Chain(cx, 2, {i: 1.0 for i in range(len(tris))}))
 
 
 @dataclass
@@ -248,104 +253,85 @@ class GeneralizedBody:
 def koch_generalized_body(levels: int, eps: float = 1e-2, method: str = "mass") -> GeneralizedBody:
     """Koch snowflake as a certified prefractal sequence on one common mesh.
 
-    The hierarchical construction keeps each level's body exactly
-    representable on the finest mesh, so successive distances are computed
-    on a single complex; method "mass" uses mass(T_{k+1} - T_k) = annexed
-    area, a rigorous flat-distance upper bound.
+    Every level-k body is the set of finest triangles born at level <= k,
+    so all levels live on the one finest complex and successive distances
+    are computed there; each level's area is checked against the closed
+    form.  Method "mass" uses mass(T_{k+1} - T_k) = annexed area, a
+    rigorous flat-distance upper bound.
     """
-    hierarchy = [_koch_level(*state) for state in _koch_build(levels)]
-    finest = hierarchy[-1].complex
-    carried = [_carry_onto(lv.body, finest) for lv in hierarchy]
-    report = certify_cauchy([b.chain for b in carried], finest, eps=eps, method=method)
-    return GeneralizedBody(carried, report)
-
-
-def _carry_onto(body: Body, finest: Complex) -> Body:
-    """Re-express a body on the finest mesh by barycenter point location."""
-    if body.complex is finest:
-        return body
-    coeffs: dict[int, float] = {}
-    barys = finest.barycenters(finest.top_degree)
-    region = _RegionLocator(body)
-    for i, b in enumerate(barys):
-        if region.contains(b):
-            coeffs[i] = 1.0
-    carried = Body(Chain(finest, finest.dim, coeffs))
-    if abs(carried.mass() - body.mass()) > 1e-9 * body.mass():
-        raise OverlayFailure("carried body volume drifted")
-    return carried
-
-
-class _RegionLocator:
-    """Point-in-body test against the body's original complex."""
-
-    def __init__(self, body: Body):
-        self.cx = body.complex
-        self.idxs = sorted(body.chain.coeffs)
-        n = self.cx.dim
-        C = self.cx.all_coords(n)[self.idxs]
-        self.lo = C.min(axis=1)
-        self.hi = C.max(axis=1)
-        self.grads = [self.cx.barygrads(i) for i in self.idxs]
-        self.tol = 1e-9 * self.cx.diameter()
-
-    def contains(self, x: np.ndarray) -> bool:
-        hit = np.nonzero(
-            np.all(x >= self.lo - self.tol, axis=1) & np.all(x <= self.hi + self.tol, axis=1)
-        )[0]
-        for j in hit:
-            G = self.grads[j]
-            lam = G[:, :-1] @ x + G[:, -1]
-            if np.all(lam >= -1e-9):
-                return True
-        return False
+    points, tris, born = _koch_build(levels)
+    finest = build_complex(points, {2: tris}, check_overlap=False)
+    born = np.asarray(born)
+    bodies = []
+    for k in range(levels + 1):
+        body = Body(Chain(finest, 2, dict.fromkeys(np.flatnonzero(born <= k).tolist(), 1.0)))
+        area = _koch_area(k)
+        if abs(body.mass() - area) > 1e-9 * area:
+            raise OverlayFailure(f"level-{k} body has area {body.mass()}, not {area}")
+        bodies.append(body)
+    report = certify_cauchy([b.chain for b in bodies], finest, eps=eps, method=method)
+    return GeneralizedBody(bodies, report)
 
 
 # -- overlays and traces ------------------------------------------------------
 
 
-def _facet_halfspaces(cx: Complex) -> list[HalfSpace]:
-    """Deduplicated supporting hyperplanes of all top-simplex facets.
+def _unit_normals(C: np.ndarray) -> np.ndarray:
+    """Unit normals of (n-1)-simplices in R^n, coordinates C of shape (m, n, n).
+
+    Each is the Hodge dual of the simplex's (n-1)-vector, normalised.
+    """
+    n = C.shape[2]
+    nu = (kvectors(C) * (-1.0) ** np.arange(n))[:, ::-1]
+    return nu / np.linalg.norm(nu, axis=1)[:, None]
+
+
+def _boundary_halfspaces(body: Body) -> list[HalfSpace]:
+    """Deduplicated supporting hyperplanes of the body's boundary facets.
 
     Two planes are one when their unit normals and their offsets over the
     mesh diameter agree to 1e-9.
     """
-    n = cx.dim
+    cx = body.complex
+    C = cx.all_coords(cx.dim - 1)[sorted(body.chain.boundary().coeffs)]
+    nu = _unit_normals(C)
+    # canonical sign: first component above 1e-12 in magnitude positive
+    lead = nu[np.arange(len(nu)), np.argmax(np.abs(nu) > 1e-12, axis=1)]
+    nu[lead < 0] *= -1.0
+    offsets = np.einsum("ij,ij->i", nu, C[:, 0])
     diam = cx.diameter()
-    seen = {}
+    seen = set()
     out = []
-    for idx in range(cx.n_simplices(n - 1)):
-        C = cx.coords(n - 1, idx)
-        span = (C[1:] - C[0]).T if n > 1 else np.zeros((n, 0))
-        if span.size:
-            U, _, _ = np.linalg.svd(span, full_matrices=True)
-            nu = U[:, -1]
-        else:
-            nu = np.ones(n)
-        nrm = np.linalg.norm(nu)
-        if nrm < 1e-14:
-            continue
-        nu = nu / nrm
-        # canonical sign: first nonzero component positive
-        for comp in nu:
-            if abs(comp) > 1e-12:
-                if comp < 0:
-                    nu = -nu
-                break
-        s = float(nu @ C[0])
-        key = tuple(round(v / 1e-9) for v in (*nu, s / diam))
+    for normal, s in zip(nu.tolist(), offsets.tolist()):
+        key = tuple(round(v / 1e-9) for v in (*normal, s / diam))
         if key not in seen:
-            seen[key] = True
-            out.append(HalfSpace(tuple(nu), s))
+            seen.add(key)
+            out.append(HalfSpace(tuple(normal), s))
     return out
+
+
+def _inside(body: Body, X: np.ndarray) -> np.ndarray:
+    """Which of the points X, shape (m, n), lie in the body's closed region.
+
+    A point is inside when its barycentric coordinates in some body
+    simplex are all >= -1e-9; each simplex tests every point at once.
+    """
+    cx = body.complex
+    n = cx.dim
+    hit = np.zeros(len(X), dtype=bool)
+    for i in body.chain.coeffs:
+        G = cx.barygrads(i)
+        hit |= np.all(X @ G[:, :n].T + G[:, n] >= -1e-9, axis=1)
+    return hit
 
 
 def common_refinement(a: Body, b: Body) -> tuple[Complex, Body, Body]:
     """Overlay complex on which both bodies are simplicial, volumes preserved.
 
-    A padded bounding-box mesh is refined by every facet hyperplane of both
-    source complexes; each overlay cell then lies inside or outside each
-    body, so indicator chains transfer by barycenter location.
+    A padded bounding-box mesh is refined by the hyperplanes of the
+    boundary facets of both bodies.  No overlay cell then crosses either
+    boundary, so each cell lies wholly inside or outside each body and is
+    classified by its barycenter.
     """
     if a.complex.dim != b.complex.dim:
         raise OverlayFailure("bodies live in different ambient dimensions")
@@ -356,16 +342,13 @@ def common_refinement(a: Body, b: Body) -> tuple[Complex, Body, Body]:
     lo, hi = points.min(axis=0) - pad, points.max(axis=0) + pad
     n = len(lo)
     cx = segment_mesh(1, lo[0], hi[0]) if n == 1 else grid_mesh(1, 1, lo, hi) if n == 2 else cube_mesh(1, 1, 1, lo, hi)
-    planes = _facet_halfspaces(a.complex) + _facet_halfspaces(b.complex)
-    for hs in planes:
+    for hs in _boundary_halfspaces(a) + _boundary_halfspaces(b):
         cx = refine_by_halfspace(cx, hs).complex
-    loc_a = _RegionLocator(a)
-    loc_b = _RegionLocator(b)
     barys = cx.barycenters(cx.top_degree)
-    ca = {i: 1.0 for i, x in enumerate(barys) if loc_a.contains(x)}
-    cb = {i: 1.0 for i, x in enumerate(barys) if loc_b.contains(x)}
-    body_a = Body(Chain(cx, cx.dim, ca))
-    body_b = Body(Chain(cx, cx.dim, cb))
+    body_a, body_b = (
+        Body(Chain(cx, cx.dim, dict.fromkeys(np.flatnonzero(_inside(body, barys)).tolist(), 1.0)))
+        for body in (a, b)
+    )
     for orig, new in ((a, body_a), (b, body_b)):
         if abs(orig.mass() - new.mass()) > 1e-10 * orig.mass():
             raise OverlayFailure(
@@ -385,14 +368,7 @@ def _coplanar_overlap(cx_a: Complex, ia: int, cx_b: Complex, ib: int, tol: float
     A = cx_a.coords(cx_a.dim - 1, ia)
     B = cx_b.coords(cx_b.dim - 1, ib)
     n = cx_a.dim
-    E = A[1:] - A[0]
-    if n == 1:
-        normal = np.ones(1)
-    elif n == 2:
-        normal = np.array([-E[0, 1], E[0, 0]])
-    else:
-        normal = np.cross(E[0], E[1])
-    normal = normal / np.linalg.norm(normal)
+    normal = _unit_normals(A[None])[0]
     if np.abs((B - A[0]) @ normal).max() > tol:
         return False
     if n == 1:
@@ -423,10 +399,8 @@ def trace(part: Body, generator: Body) -> tuple[Chain, Complex]:
         cx, cx.dim, {i: 1.0 for i in set(bp.chain.coeffs) & set(bm.chain.coeffs)}
     )
     first = inter.boundary()
-    loc_p = _RegionLocator(part)
-    barys = cx.barycenters(cx.dim - 1)
     bm_bnd = bm.chain.boundary()
-    second = Chain(
-        cx, cx.dim - 1, {i: a for i, a in bm_bnd.coeffs.items() if loc_p.contains(barys[i])}
-    )
+    facets = np.array(list(bm_bnd.coeffs), dtype=np.intp)
+    inside = facets[_inside(part, cx.barycenters(cx.dim - 1)[facets])]
+    second = Chain(cx, cx.dim - 1, {i: bm_bnd.coeffs[i] for i in inside.tolist()})
     return first - second, cx

@@ -167,7 +167,8 @@ def cmd_flux_roundtrip(args) -> int:
         keys = set(X.coeffs) | set(Y.coeffs)
         for i in keys:
             max_err = max(max_err, abs(X.coeffs.get(i, 0.0) - Y.coeffs.get(i, 0.0)))
-    ok = max_err <= 1e-9 and rec.bound_ok
+    scale = max((abs(a) for X in original for a in X.coeffs.values()), default=0.0)
+    ok = max_err <= 1e-9 * scale and rec.bound_ok
     report = {
         "max_coefficient_error": max_err,
         "flat_norms": rec.flat_norms,
@@ -286,7 +287,7 @@ def cmd_verify_balance(args) -> int:
         est_t = estimate_balance_constants(flux, [S], [v], [bodies[t]], enforce=False)
         rows.append({"trial": t, "s_ratio": est_t.s_emp, "b_ratio": est_t.b_emp})
     est = estimate_balance_constants(flux, surfaces, velocities, bodies, enforce=False)
-    ok = est.s_emp <= flux.s + 1e-9 and est.b_emp <= flux.b + 1e-9
+    ok = est.s_emp <= flux.s * (1.0 + 1e-9) and est.b_emp <= flux.b * (1.0 + 1e-9)
     report = {
         "check": "balance",
         "trials": args.trials,

@@ -153,7 +153,10 @@ def cochains_from_flux(flux: CauchyFlux, cx: Complex | None = None) -> CochainRe
     For each facet, the coefficient is the flux of the elementary facet
     chain against the constant-1 velocity; independence of the extension is
     checked against a hat field that tapers within one neighbour ring, and
-    a disagreement raises ExtensionDependence (the flux is not balanced).
+    a disagreement beyond EXTENSION_TOL of the facet's own scale (the larger
+    of |coefficient| and s times its volume) raises ExtensionDependence (the
+    flux is not balanced).  The recovered flat norms must stay within 1e-9
+    of max{s, b}, relative.
     """
     cx = cx or flux.complex
     n = cx.dim
@@ -170,7 +173,7 @@ def cochains_from_flux(flux: CauchyFlux, cx: Complex | None = None) -> CochainRe
             alt = flux.component(i, elem, _hat_extension(cx, idx))
             dev = abs(a - alt)
             max_dev = max(max_dev, dev)
-            if dev > EXTENSION_TOL * max(1.0, abs(a), flux.s * vols[idx]):
+            if dev > EXTENSION_TOL * max(abs(a), flux.s * vols[idx]):
                 raise ExtensionDependence(
                     f"component {i}, facet {idx}: extensions give {a} and {alt}"
                 )
@@ -179,7 +182,7 @@ def cochains_from_flux(flux: CauchyFlux, cx: Complex | None = None) -> CochainRe
         cochains.append(Cochain(cx, k, coeffs))
     norms = [cochain_flat_norm(X) for X in cochains]
     bound = max(flux.s, flux.b)
-    ok = all(f <= bound + 1e-9 * (1.0 + bound) for f in norms)
+    ok = all(f <= bound * (1.0 + 1e-9) for f in norms)
     return CochainRecovery(tuple(cochains), norms, bound, ok, max_dev)
 
 
@@ -206,8 +209,8 @@ def estimate_balance_constants(
     """Empirical balance constants over sampled surfaces, bodies and velocities.
 
     Ratios |Phi^i| / (||v_i||_Lip * M) are maximized over the samples; with
-    enforce=True an excess over the declared constants raises
-    DeclaredConstantViolated with the witness sample.
+    enforce=True an excess over the declared constants by more than 1e-9
+    of them raises DeclaredConstantViolated with the witness sample.
     """
     s_emp, b_emp = 0.0, 0.0
     s_wit = b_wit = None
@@ -243,9 +246,9 @@ def estimate_balance_constants(
                 if ratio > b_emp:
                     b_emp, b_wit = ratio, (bi, vi, i)
     if enforce:
-        if s_emp > flux.s + 1e-9 * (1.0 + flux.s):
+        if s_emp > flux.s * (1.0 + 1e-9):
             raise DeclaredConstantViolated(f"empirical s {s_emp} exceeds declared {flux.s} at {s_wit}")
-        if b_emp > flux.b + 1e-9 * (1.0 + flux.b):
+        if b_emp > flux.b * (1.0 + 1e-9):
             raise DeclaredConstantViolated(f"empirical b {b_emp} exceeds declared {flux.b} at {b_wit}")
     return BalanceEstimate(s_emp, b_emp, s_wit, b_wit)
 

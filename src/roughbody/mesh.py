@@ -213,14 +213,19 @@ class Complex:
         """Rows i: (g_i, h_i) with lambda_i(x) = g_i . x + h_i on simplex idx.
 
         Gradients are tangential (minimum-norm) when the simplex has
-        degree below the ambient dimension.
+        degree below the ambient dimension.  The pseudo-inverse is taken in
+        the frame of the first vertex scaled by the simplex's extent, so its
+        conditioning does not depend on where the simplex sits or on its size.
         """
         k = self.top_degree if k is None else k
         key = (k, idx)
         if key not in self._barygrads:
             C = self.coords(k, idx)
-            B = np.hstack([C, np.ones((C.shape[0], 1))])
-            self._barygrads[key] = np.linalg.pinv(B).T
+            c0 = C[0]
+            h = float(np.abs(C - c0).max())
+            P = np.linalg.pinv(np.hstack([(C - c0) / h, np.ones((C.shape[0], 1))])).T
+            g = P[:, :-1] / h
+            self._barygrads[key] = np.hstack([g, (P[:, -1] - g @ c0)[:, None]])
         return self._barygrads[key]
 
     def containing_top(self, k: int, idx: int) -> int:

@@ -121,6 +121,25 @@ class TestKoch:
             assert b > a  # strictly increasing: the rough-body signature
         assert gb.report.passed
 
+    def test_level6_areas_and_perimeters(self):
+        gb = koch_generalized_body(6)
+        assert gb.bodies[-1].complex.n_simplices(2) == 18426
+        for k, b in enumerate(gb.bodies):
+            assert b.complex is gb.bodies[-1].complex
+            assert b.mass() == pytest.approx(koch_area(k), abs=1e-9)
+            assert b.boundary_mass() == pytest.approx(3.0 * (4.0 / 3.0) ** k, abs=1e-9)
+
+    def test_birth_levels_match_reference_carry(self):
+        # T_k = triangles born at level <= k is what point location of the
+        # level-k snowflake's own triangulation finds on the finest mesh
+        from reference_locator import carry_onto
+
+        gb = koch_generalized_body(4)
+        finest = gb.bodies[-1].complex
+        for k in range(5):
+            carried = carry_onto(koch_prefractal(k), finest)
+            assert gb.bodies[k].chain.coeffs == carried.chain.coeffs
+
     def test_exact_flat_distances_small_levels(self):
         # LP distances on the common mesh are below the annexed-area bounds
         gb = koch_generalized_body(2, eps=0.2, method="flat")
@@ -222,7 +241,7 @@ class TestOverlayAndTrace:
 
     def test_trace_consistency_with_restriction(self, square):
         # for polytopal bodies the trace equals bd(T_P) restricted to M
-        from roughbody.bodies import _RegionLocator, _carry_onto
+        from reference_locator import RegionLocator as _RegionLocator, carry_onto as _carry_onto
 
         body = body_from_simplices(square, [0, 1])
         cxM = build_complex(
@@ -332,3 +351,85 @@ class TestTraceScaling:
         assert tr.mass() / a**2 == pytest.approx(3.0, rel=1e-10)
         with pytest.raises(GeneratorOverlap):
             trace(box(0.0, 1.0), box([1, 0, 0], 1.0))
+
+
+def _offset_box(offset, size=1.0, a=1.0):
+    """Body of the axis-aligned box (offset + [0, size]^3) * a, six tetrahedra."""
+    from roughbody.generate import cube_mesh
+
+    c = cube_mesh(1, 1, 1)
+    return body_from_simplices(build_complex((c.vertices * size + offset) * a, {3: c.simplices[3]}), range(6))
+
+
+def _overlay_and_trace(part, generator):
+    """The bodies, their overlay and their trace (None when they share a boundary facet)."""
+    try:
+        traced = trace(part, generator)
+    except GeneratorOverlap:
+        traced = None
+    return part, generator, common_refinement(part, generator), traced
+
+
+@pytest.fixture(scope="module")
+def offset_cubes():
+    """Two unit cubes offset by (0.37, 0.21, 0.13), their overlay and trace."""
+    return _overlay_and_trace(_offset_box(0.0), _offset_box(np.array([0.37, 0.21, 0.13])))
+
+
+def test_offset_cube_trace_is_exact(offset_cubes):
+    # bd(P cap M) - bd(M) restricted to P: the faces x = 1, y = 1 and z = 1 of
+    # the overlap box [0.37, 1] x [0.21, 1] x [0.13, 1], of total area
+    # 0.79 * 0.87 + 0.63 * 0.87 + 0.63 * 0.79 = 1.7331
+    _, _, (_, bp, bm), (tr, _) = offset_cubes
+    assert bp.mass() == pytest.approx(1.0, rel=1e-12)
+    assert bm.mass() == pytest.approx(1.0, rel=1e-12)
+    assert tr.mass() == pytest.approx(1.7331, rel=1e-9)
+
+
+def _assert_classified_like_reference(part, generator, overlay, traced):
+    """Overlay bodies and trace as the point-at-a-time locator classifies them."""
+    from reference_locator import RegionLocator
+
+    cx, bp, bm = overlay
+    barys = cx.barycenters(cx.dim)
+    for orig, new in ((part, bp), (generator, bm)):
+        loc = RegionLocator(orig)
+        assert list(new.chain.coeffs) == [i for i, x in enumerate(barys) if loc.contains(x)]
+    if traced is None:
+        return
+    tr, tcx = traced
+    assert all(np.array_equal(cx.arrays[k], tcx.arrays[k]) for k in cx.arrays)
+    loc = RegionLocator(part)
+    facets = cx.barycenters(cx.dim - 1)
+    bm_bnd = bm.chain.boundary()
+    inter = Chain(cx, cx.dim, {i: 1.0 for i in set(bp.chain.coeffs) & set(bm.chain.coeffs)})
+    second = Chain(cx, cx.dim - 1, {i: a for i, a in bm_bnd.coeffs.items() if loc.contains(facets[i])})
+    assert (inter.boundary() - second).coeffs == tr.coeffs
+
+
+# (offset, size) of the second rectangle against the unit square; the
+# first two share boundary facets, so they have an overlay but no trace
+_PAIRS_2D = {
+    "identical": ((0.0, 0.0), (1.0, 1.0)),
+    "strip": ((0.5, 0.0), (1.0, 1.0)),
+    "disjoint": ((3.0, 0.0), (1.0, 1.0)),
+    "slab": ((0.5, -1.0), (1.5, 3.0)),
+    "wide-slab": ((0.5, -2.0), (2.5, 5.0)),
+    "contained": ((-1.0, -1.0), (3.0, 3.0)),
+    "far": ((5.0, 5.0), (1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("e", [-40, -20, 0, 20])
+@pytest.mark.parametrize("pair", sorted(_PAIRS_2D))
+def test_overlay_classified_like_reference_2d(pair, e):
+    # every 2-D overlay and trace of this file, at scales 2^e
+    a = 2.0**e
+    _assert_classified_like_reference(*_overlay_and_trace(_square(a), _square(a, *_PAIRS_2D[pair])))
+
+
+def test_overlay_classified_like_reference_3d(offset_cubes):
+    _assert_classified_like_reference(*offset_cubes)
+    a = 2.0**-34
+    slab = _overlay_and_trace(_offset_box(0.0, a=a), _offset_box(np.array([0.5, -1, -1]), np.array([1.5, 3, 3]), a))
+    _assert_classified_like_reference(*slab)

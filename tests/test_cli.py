@@ -284,3 +284,44 @@ def test_rekey_cochain_is_scale_invariant(scale):
         u, v = src.simplices[1][i]
         j = tgt.index[1][frozenset((u, v))]
         assert Y.coeffs[j] == (a if tgt.simplices[1][j] == (u, v) else -a)
+
+
+def _scaled_flux_file(tmp, cx, e):
+    """A flux file built from two seeded 1-cochains scaled by 2^e."""
+    from roughbody.forms import Cochain
+
+    rng = np.random.default_rng(3)
+    for i in range(2):
+        X = Cochain(cx, 1, {j: 2.0**e * float(rng.normal()) for j in range(cx.n_simplices(1))})
+        io.save_cochain(X, tmp / f"sx{i}.json", "square.json")
+    flux_path = tmp / "sflux.json"
+    args = ["flux", "build", "--cochain", str(tmp / "sx0.json"), "--cochain", str(tmp / "sx1.json")]
+    assert main(args + ["--out", str(flux_path)]) == 0
+    return flux_path
+
+
+@pytest.mark.parametrize("e", [-60, -30, 0])
+def test_flux_checks_are_scale_relative(e, square_files, capsys, monkeypatch):
+    # a balanced flux passes both checks at every scale, and one whose
+    # declared constants are 1000 times too small fails both
+    tmp, _, _, cx = square_files
+    flux_path = _scaled_flux_file(tmp, cx, e)
+    capsys.readouterr()
+    assert main(["flux", "roundtrip", "--flux", str(flux_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert main(["verify", "balance", "--flux", str(flux_path), "--trials", "5"]) == 0
+    capsys.readouterr()
+
+    import roughbody.cli as cli
+    from roughbody.mechanics import CauchyFlux
+
+    honest = cli.flux_from_cochains
+
+    def understated(cochains):
+        flux = honest(cochains)
+        return CauchyFlux(flux.components, s=flux.s / 1000, b=flux.b / 1000, complex=flux.complex)
+
+    monkeypatch.setattr(cli, "flux_from_cochains", understated)
+    assert main(["flux", "roundtrip", "--flux", str(flux_path)]) == 1
+    assert not json.loads(capsys.readouterr().out)["bound_ok"]
+    assert main(["verify", "balance", "--flux", str(flux_path), "--trials", "5"]) == 1

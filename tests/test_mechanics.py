@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughbody.chains import Chain, elementary
 from roughbody.errors import (
@@ -16,6 +18,7 @@ from roughbody.generate import (
     random_sharp_field,
 )
 from roughbody.maps import PAMap
+from roughbody.mesh import build_complex
 from roughbody.mechanics import (
     CauchyFlux,
     Configuration,
@@ -197,6 +200,59 @@ class TestBalanceConstants:
         velocities = [VirtualVelocity([random_sharp_field(icx, rng) for _ in range(2)])]
         with pytest.raises(DeclaredConstantViolated):
             estimate_balance_constants(lying, surfaces, velocities)
+
+
+class TestAuditScaling:
+    """Flux audits are relative to the flux's own scale: a = 2^e changes no verdict."""
+
+    @staticmethod
+    def _setup(e):
+        verts = [[0, 0], [0.5, 0], [1, 0], [0, 1], [0.5, 1], [1, 1]]
+        cx = build_complex(verts, {2: [(0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4)]})
+        rng = np.random.default_rng(20240817)
+        Xs = tuple(X.scale(2.0**e) for X in cochain_tuple(cx, rng))
+        surfaces = [random_chain(cx, 1, rng) for _ in range(3)]
+        velocities = [VirtualVelocity([random_sharp_field(cx, rng) for _ in range(2)]) for _ in range(2)]
+        bodies = [Chain(cx, 2, {0: 1.0, 1: 1.0})]
+        return cx, Xs, surfaces, velocities, bodies
+
+    @settings(max_examples=15, deadline=None)
+    @given(e=st.integers(-60, 0))
+    def test_balanced_flux_round_trips(self, e):
+        cx, Xs, surfaces, velocities, bodies = self._setup(e)
+        flux = flux_from_cochains(Xs)
+        rec = cochains_from_flux(flux)
+        scale = max(abs(a) for X in Xs for a in X.coeffs.values())
+        for X, Y in zip(Xs, rec.cochains):
+            assert max_coeff_diff(X, Y) <= 1e-9 * scale
+        assert rec.bound_ok
+        estimate_balance_constants(flux, surfaces, velocities, bodies)
+
+    @settings(max_examples=15, deadline=None)
+    @given(e=st.integers(-60, 0))
+    def test_adversarial_rejected(self, e):
+        cx, *_ = self._setup(e)
+        a = 2.0**e
+
+        def facet_count(chain, u):
+            return a * float(len(chain.coeffs)) * float(np.sum(u.values))
+
+        bad = CauchyFlux([facet_count, facet_count], s=0.01 * a, b=0.01 * a, complex=cx)
+        with pytest.raises(ExtensionDependence):
+            cochains_from_flux(bad)
+
+    @settings(max_examples=15, deadline=None)
+    @given(e=st.integers(-60, 0))
+    def test_understated_constants_rejected(self, e):
+        cx, Xs, surfaces, velocities, bodies = self._setup(e)
+        flux = flux_from_cochains(Xs)
+        lying = CauchyFlux(flux.components, s=flux.s / 1000, b=flux.b / 1000, complex=cx)
+        assert not cochains_from_flux(lying).bound_ok
+        with pytest.raises(DeclaredConstantViolated, match="empirical s"):
+            estimate_balance_constants(lying, surfaces, velocities, bodies)
+        honest_s = CauchyFlux(flux.components, s=flux.s, b=flux.b / 1000, complex=cx)
+        with pytest.raises(DeclaredConstantViolated, match="empirical b"):
+            estimate_balance_constants(honest_s, surfaces, velocities, bodies)
 
 
 class TestStrainAndPower:
