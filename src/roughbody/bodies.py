@@ -257,7 +257,8 @@ def koch_generalized_body(levels: int, eps: float = 1e-2, method: str = "mass") 
     so all levels live on the one finest complex and successive distances
     are computed there; each level's area is checked against the closed
     form.  Method "mass" uses mass(T_{k+1} - T_k) = annexed area, a
-    rigorous flat-distance upper bound.
+    rigorous flat-distance upper bound.  A sequence needs levels >= 1: level
+    0 alone is one chain, and certify_cauchy raises TooFewChains.
     """
     points, tris, born = _koch_build(levels)
     finest = build_complex(points, {2: tris}, check_overlap=False)

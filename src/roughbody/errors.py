@@ -41,6 +41,10 @@ class AmbientTooSmall(RoughBodyError):
     """A chain references simplices outside the ambient complex."""
 
 
+class TooFewChains(RoughBodyError, ValueError):
+    """A sequence certificate was given fewer than two chains."""
+
+
 class LPNumericalFailure(RoughBodyError):
     """The simplex solver failed to produce a verified optimum."""
 

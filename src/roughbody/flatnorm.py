@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Chain
-from .errors import AmbientTooSmall, LPNumericalFailure
+from .errors import AmbientTooSmall, LPNumericalFailure, TooFewChains
 from .mesh import Complex
 from .netsimplex import min_cost_circulation
 from .simplex_lp import solve_lp
@@ -321,9 +321,10 @@ def certify_cauchy(
     method "flat" solves the LP for each difference; method "mass" uses
     mass(T_{i+1} - T_i), a rigorous upper bound for the flat distance
     (take S = 0), which certifies the Cauchy property without an LP solve.
+    Fewer than two chains raise TooFewChains.
     """
     if len(chains) < 2:
-        raise ValueError("need at least two chains")
+        raise TooFewChains(f"need at least two chains, got {len(chains)}")
     for ch in chains[1:]:
         ch._check_compatible(chains[0])
     dist = []

@@ -213,7 +213,8 @@ def is_embedding(F: PAMap) -> EmbeddingVerdict:
     singular value is at most DEGEN_TOL times its largest, which makes the
     verdict invariant under scaling of the map.  Interior overlap of the
     image simplices is decided exactly, by the same sweep that validates
-    meshes (mesh.first_overlapping_pair).
+    meshes (mesh.first_overlapping_pair), run on the vertex images and the
+    source's top-degree id rows.
     """
     src = F.source
     K = src.top_degree
@@ -227,8 +228,7 @@ def is_embedding(F: PAMap) -> EmbeddingVerdict:
         if smin <= DEGEN_TOL * float(sv[0]):
             return EmbeddingVerdict(False, 0.0, d, ("degenerate", i))
         c = min(c, smin)
-    imgs = F.images[np.asarray(src.simplices[K], dtype=int)]
-    pair = first_overlapping_pair(imgs)
+    pair = first_overlapping_pair(F.images, src.arrays[K])
     if pair is not None:
         return EmbeddingVerdict(False, float(c), float(d), ("overlap", pair))
     return EmbeddingVerdict(True, float(c), float(d), None)

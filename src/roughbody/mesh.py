@@ -6,7 +6,8 @@ arrays: faces[j, i] is the facet of simplex j opposite its vertex i, and
 signs[j, i] is that facet's incidence.  Faces are derived automatically
 and a shared face is stored once, which makes "boundary of boundary = 0"
 structural.  The tuple lists `simplices`, the frozenset-keyed `index` and
-the list-form `incidence` are views of these arrays.
+the list-form `incidence` are views of these arrays, each built on first
+use (`simplices` per degree).
 
 Refinement addresses every new vertex by the simplex it comes from, so no
 coordinate lookup is needed: the half-space splitter appends one crossing
@@ -23,6 +24,7 @@ sign pattern and the order of the ids, and is computed once per pattern.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
@@ -33,10 +35,11 @@ import numpy as np
 
 from .errors import DegenerateSimplex, NonManifoldOverlap
 from .multivec import MultiVector, basis_tuples, simple_from_columns
-from .simplex_lp import simplex_interiors_intersect
+from .simplex_lp import integer_image, interiors_intersect, side_of_hyperplane
 
 DEGENERACY_TOL = 1e-12
 VALUE_SNAP = 1e-10
+PAIR_BLOCK = 4096  # candidate pairs screened per numpy pass of the overlap sweep
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -122,6 +125,33 @@ def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inv], first[order]
 
 
+class _TupleLists(Mapping):
+    """Per degree, the rows of arrays[k] as a list of vertex-id tuples, built on first use of k."""
+
+    def __init__(self, arrays: dict[int, np.ndarray], nv: int):
+        self._arrays = arrays
+        self._nv = nv
+        self._ids: list[int] = []  # one int object per vertex id, shared by all tuples
+        self._lists: dict[int, list[tuple[int, ...]]] = {}
+
+    def __getitem__(self, k: int) -> list[tuple[int, ...]]:
+        if k not in self._lists:
+            a = self._arrays[k]
+            if not self._ids:
+                self._ids = list(range(self._nv))
+            self._lists[k] = list(zip(*(map(self._ids.__getitem__, col) for col in a.T.tolist())))
+        return self._lists[k]
+
+    def __contains__(self, k) -> bool:
+        return k in self._arrays
+
+    def __iter__(self):
+        return iter(self._arrays)
+
+    def __len__(self) -> int:
+        return len(self._arrays)
+
+
 class Complex:
     """Immutable oriented simplicial complex; use build_complex to construct."""
 
@@ -129,10 +159,7 @@ class Complex:
         self.dim = dim
         self.vertices = vertices
         self.arrays = arrays  # k -> (m_k, k + 1) vertex ids
-        ids = list(range(len(vertices)))  # one int object per vertex id, shared by all tuples
-        self.simplices = {
-            k: list(zip(*(map(ids.__getitem__, col) for col in a.T.tolist()))) for k, a in arrays.items()
-        }
+        self.simplices = _TupleLists(arrays, len(vertices))
         self.face_parent = face_parent  # k -> (m_k,) first (k+1)-simplex having the face, or -1
         self.top_degree = max(k for k, a in arrays.items() if len(a))
         self.validation: dict[str, bool] = {}
@@ -157,7 +184,7 @@ class Complex:
     # -- basic geometry ------------------------------------------------
 
     def n_simplices(self, k: int) -> int:
-        return len(self.simplices.get(k, []))
+        return len(self.arrays[k]) if k in self.arrays else 0
 
     def coords(self, k: int, idx: int) -> np.ndarray:
         return self.vertices[self.arrays[k][idx]]
@@ -321,8 +348,9 @@ def build_complex(vertices, simplices, check_overlap: bool = True) -> Complex:
     and NonManifoldOverlap when two same-degree simplices have intersecting
     relative interiors (top degree and explicitly given degrees are tested;
     disable with check_overlap=False for trusted input).  The overlap test
-    is exact (see first_overlapping_pair): shared faces never count, and no
-    overlap is too shallow to be found.
+    is one exact sweep per tested degree on the vertices and id rows (see
+    first_overlapping_pair): shared faces never count, and no overlap is
+    too shallow to be found.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] not in (1, 2, 3):
@@ -384,30 +412,69 @@ def build_complex(vertices, simplices, check_overlap: bool = True) -> Complex:
     cx.validation = {"degeneracy": True, "boundary_of_boundary": True, "disjoint_interiors": False}
     if check_overlap:
         for k in ({max_deg} | explicit_degrees) - {0}:
-            pair = first_overlapping_pair(cx.all_coords(k))
+            pair = first_overlapping_pair(cx.vertices, cx.arrays[k])
             if pair is not None:
                 raise NonManifoldOverlap(f"degree-{k} simplices {pair[0]} and {pair[1]} overlap")
         cx.validation["disjoint_interiors"] = True
     return cx
 
 
-def first_overlapping_pair(C: np.ndarray) -> tuple[int, int] | None:
-    """First pair (a, b) of simplices, vertex coordinates C[a] and C[b], whose interiors meet.
+def first_overlapping_pair(vertices: np.ndarray, S: np.ndarray) -> tuple[int, int] | None:
+    """First pair (a, b) of simplices, vertex ids S[a] and S[b], whose interiors meet.
 
-    A sweep over the simplices sorted by their lowest x finds the pairs
-    whose bounding boxes meet; the exact predicate decides each of them.
-    Boxes that only touch are tested, because the predicate is exact.
+    S holds (m, k + 1) ids of rows of `vertices`.  A sweep over the
+    simplices sorted by their lowest x finds the pairs whose bounding boxes
+    meet, PAIR_BLOCK pairs per numpy pass, in the order (a, then b) of the
+    sorted simplices.  Every vertex is scaled to ints once, by one power of
+    two for the whole mesh, and each pair is decided exactly on that image.
+    When k equals the ambient dimension and the pair shares a facet, one
+    orientation sign per apex decides it: the interiors meet exactly when
+    both apexes lie strictly on the same side of the facet's hyperplane.
+    Every other pair, and a facet pair with an apex on that hyperplane, goes
+    to the separating-axis test `simplex_lp.interiors_intersect`.  Boxes
+    that only touch are tested, because the test is exact.
     """
-    lo, hi = C.min(axis=1), C.max(axis=1)
+    vertices = np.asarray(vertices, dtype=float)
+    S = np.asarray(S, dtype=np.intp)
+    m, v = S.shape
+    n = vertices.shape[1]
+    if m < 2:
+        return None
+    lo = hi = vertices[S[:, 0]]
+    for col in S.T[1:]:
+        lo, hi = np.minimum(lo, vertices[col]), np.maximum(hi, vertices[col])
     order = np.argsort(lo[:, 0])
-    C, lo, hi = C[order], lo[order], hi[order]
+    S, lo, hi = S[order], lo[order], hi[order]
+    # simplex a meets the boxes of candidates a + 1 .. ends[a] - 1; pair t of
+    # the sweep is (a, a + 1 + t - starts[a]) with starts[a] <= t < starts[a + 1]
     ends = np.searchsorted(lo[:, 0], hi[:, 0], side="right")
-    for a in range(len(C)):
-        near = slice(a + 1, ends[a])
-        meet = np.all(lo[near] <= hi[a], axis=1) & np.all(hi[near] >= lo[a], axis=1)
-        for b in a + 1 + np.flatnonzero(meet):
-            if simplex_interiors_intersect(C[a], C[b]):
-                return int(order[a]), int(order[b])
+    starts = np.concatenate([[0], np.cumsum(ends - np.arange(1, m + 1))])
+    P = integer_image(vertices)
+    # integer vertex rows in sweep order, built a column at a time to hold few int objects at once
+    R = list(zip(*[list(map(P.__getitem__, col.tolist())) for col in S.T]))
+    for t0 in range(0, int(starts[-1]), PAIR_BLOCK):
+        t = np.arange(t0, min(t0 + PAIR_BLOCK, int(starts[-1])))
+        a = np.searchsorted(starts, t, side="right") - 1
+        b = a + 1 + t - starts[a]
+        meet = np.all(lo[b] <= hi[a], axis=1) & np.all(hi[b] >= lo[a], axis=1)
+        a, b = a[meet], b[meet]
+        # a pair shares a facet when all but one vertex of a is in b; i and j index the apexes
+        facet = i = j = np.zeros(len(a), dtype=np.intp)
+        if v == n + 1:
+            same = S[a][:, :, None] == S[b][:, None, :]
+            facet = same.sum(axis=(1, 2)) == n
+            i, j = np.argmin(same.any(axis=2), axis=1), np.argmin(same.any(axis=1), axis=1)
+        for x, y, shared, ix, jy in zip(a.tolist(), b.tolist(), facet.tolist(), i.tolist(), j.tolist()):
+            A, B = R[x], R[y]
+            if shared:
+                F = A[:ix] + A[ix + 1 :]
+                sign = side_of_hyperplane(F, A[ix]) * side_of_hyperplane(F, B[jy])
+                if sign > 0:
+                    return int(order[x]), int(order[y])
+                if sign < 0:
+                    continue
+            if interiors_intersect(A, B):
+                return int(order[x]), int(order[y])
     return None
 
 

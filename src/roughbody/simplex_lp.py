@@ -11,15 +11,17 @@ produces routinely.
 
 `simplex_interiors_intersect` decides whether two simplices share a point
 of their relative interiors.  It needs no LP and no tolerance: the float
-coordinates are scaled to Python integers by one power of two, and a
-separating-axis test runs in exact integer arithmetic.
+coordinates are scaled to Python integers by one power of two
+(`integer_image`), and a separating-axis test (`interiors_intersect`) runs
+in exact integer arithmetic.  `mesh.first_overlapping_pair` scales a whole
+mesh once and calls the same integer test on the pairs that need it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from operator import sub
+from operator import mul, sub
 
 import numpy as np
 
@@ -165,27 +167,60 @@ def solve_lp(
 def simplex_interiors_intersect(V: np.ndarray, W: np.ndarray) -> bool:
     """Whether two simplices (vertex rows V, W in R^n, n <= 3) share a relative-interior point.
 
+    The pair is scaled to integers by `integer_image` and decided by
+    `interiors_intersect`; mesh sweeps scale a whole mesh once instead.
+    """
+    P = integer_image(np.concatenate([V, W]))
+    return interiors_intersect(P[: len(V)], P[len(V) :])
+
+
+def integer_image(X: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of X scaled by one power of two, the same for every entry, to tuples of ints.
+
+    The scaling is exact, and a positive scale changes the sign of no
+    predicate below, so the image decides every pair of rows of X exactly.
+    """
+    X = np.asarray(X, dtype=float)
+    flat = X.ravel().tolist()
+    # two passes over the ratios, so that no list of them is held for a whole mesh
+    bits = max([x.as_integer_ratio()[1] for x in flat]).bit_length()
+    flat = [p << (bits - q.bit_length()) for p, q in map(float.as_integer_ratio, flat)]
+    return list(zip(*[iter(flat)] * X.shape[1]))
+
+
+def interiors_intersect(A, B) -> bool:
+    """Whether the simplices with integer vertex rows A and B share a relative-interior point.
+
     The relative interiors are disjoint exactly when some axis u properly
-    separates the simplices: max V.u <= min W.u (or the reverse) with not
+    separates the simplices: max A.u <= min B.u (or the reverse) with not
     every projection equal (Rockafellar, Convex Analysis, Thm 11.3).  When
     such an axis exists, a normal of the affine hull of the Minkowski
-    difference W - V or a normal of one of its facets within that hull is
+    difference B - A or a normal of one of its facets within that hull is
     one, and every such normal is among the candidates that `_axes` builds
-    from the edge vectors.  Everything is computed on the exact integer
-    images of the coordinates, so touching along shared faces never counts
-    as overlap and no overlap is too shallow to count.
+    from the edge vectors.  In exact arithmetic, touching along shared faces
+    never counts as overlap and no overlap is too shallow to count.
     """
-    A, B = _integer_rows(V, W)
-    return not any(_properly_separates(u, A, B) for u in _axes(A, B))
+    for u in _axes(A, B):
+        if _properly_separates(u, A, B):
+            return False
+    return True
 
 
-def _integer_rows(V: np.ndarray, W: np.ndarray) -> tuple[list[tuple], list[tuple]]:
-    """Both vertex lists scaled by one power of two so that every coordinate is an int."""
-    ratios = [x.as_integer_ratio() for x in V.ravel().tolist() + W.ravel().tolist()]
-    bits = max([q for _, q in ratios]).bit_length()
-    flat = [p << (bits - q.bit_length()) for p, q in ratios]
-    rows = list(zip(*[iter(flat)] * V.shape[1]))
-    return rows[: len(V)], rows[len(V) :]
+def side_of_hyperplane(F, p) -> int:
+    """Sign of det[F[1] - F[0], ..., F[n-1] - F[0], p - F[0]] for n integer points F in R^n.
+
+    It tells on which side of the hyperplane through F the integer point p
+    lies, and is 0 when p lies on it or F spans less than a hyperplane.
+    """
+    d = _sub(p, F[0])
+    if len(d) == 3:
+        det = sum(map(mul, _cross(_sub(F[1], F[0]), _sub(F[2], F[0])), d))
+    elif len(d) == 2:
+        e = _sub(F[1], F[0])
+        det = e[0] * d[1] - e[1] * d[0]
+    else:
+        det = d[0]
+    return (det > 0) - (det < 0)
 
 
 def _sub(p, q):

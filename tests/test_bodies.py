@@ -14,7 +14,7 @@ from roughbody.bodies import (
     trace,
 )
 from roughbody.chains import Chain
-from roughbody.errors import GeneratorOverlap, WrongDegree
+from roughbody.errors import GeneratorOverlap, TooFewChains, WrongDegree
 from roughbody.generate import grid_mesh, random_body
 from roughbody.mesh import build_complex
 
@@ -88,6 +88,11 @@ class TestGeometricBoundary:
 
 
 class TestKoch:
+    def test_generalized_body_needs_two_levels(self):
+        with pytest.raises(TooFewChains, match="at least two chains"):
+            koch_generalized_body(0)
+        assert issubclass(TooFewChains, ValueError)
+
     def test_level0(self):
         b = koch_prefractal(0)
         assert b.boundary_mass() == pytest.approx(3.0, abs=1e-9)

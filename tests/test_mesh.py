@@ -1,8 +1,12 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughbody.bodies import _koch_build, koch_prefractal
 from roughbody.chains import Chain
 from roughbody.errors import DegenerateSimplex, NonManifoldOverlap
 from roughbody.generate import cube_mesh, grid_mesh, segment_mesh
@@ -231,3 +235,32 @@ def test_segment_mesh_boundary():
     b = A.boundary()
     assert len(b.coeffs) == 2
     assert b.mass() == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("make", [lambda: grid_mesh(4, 3), lambda: cube_mesh(2, 2, 2), lambda: koch_prefractal(2).complex])
+def test_tuple_lists_equal_array_rows(make):
+    cx = make()
+    assert sorted(cx.simplices) == sorted(cx.arrays) == list(range(cx.top_degree + 1))
+    assert all(k in cx.simplices for k in cx.arrays) and cx.top_degree + 1 not in cx.simplices
+    assert cx.n_simplices(cx.top_degree + 1) == 0
+    for k in reversed(sorted(cx.simplices)):
+        assert cx.n_simplices(k) == len(cx.arrays[k])
+        assert cx.simplices[k] == [tuple(row) for row in cx.arrays[k].tolist()]
+        assert all(type(v) is int for s in cx.simplices[k] for v in s)
+    assert cx.simplices == {k: [tuple(row) for row in a.tolist()] for k, a in cx.arrays.items()}
+
+
+def test_koch_level5_complex_keeps_no_tuple_lists():
+    points, tris, _ = _koch_build(5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cx = build_complex(points, {2: tris}, check_overlap=False)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        for k in cx.simplices:
+            cx.simplices[k]
+        listed = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert listed - kept >= 0.6e6, (kept, listed)

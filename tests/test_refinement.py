@@ -154,7 +154,7 @@ def test_cut_cube_mesh_stays_conforming():
     rng = np.random.default_rng(11)
     for _ in range(3):
         cx = refine_by_halfspace(cx, random_halfspace(rng, cx)).complex
-    assert first_overlapping_pair(cx.all_coords(3)) is None
+    assert first_overlapping_pair(cx.vertices, cx.arrays[3]) is None
     cofaces = np.bincount(cx.incidence_arrays(3)[0].ravel(), minlength=cx.n_simplices(2))
     C = cx.all_coords(2)  # a crossing on the cube's boundary keeps that coordinate exactly
     on_boundary = ((C == 0.0).all(axis=1) | (C == 1.0).all(axis=1)).any(axis=1)
