@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateSimplex, NonManifoldOverlap
 from .multivec import MultiVector, basis_tuples, simple_from_columns
-from .simplex_lp import integer_image, interiors_intersect, side_of_hyperplane
+from .simplex_lp import integer_image, interiors_intersect
 
 DEGENERACY_TOL = 1e-12
 VALUE_SNAP = 1e-10
@@ -426,18 +426,13 @@ def first_overlapping_pair(vertices: np.ndarray, S: np.ndarray) -> tuple[int, in
     simplices sorted by their lowest x finds the pairs whose bounding boxes
     meet, PAIR_BLOCK pairs per numpy pass, in the order (a, then b) of the
     sorted simplices.  Every vertex is scaled to ints once, by one power of
-    two for the whole mesh, and each pair is decided exactly on that image.
-    When k equals the ambient dimension and the pair shares a facet, one
-    orientation sign per apex decides it: the interiors meet exactly when
-    both apexes lie strictly on the same side of the facet's hyperplane.
-    Every other pair, and a facet pair with an apex on that hyperplane, goes
-    to the separating-axis test `simplex_lp.interiors_intersect`.  Boxes
-    that only touch are tested, because the test is exact.
+    two for the whole mesh, and the separating-axis test
+    `simplex_lp.interiors_intersect` decides each pair exactly on that
+    image.  Boxes that only touch are tested, because the test is exact.
     """
     vertices = np.asarray(vertices, dtype=float)
     S = np.asarray(S, dtype=np.intp)
-    m, v = S.shape
-    n = vertices.shape[1]
+    m = len(S)
     if m < 2:
         return None
     lo = hi = vertices[S[:, 0]]
@@ -457,23 +452,8 @@ def first_overlapping_pair(vertices: np.ndarray, S: np.ndarray) -> tuple[int, in
         a = np.searchsorted(starts, t, side="right") - 1
         b = a + 1 + t - starts[a]
         meet = np.all(lo[b] <= hi[a], axis=1) & np.all(hi[b] >= lo[a], axis=1)
-        a, b = a[meet], b[meet]
-        # a pair shares a facet when all but one vertex of a is in b; i and j index the apexes
-        facet = i = j = np.zeros(len(a), dtype=np.intp)
-        if v == n + 1:
-            same = S[a][:, :, None] == S[b][:, None, :]
-            facet = same.sum(axis=(1, 2)) == n
-            i, j = np.argmin(same.any(axis=2), axis=1), np.argmin(same.any(axis=1), axis=1)
-        for x, y, shared, ix, jy in zip(a.tolist(), b.tolist(), facet.tolist(), i.tolist(), j.tolist()):
-            A, B = R[x], R[y]
-            if shared:
-                F = A[:ix] + A[ix + 1 :]
-                sign = side_of_hyperplane(F, A[ix]) * side_of_hyperplane(F, B[jy])
-                if sign > 0:
-                    return int(order[x]), int(order[y])
-                if sign < 0:
-                    continue
-            if interiors_intersect(A, B):
+        for x, y in zip(a[meet].tolist(), b[meet].tolist()):
+            if interiors_intersect(R[x], R[y]):
                 return int(order[x]), int(order[y])
     return None
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from operator import mul, sub
+from operator import sub
 
 import numpy as np
 
@@ -183,7 +183,7 @@ def integer_image(X: np.ndarray) -> list[tuple[int, ...]]:
     X = np.asarray(X, dtype=float)
     flat = X.ravel().tolist()
     # two passes over the ratios, so that no list of them is held for a whole mesh
-    bits = max([x.as_integer_ratio()[1] for x in flat]).bit_length()
+    bits = max(x.as_integer_ratio()[1] for x in flat).bit_length()
     flat = [p << (bits - q.bit_length()) for p, q in map(float.as_integer_ratio, flat)]
     return list(zip(*[iter(flat)] * X.shape[1]))
 
@@ -204,23 +204,6 @@ def interiors_intersect(A, B) -> bool:
         if _properly_separates(u, A, B):
             return False
     return True
-
-
-def side_of_hyperplane(F, p) -> int:
-    """Sign of det[F[1] - F[0], ..., F[n-1] - F[0], p - F[0]] for n integer points F in R^n.
-
-    It tells on which side of the hyperplane through F the integer point p
-    lies, and is 0 when p lies on it or F spans less than a hyperplane.
-    """
-    d = _sub(p, F[0])
-    if len(d) == 3:
-        det = sum(map(mul, _cross(_sub(F[1], F[0]), _sub(F[2], F[0])), d))
-    elif len(d) == 2:
-        e = _sub(F[1], F[0])
-        det = e[0] * d[1] - e[1] * d[0]
-    else:
-        det = d[0]
-    return (det > 0) - (det < 0)
 
 
 def _sub(p, q):
