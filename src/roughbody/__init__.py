@@ -73,15 +73,12 @@ from .mechanics import (
 from .mesh import (
     Complex,
     HalfSpace,
-    MultiVector,
     Refinement,
     barycentric_refine,
     barycentric_subdivide,
     build_complex,
     clip_simplex,
     refine_by_halfspace,
-    simplex_volume,
-    unit_tangent,
 )
 from .sharp import ProductBoundsReport, SharpField, boundary_product, check_product_bounds, multiply
 

@@ -53,12 +53,6 @@ class Body:
         return self.chain.boundary().mass()
 
 
-def _positively_oriented(cx: Complex, idx: int) -> bool:
-    C = cx.coords(cx.top_degree, idx)
-    E = (C[1:] - C[0]).T
-    return np.linalg.det(E) > 0.0
-
-
 def body_from_simplices(cx: Complex, indices) -> Body:
     """Indicator body over the given top simplices (duplicates are idempotent).
 
@@ -67,15 +61,14 @@ def body_from_simplices(cx: Complex, indices) -> Body:
     """
     if cx.top_degree != cx.dim:
         raise WrongDegree("complex carries no full-dimensional simplices")
-    coeffs: dict[int, float] = {}
-    for i in indices:
-        i = int(i)
-        if i < 0 or i >= cx.n_simplices(cx.dim):
-            raise WrongDegree(f"simplex index {i} out of range")
-        if not _positively_oriented(cx, i):
-            raise ValueError(f"simplex {i} is negatively oriented; flip its vertex order")
-        coeffs[i] = 1.0
-    return Body(Chain(cx, cx.dim, coeffs))
+    idx = np.array([int(i) for i in indices], dtype=np.intp)
+    bad = idx[(idx < 0) | (idx >= cx.n_simplices(cx.dim))]
+    if bad.size:
+        raise WrongDegree(f"simplex index {bad[0]} out of range")
+    bad = idx[kvectors(cx.all_coords(cx.dim)[idx])[:, 0] <= 0.0]
+    if bad.size:
+        raise ValueError(f"simplex {bad[0]} is negatively oriented; flip its vertex order")
+    return Body(Chain(cx, cx.dim, dict.fromkeys(idx.tolist(), 1.0)))
 
 
 @dataclass
@@ -106,34 +99,21 @@ def geometric_boundary_surface(body: Body) -> Surface:
     if not body.chain.coeffs:
         raise WrongDegree("empty body has no boundary surface")
     bnd = body.chain.boundary()
+    facets = np.fromiter(bnd.coeffs, dtype=np.intp)
+    # each boundary facet's owning body simplex and, opposite it there, the owner's vertex
+    tops = np.fromiter(body.chain.coeffs, dtype=np.intp)
+    flat = cx.incidence_arrays(n)[0][tops].ravel()
+    order = np.argsort(flat, kind="stable")
+    at = order[np.searchsorted(flat[order], facets)]
+    opposite = cx.arrays[n][tops[at // (n + 1)], at % (n + 1)]
+    C = cx.all_coords(n - 1)[facets]
+    nu = _unit_normals(C)
+    nu *= np.sign(np.einsum("ij,ij->i", nu, C.mean(axis=1) - cx.vertices[opposite]))[:, None]
     vol_vec = np.zeros(multivec.dim(n, n))
     vol_vec[0] = 1.0  # e_1 ^ ... ^ e_n
-    owners: dict[int, int] = {}
-    faces = cx.incidence_arrays(n)[0]
-    for tidx in body.chain.coeffs:
-        for fidx in faces[tidx].tolist():
-            owners.setdefault(fidx, tidx)
-    coeffs: dict[int, float] = {}
-    for fidx in bnd.coeffs:
-        owner = owners.get(fidx)
-        if owner is None:
-            raise RuntimeError("boundary facet without an owning body simplex")
-        fverts = set(cx.simplices[n - 1][fidx])
-        opposite = next(v for v in cx.simplices[n][owner] if v not in fverts)
-        fcoords = cx.coords(n - 1, fidx)
-        span = (fcoords[1:] - fcoords[0]).T if n > 1 else np.zeros((n, 0))
-        away = fcoords.mean(axis=0) - cx.vertices[opposite]
-        if span.size:
-            proj = span @ np.linalg.pinv(span) @ away
-            nu = away - proj
-        else:
-            nu = away
-        nu = nu / np.linalg.norm(nu)
-        tangent = multivec.contract(nu, 1, vol_vec, n, n)
-        xi = cx.unit_tangent(n - 1, fidx).components
-        sign = float(np.dot(tangent, xi))
-        coeffs[fidx] = 1.0 if sign > 0 else -1.0
-    chain = Chain(cx, n - 1, coeffs)
+    star = np.array([multivec.contract(e, 1, vol_vec, n, n) for e in np.eye(n)])
+    sign = np.einsum("ij,ij->i", nu @ star, cx.unit_tangents(n - 1)[facets])
+    chain = Chain(cx, n - 1, dict(zip(facets.tolist(), np.where(sign > 0, 1.0, -1.0).tolist())))
     return Surface(chain, body, frozenset(bnd.coeffs))
 
 
@@ -205,22 +185,18 @@ def _koch_build(levels: int) -> tuple[np.ndarray, list, list]:
                 else:
                     new_tris.append((ic, a, b))
             new_born += [level] * (len(new_tris) - len(new_born))
+        bumps, new_loop = [], []
         for a, b in zip(loop, loop[1:] + loop[:1]):
             ea, eb, i1, i2, it = boundary_edges[frozenset((a, b))]
             if ea != a:
                 i1, i2 = i2, i1
-            tri = (i1, i2, it)
-            E = np.array([pool_pts[tri[1]] - pool_pts[tri[0]], pool_pts[tri[2]] - pool_pts[tri[0]]]).T
-            if np.linalg.det(E) < 0:
-                tri = (i2, i1, it)
-            new_tris.append(tri)
-            new_born.append(step)
-        new_loop = []
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            ea, eb, i1, i2, it = boundary_edges[frozenset((a, b))]
-            if ea != a:
-                i1, i2 = i2, i1
+            bumps.append((i1, i2, it))
             new_loop.extend([a, i1, it, i2])
+        bumps = np.array(bumps)
+        flip = kvectors(np.asarray(pool_pts)[bumps])[:, 0] < 0
+        bumps[flip, :2] = bumps[flip, 1::-1]
+        new_tris += [tuple(t) for t in bumps.tolist()]
+        new_born += [step] * len(bumps)
         tris, born, loop = new_tris, new_born, new_loop
     return np.asarray(pool_pts), tris, born
 
@@ -321,7 +297,7 @@ def _inside(body: Body, X: np.ndarray) -> np.ndarray:
     n = cx.dim
     hit = np.zeros(len(X), dtype=bool)
     for i in body.chain.coeffs:
-        G = cx.barygrads(i)
+        G = cx.barygrads[i]
         hit |= np.all(X @ G[:, :n].T + G[:, n] >= -1e-9, axis=1)
     return hit
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .chains import Chain
 from .errors import AmbientTooSmall, LPNumericalFailure, TooFewChains
-from .mesh import Complex
+from .mesh import Complex, kvectors
 from .netsimplex import min_cost_circulation
 from .simplex_lp import solve_lp
 
@@ -137,17 +137,17 @@ def _dense(T: Chain) -> np.ndarray:
 def _dual_arcs(cx: Complex, k: int, faces: np.ndarray, signs: np.ndarray):
     """(tail, head, sigma) of the dual graph when the LP is a circulation, else None.
 
-    Node j < p is the (k+1)-simplex j, node p the ground.  With sigma_j =
-    sign(det) orienting simplex j, face i runs from its coface of oriented
-    incidence +1 to its coface of oriented incidence -1, and a face with one
-    coface runs to or from the ground.  None unless k + 1 is both the top
+    Node j < p is the (k+1)-simplex j, node p the ground.  With sigma_j, the
+    sign of simplex j's n-vector, orienting it, face i runs from its coface
+    of oriented incidence +1 to its coface of oriented incidence -1, and a
+    face with one coface runs to or from the ground.  None unless k + 1 is both the top
     degree and the ambient dimension and every face has one coface of each
     oriented sign at most.
     """
     if not k + 1 == cx.top_degree == cx.dim:
         return None
     C = cx.all_coords(k + 1)
-    sigma = np.sign(np.linalg.det(C[:, 1:] - C[:, :1]))
+    sigma = np.sign(kvectors(C)[:, 0])
     oriented = (signs * sigma[:, None]).ravel()
     face = faces.ravel()
     node = np.repeat(np.arange(faces.shape[0]), k + 2)

@@ -10,19 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial
+from math import factorial, hypot
 
 import numpy as np
 
 from . import multivec
 from .chains import Chain
 from .errors import (
+    AmbientTooSmall,
     ComplexMismatch,
     DegreeMismatch,
     DegreeOverflow,
     TopDegree,
 )
-from .mesh import Complex, _cut_vertices, _split_ids, barycentric_refine, simplex_volumes
+from .mesh import Complex, _cut_vertices, _split_ids, barycentric_refine, row_wedges, simplex_volumes
 from .poly import Poly, integrate_over_simplex
 
 
@@ -37,6 +38,9 @@ class Cochain:
         self.complex = cx
         self.degree = degree
         self.coeffs = {int(i): float(a) for i, a in (coeffs or {}).items() if a != 0.0}
+        nmax = cx.n_simplices(degree)
+        if any(i < 0 or i >= nmax for i in self.coeffs):
+            raise AmbientTooSmall("cochain references simplices outside its complex")
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.complex is not other.complex or self.degree != other.degree:
@@ -179,13 +183,14 @@ class FormField:
         if T.degree != self.degree:
             raise DegreeMismatch("form and chain degrees differ")
         cx = self.complex
+        tangents = cx.unit_tangents(T.degree)
         total = 0.0
         for idx, a in T.coeffs.items():
             top = cx.containing_top(T.degree, idx)
             polys = self.comps.get(top)
             if polys is None:
                 continue
-            xi = cx.unit_tangent(T.degree, idx).components
+            xi = tangents[idx]
             scalar = Poly.zero(cx.dim)
             for comp, p in zip(xi, polys):
                 if comp != 0.0 and not p.is_zero():
@@ -204,17 +209,14 @@ def constant_form(cx: Complex, degree: int, comps) -> FormField:
     return FormField(cx, degree, {i: list(polys) for i in range(cx.n_simplices(cx.top_degree))})
 
 
-def _wedge_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Components of g_1 ^ ... ^ g_k for covector rows g_i."""
-    k = rows.shape[0]
-    comps = np.empty(multivec.dim(n, k))
-    for i, axes in enumerate(multivec.basis_tuples(n, k)):
-        comps[i] = np.linalg.det(rows[:, list(axes)]) if k else 1.0
-    return comps
-
-
 def whitney_realize(X: Cochain) -> FormField:
-    """Lowest-order Whitney form with the cochain's simplex integrals."""
+    """Lowest-order Whitney form with the cochain's simplex integrals.
+
+    A k-face whose stored vertices sit at positions r_0 .. r_k of a top
+    simplex adds k! X(face) sum_i (-1)^i lambda_(r_i) dlambda_(r_0) ^ ...
+    (r_i omitted) ... ^ dlambda_(r_k) there.  The wedges of gradient rows
+    are taken by mesh.row_wedges for every top at once.
+    """
     cx = X.complex
     n = cx.dim
     k = X.degree
@@ -222,28 +224,27 @@ def whitney_realize(X: Cochain) -> FormField:
     comps: dict[int, list[Poly]] = {}
     if not X.coeffs:
         return FormField(cx, k, comps)
-    ncomp = multivec.dim(n, k)
-    faces = cx.face_table(K, k).tolist()
-    for top, verts in enumerate(cx.simplices[K]):
-        G = cx.barygrads(top)  # row i: (grad lambda_i, const)
+    G = cx.barygrads  # row i of a top: (grad lambda_i, const)
+    S = cx.arrays[K]
+    faces = cx.face_table(K, k)
+    m, nf = faces.shape
+    # positions in each top of each face's stored vertices, (m, nf, k + 1)
+    pos = np.argmax(cx.arrays[k][faces][..., None] == S[:, None, None, :], axis=-1)
+    others = pos[..., [[j for j in range(k + 1) if j != i] for i in range(k + 1)]]
+    rows = G[np.arange(m)[:, None, None, None], others, :n]
+    W = row_wedges(rows.reshape(m * nf * (k + 1), k, n)).reshape(m, nf, k + 1, -1)
+    ncomp = W.shape[-1]
+    for top, face_ids in enumerate(faces.tolist()):
         res = None
-        pos_of = {v: i for i, v in enumerate(verts)}
-        for fidx in faces[top]:
+        for slot, fidx in enumerate(face_ids):
             coeff = X.coeffs.get(fidx)
             if not coeff:
                 continue
-            stored = cx.simplices[k][fidx]
-            rows = [pos_of[v] for v in stored]
             if res is None:
                 res = [Poly.zero(n) for _ in range(ncomp)]
             fact = factorial(k) * coeff
-            for i in range(k + 1):
-                lam = Poly.affine(n, G[rows[i], :n], G[rows[i], n])
-                others = rows[:i] + rows[i + 1 :]
-                if k == 0:
-                    wcomps = np.array([1.0])
-                else:
-                    wcomps = _wedge_rows(G[others, :n], n)
+            for i, (r, wcomps) in enumerate(zip(pos[top, slot].tolist(), W[top, slot].tolist())):
+                lam = Poly.affine(n, G[top, r, :n], G[top, r, n])
                 sign = fact * (1.0 if i % 2 == 0 else -1.0)
                 for c_idx, w in enumerate(wcomps):
                     if w != 0.0:
@@ -343,7 +344,7 @@ class EvaluableCurrent:
             if svals.size == 1 or svals[1] <= 1e-12 * svals[0]:
                 total += _integral_abs_affine(coords, vals @ _principal(vals), vol)
             else:
-                total += _adaptive_norm_integral(coords, e.density, vol, tol)
+                total += _adaptive_norm_integral(coords, vals, vol, tol)
         return total
 
     def materialize(self, tol: float = 1e-3, size_budget: int = 600):
@@ -359,11 +360,12 @@ class EvaluableCurrent:
         q = self.degree
         if any(e.carrier_degree != q for e in self.entries):
             raise DegreeMismatch("only same-dimension currents materialize to chains")
+        tangents = cx.unit_tangents(q)
         osc0 = 0.0
         scale = 0.0
         for e in self.entries:
             coords = cx.coords(q, e.carrier_index)
-            xi = cx.unit_tangent(q, e.carrier_index).components
+            xi = tangents[e.carrier_index]
             s_vals = np.array([np.dot([p(x) for p in e.density], xi) for x in coords])
             osc0 = max(osc0, float(s_vals.max() - s_vals.min()))
             scale = max(scale, float(np.abs(s_vals).max()))
@@ -381,7 +383,7 @@ class EvaluableCurrent:
         coeffs: dict[int, float] = {}
         err = 0.0
         for e in self.entries:
-            xi = cx.unit_tangent(q, e.carrier_index).components
+            xi = tangents[e.carrier_index]
             for piece in ref.carry[q][e.carrier_index]:
                 pc = ref.complex.coords(q, piece)
                 bary = pc.mean(axis=0)
@@ -429,33 +431,36 @@ def _split_coords_by_values(coords: np.ndarray, vals: np.ndarray):
     return [(pts[list(piece)], vals[list(piece)]) for piece in plus + minus]
 
 
-def _adaptive_norm_integral(coords: np.ndarray, density: list[Poly], vol: float, tol: float) -> float:
-    """Integral of |density(x)| (affine vector field) with convexity brackets."""
-    k = coords.shape[0] - 1
+def _adaptive_norm_integral(coords: np.ndarray, vals: np.ndarray, vol: float, tol: float) -> float:
+    """Integral of |f| for an affine vector field f with vertex values vals, by convexity brackets.
 
-    def norm_at(x):
-        return float(np.linalg.norm([p(x) for p in density]))
+    |f| is convex, so on a piece of volume v, v |f(barycenter)| bounds the
+    integral below and v times the mean vertex norm above.  A piece whose
+    bracket is wider than tol (relative) is bisected along its longest edge
+    (the first in combinations order on a tie), down to depth 24; f at the
+    midpoint is the mean of its end values, as f is affine.
+    """
+    edges = list(combinations(range(len(coords)), 2))
 
-    def recurse(c, v, depth):
-        upper = v * np.mean([norm_at(x) for x in c])
-        lower = v * norm_at(c.mean(axis=0))
+    def recurse(c, f, norms, v, depth):
+        upper = v * sum(norms) / len(norms)
+        lower = v * hypot(*(sum(col) / len(f) for col in zip(*f)))
         if upper - lower <= tol * max(upper, 1e-300) or depth > 24:
             return 0.5 * (upper + lower)
-        # bisect the longest edge
-        besti, bestj, bestd = 0, 1, -1.0
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                d = float(np.linalg.norm(c[i] - c[j]))
-                if d > bestd:
-                    besti, bestj, bestd = i, j, d
-        mid = 0.5 * (c[besti] + c[bestj])
-        c1 = c.copy()
-        c1[besti] = mid
-        c2 = c.copy()
-        c2[bestj] = mid
-        return recurse(c1, v / 2, depth + 1) + recurse(c2, v / 2, depth + 1)
+        i, j = max(edges, key=lambda e: sum((x - y) ** 2 for x, y in zip(c[e[0]], c[e[1]])))
+        fm = tuple(0.5 * (x + y) for x, y in zip(f[i], f[j]))
+        cm = tuple(0.5 * (x + y) for x, y in zip(c[i], c[j]))
+        nm = hypot(*fm)
+        halves = []
+        for end in (i, j):
+            c2, f2, n2 = list(c), list(f), list(norms)
+            c2[end], f2[end], n2[end] = cm, fm, nm
+            halves.append(recurse(c2, f2, n2, v / 2, depth + 1))
+        return halves[0] + halves[1]
 
-    return recurse(np.asarray(coords, dtype=float), vol, 0)
+    f = [tuple(row) for row in np.asarray(vals, dtype=float).tolist()]
+    c = [tuple(row) for row in np.asarray(coords, dtype=float).tolist()]
+    return recurse(c, f, [hypot(*row) for row in f], vol, 0)
 
 
 def interior_product(X: Cochain, T: Chain) -> EvaluableCurrent:
@@ -469,14 +474,15 @@ def interior_product(X: Cochain, T: Chain) -> EvaluableCurrent:
     n = cx.dim
     W = whitney_realize(X)
     q = r - k
+    tangents = cx.unit_tangents(r)
+    vec_index = multivec.basis_index(n, r)
     entries = []
     for idx, a in T.coeffs.items():
         top = cx.containing_top(r, idx)
         polys = W.comps.get(top)
         if polys is None:
             continue
-        xi = cx.unit_tangent(r, idx).components
-        vec_index = multivec.basis_index(n, r)
+        xi = tangents[idx]
         density = []
         for J in multivec.basis_tuples(n, q):
             acc = Poly.zero(n)
@@ -496,9 +502,10 @@ def interior_product(X: Cochain, T: Chain) -> EvaluableCurrent:
 def chain_as_current(T: Chain) -> EvaluableCurrent:
     """The evaluable current of a simplicial chain (constant densities)."""
     cx = T.complex
+    tangents = cx.unit_tangents(T.degree)
     entries = []
     for idx, a in T.coeffs.items():
-        xi = cx.unit_tangent(T.degree, idx).components
+        xi = tangents[idx]
         density = [Poly.constant(cx.dim, a * c) for c in xi]
         entries.append(CurrentEntry(T.degree, idx, density))
     return EvaluableCurrent(cx, T.degree, entries)

@@ -10,7 +10,7 @@ from .bodies import Body, body_from_simplices
 from .chains import Chain
 from .forms import Cochain
 from .maps import PAMap
-from .mesh import Complex, HalfSpace, build_complex
+from .mesh import Complex, HalfSpace, build_complex, kvectors
 from .sharp import SharpField
 
 
@@ -58,11 +58,10 @@ def cube_mesh(nx: int, ny: int, nz: int, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0))
                         nxt = path[-1].copy()
                         nxt[ax] += 1
                         path.append(nxt)
-                    t = [vid(*p) for p in path]
-                    E = (verts[t][1:] - verts[t][0]).T
-                    if np.linalg.det(E) < 0:
-                        t[0], t[1] = t[1], t[0]
-                    tets.append(tuple(t))
+                    tets.append([vid(*p) for p in path])
+    tets = np.array(tets, dtype=np.intp).reshape(-1, 4)
+    flip = kvectors(verts[tets])[:, 0] < 0
+    tets[flip, :2] = tets[flip, 1::-1]
     return build_complex(verts, {3: tets}, check_overlap=False)
 
 
@@ -107,7 +106,7 @@ def random_embedding_map(cx: Complex, rng: np.random.Generator, amplitude: float
         F = PAMap(cx, cx.vertices @ A.T + jitter)
         if not F.embedding().ok:
             continue
-        if all(F.det(i) > 0 for i in range(cx.n_simplices(cx.top_degree))):
+        if (F.dets > 0).all():
             return F
     raise RuntimeError("failed to sample an embedding; lower the amplitude")
 

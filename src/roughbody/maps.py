@@ -6,11 +6,17 @@ orientation signs) instead of mollifier limits.  Degenerate image
 simplices are dropped; the area formula's signed multiplicity is realized
 by deduplicating coincident image simplices with relative orientation
 signs.
+
+The derivatives of all affine pieces form one (m, t, n) array, the vertex
+images contracted with the source's barycentric gradients; determinants
+and the minors that pull forms back are wedges of its columns
+(mesh.row_wedges), and the embedding test takes one stacked SVD of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +30,11 @@ from .mesh import (
     _row_codes,
     build_complex,
     first_overlapping_pair,
+    row_wedges,
     simplex_volumes,
     sort_parity,
 )
+from .multivec import basis_tuples
 from .poly import Poly
 
 DEGEN_TOL = 1e-12
@@ -56,40 +64,36 @@ class PAMap:
         self.source = source
         self.images = images
         self.target_dim = images.shape[1]
-        self._jacobians: dict[int, np.ndarray] = {}
         self._image: ImageData | None = None
         self._embedding: EmbeddingVerdict | None = None
 
     # -- differentials -----------------------------------------------------
 
-    def jacobian(self, top_idx: int) -> np.ndarray:
-        """Derivative matrix (m x n) of the affine map on one top simplex."""
-        J = self._jacobians.get(top_idx)
-        if J is None:
-            verts = self.source.simplices[self.source.top_degree][top_idx]
-            C = self.source.vertices[list(verts)]
-            D = self.images[list(verts)]
-            Es = (C[1:] - C[0]).T
-            Ei = (D[1:] - D[0]).T
-            J = Ei @ np.linalg.pinv(Es)
-            self._jacobians[top_idx] = J
-        return J
+    @cached_property
+    def jacobians(self) -> np.ndarray:
+        """(m, t, n) derivatives DF = D^T grad(lambda) of the affine pieces on the m top simplices.
+
+        D holds a top simplex's vertex images and grad(lambda) its
+        barycentric gradients, so DF is tangential when the top degree is
+        below the source dimension.
+        """
+        src = self.source
+        D = self.images[src.arrays[src.top_degree]]
+        return np.matmul(D.transpose(0, 2, 1), src.barygrads[:, :, : src.dim])
+
+    @cached_property
+    def dets(self) -> np.ndarray:
+        """det DF on every top simplex: the wedge of DF's columns (equal dimensions only)."""
+        J = self.jacobians
+        if J.shape[1] != J.shape[2]:
+            raise NonSimplexImage("determinant requires equal dimensions")
+        return row_wedges(J.transpose(0, 2, 1))[:, 0]
 
     def affine_on(self, top_idx: int) -> tuple[np.ndarray, np.ndarray]:
         """(M, c) with F(x) = c + M x on the top simplex."""
-        verts = self.source.simplices[self.source.top_degree][top_idx]
-        v0 = self.source.vertices[verts[0]]
-        M = self.jacobian(top_idx)
-        return M, self.images[verts[0]] - M @ v0
-
-    def singular_values(self, top_idx: int) -> np.ndarray:
-        return np.linalg.svd(self.jacobian(top_idx), compute_uv=False)
-
-    def det(self, top_idx: int) -> float:
-        J = self.jacobian(top_idx)
-        if J.shape[0] != J.shape[1]:
-            raise NonSimplexImage("determinant requires equal dimensions")
-        return float(np.linalg.det(J))
+        v0 = self.source.arrays[self.source.top_degree][top_idx, 0]
+        M = self.jacobians[top_idx]
+        return M, self.images[v0] - M @ self.source.vertices[v0]
 
     # -- image complex -------------------------------------------------------
 
@@ -154,7 +158,7 @@ def compose(G: PAMap, F: PAMap) -> PAMap:
 def lipschitz_constant(F: PAMap, region=None) -> float:
     """Max operator norm over region top simplices (exact on convex unions)."""
     region = _region(F.source, region)
-    return max(float(F.singular_values(i)[0]) for i in region)
+    return float(np.linalg.norm(F.jacobians[region], 2, axis=(1, 2)).max())
 
 
 def _region(cx: Complex, region) -> list[int]:
@@ -169,26 +173,16 @@ def _region(cx: Complex, region) -> list[int]:
 def lip_seminorm(obj, region=None) -> float:
     """max{ sup-norm over region vertices, Lipschitz constant over region }.
 
-    Accepts a PAMap or anything with `complex`, `vertex_magnitude(v)` and
-    `gradient_norm(top_idx)` (sharp fields).
+    Accepts a PAMap or a sharp field (anything with `complex`, `sup(region)`
+    and `lipschitz_constant(region)`).
     """
     if isinstance(obj, PAMap):
         cx = obj.source
         region = _region(cx, region)
-        sup = 0.0
-        for i in region:
-            for v in cx.simplices[cx.top_degree][i]:
-                sup = max(sup, float(np.linalg.norm(obj.images[v])))
+        sup = float(np.linalg.norm(obj.images[cx.arrays[cx.top_degree][region]], axis=2).max())
         return max(sup, lipschitz_constant(obj, region))
-    cx = obj.complex
-    region = _region(cx, region)
-    sup = 0.0
-    lip = 0.0
-    for i in region:
-        for v in cx.simplices[cx.top_degree][i]:
-            sup = max(sup, obj.vertex_magnitude(v))
-        lip = max(lip, obj.gradient_norm(i))
-    return max(sup, lip)
+    region = _region(obj.complex, region)
+    return max(obj.sup(region), obj.lipschitz_constant(region))
 
 
 # -- embedding test --------------------------------------------------------
@@ -218,16 +212,13 @@ def is_embedding(F: PAMap) -> EmbeddingVerdict:
     """
     src = F.source
     K = src.top_degree
-    m = src.n_simplices(K)
-    c = np.inf
-    d = 0.0
-    for i in range(m):
-        sv = F.singular_values(i)
-        d = max(d, float(sv[0]))
-        smin = float(sv[-1]) if len(sv) >= src.dim else 0.0
-        if smin <= DEGEN_TOL * float(sv[0]):
-            return EmbeddingVerdict(False, 0.0, d, ("degenerate", i))
-        c = min(c, smin)
+    sv = np.linalg.svd(F.jacobians, compute_uv=False)
+    smax, smin = sv[:, 0], sv[:, -1]
+    bad = np.flatnonzero(smin <= DEGEN_TOL * smax)
+    if bad.size:
+        i = int(bad[0])
+        return EmbeddingVerdict(False, 0.0, float(smax[: i + 1].max()), ("degenerate", i))
+    c, d = smin.min(), smax.max()
     pair = first_overlapping_pair(F.images, src.arrays[K])
     if pair is not None:
         return EmbeddingVerdict(False, float(c), float(d), ("overlap", pair))
@@ -284,12 +275,12 @@ def pullback_form(F: PAMap, omega: FormField) -> FormField:
     src = F.source
     n = src.dim
     r = omega.degree
-    from . import multivec
-
     K = src.top_degree
+    out_tuples = basis_tuples(n, r)
+    # Jacobian minors det M[J, I]: per output axes I, the r-vector of the columns M[:, I]
+    J = F.jacobians
+    minors = np.stack([row_wedges(J[:, :, list(I)].transpose(0, 2, 1)) for I in out_tuples], axis=2).tolist()
     out: dict[int, list[Poly]] = {}
-    in_tuples = multivec.basis_tuples(img.complex.dim, r)
-    out_tuples = multivec.basis_tuples(n, r)
     for top in range(src.n_simplices(K)):
         entry = img.simplex_map[K][top]
         if entry is None:
@@ -300,10 +291,9 @@ def pullback_form(F: PAMap, omega: FormField) -> FormField:
         M, ccst = F.affine_on(top)
         composed = [p.compose_affine(M, ccst) if not p.is_zero() else Poly.zero(n) for p in polys]
         res = [Poly.zero(n) for _ in out_tuples]
-        for oi, I in enumerate(out_tuples):
-            for ji, Jax in enumerate(in_tuples):
-                minor = np.linalg.det(M[np.ix_(list(Jax), list(I))]) if r else 1.0
+        for ji, row in enumerate(minors[top]):
+            for oi, minor in enumerate(row):
                 if minor != 0.0 and not composed[ji].is_zero():
-                    res[oi] = res[oi] + composed[ji].scale(float(minor))
+                    res[oi] = res[oi] + composed[ji].scale(minor)
         out[top] = res
     return FormField(src, r, out)

@@ -22,8 +22,8 @@ from .errors import (
     OrientationReversal,
 )
 from .flatnorm import cochain_flat_norm
-from .forms import Cochain, EvaluableCurrent, FormField, whitney_realize
-from .maps import PAMap, pullback_form, pushforward
+from .forms import Cochain, EvaluableCurrent, FormField, coboundary, interior_product, whitney_realize
+from .maps import PAMap, lip_seminorm, pullback_form, pushforward
 from .mesh import Complex
 from .poly import Poly, integrate_over_simplex
 from .sharp import SharpField, multiply
@@ -51,12 +51,11 @@ class Configuration:
         return self.map.image_complex
 
     def jacobian_det(self, top_idx: int) -> float:
-        return self.map.det(top_idx)
+        return float(self.map.dets[top_idx])
 
     def orientation_preserving(self, support=None) -> bool:
-        src = self.source
-        rng = support if support is not None else range(src.n_simplices(src.top_degree))
-        return all(self.jacobian_det(i) > 0.0 for i in rng)
+        dets = self.map.dets if support is None else self.map.dets[list(support)]
+        return bool((dets > 0.0).all())
 
     def push(self, T: Chain) -> Chain:
         return pushforward(self.map, T)
@@ -199,6 +198,30 @@ def _carrier_region(chain: Chain) -> list[int]:
     return sorted({cx.containing_top(chain.degree, i) for i in chain.coeffs})
 
 
+def _max_ratio(flux: CauchyFlux, chains: list[Chain], velocities, of_boundary: bool) -> tuple[float, tuple | None]:
+    """Max of |Phi^i(S, v_i)| / (||v_i||_Lip M(T)) over the nonzero chains T, and its witness.
+
+    S is T itself with the Lipschitz norm over T's carrier tops, or, with
+    of_boundary, bd T with the norm over T's own simplices.  The witness is
+    (chain index, velocity index, component).
+    """
+    best, witness = 0.0, None
+    for ti, T in enumerate(chains):
+        if T.is_zero():
+            continue
+        S, region = (T.boundary(), sorted(T.coeffs)) if of_boundary else (T, _carrier_region(T))
+        mass = T.mass()
+        for vi, v in enumerate(velocities):
+            for i in range(len(flux.components)):
+                denom = lip_seminorm(v[i], region) * mass
+                if denom <= 0.0:
+                    continue
+                ratio = abs(flux.component(i, S, v[i])) / denom
+                if ratio > best:
+                    best, witness = ratio, (ti, vi, i)
+    return best, witness
+
+
 def estimate_balance_constants(
     flux: CauchyFlux,
     surfaces: list[Chain],
@@ -212,39 +235,8 @@ def estimate_balance_constants(
     enforce=True an excess over the declared constants by more than 1e-9
     of them raises DeclaredConstantViolated with the witness sample.
     """
-    s_emp, b_emp = 0.0, 0.0
-    s_wit = b_wit = None
-    for si, S in enumerate(surfaces):
-        if S.is_zero():
-            continue
-        region = _carrier_region(S)
-        mass = S.mass()
-        for vi, v in enumerate(velocities):
-            for i in range(len(flux.components)):
-                from .maps import lip_seminorm
-
-                denom = lip_seminorm(v[i], region) * mass
-                if denom <= 0.0:
-                    continue
-                ratio = abs(flux.component(i, S, v[i])) / denom
-                if ratio > s_emp:
-                    s_emp, s_wit = ratio, (si, vi, i)
-    for bi, B in enumerate(bodies or []):
-        if B.is_zero():
-            continue
-        region = sorted(B.coeffs)
-        mass = B.mass()
-        bnd = B.boundary()
-        for vi, v in enumerate(velocities):
-            for i in range(len(flux.components)):
-                from .maps import lip_seminorm
-
-                denom = lip_seminorm(v[i], region) * mass
-                if denom <= 0.0:
-                    continue
-                ratio = abs(flux.component(i, bnd, v[i])) / denom
-                if ratio > b_emp:
-                    b_emp, b_wit = ratio, (bi, vi, i)
+    s_emp, s_wit = _max_ratio(flux, surfaces, velocities, of_boundary=False)
+    b_emp, b_wit = _max_ratio(flux, bodies or [], velocities, of_boundary=True)
     if enforce:
         if s_emp > flux.s * (1.0 + 1e-9):
             raise DeclaredConstantViolated(f"empirical s {s_emp} exceeds declared {flux.s} at {s_wit}")
@@ -258,8 +250,6 @@ def estimate_balance_constants(
 
 def strain(config: Configuration, T: Chain, v: VirtualVelocity) -> tuple[EvaluableCurrent, ...]:
     """Kinematic interpolation eps_i = v_i bd(k# T) - bd(v_i k# T) = d(alpha_{v_i}) -| k# T."""
-    from .forms import coboundary, interior_product
-
     B = config.push(T)
     if v.complex is not config.image_complex:
         raise ComplexMismatch("velocity does not live on the deformed mesh")
@@ -338,7 +328,7 @@ def stress_report(
         here = [t for t in tops if t in w.comps]
         vw = FormField(w.complex, n - 1, {t: [v[i].as_poly(t) * p for p in w.comps[t]] for t in here})
         dw = FormField(w.complex, n - 1, {t: w.comps[t] for t in here}).d()
-        dv = FormField(w.complex, 1, {t: [Poly.constant(n, g) for g in v[i].gradient(t)] for t in here})
+        dv = FormField(w.complex, 1, {t: [Poly.constant(n, g) for g in v[i].gradients[t]] for t in here})
         terms.append((vw.d(), dw, dv.wedge(w)))
 
     material = np.zeros(3)

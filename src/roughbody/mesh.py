@@ -9,6 +9,14 @@ structural.  The tuple lists `simplices`, the frozenset-keyed `index` and
 the list-form `incidence` are views of these arrays, each built on first
 use (`simplices` per degree).
 
+Simplex geometry has one home.  `kvectors` holds every determinant: the
+k-vectors of the edges of whole degrees of simplices, from which come
+volumes, the cached per-degree unit tangents, orientation signs and (as
+`row_wedges`, on rows with a zero origin) wedges of covectors and Jacobian
+minors.  The
+top degree's barycentric gradients, `Complex.barygrads`, are the one
+pseudo-inverse, taken for the whole degree in one stacked call.
+
 Refinement addresses every new vertex by the simplex it comes from, so no
 coordinate lookup is needed: the half-space splitter appends one crossing
 per cut edge, in edge order, and barycentric subdivision one barycenter
@@ -34,7 +42,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DegenerateSimplex, NonManifoldOverlap
-from .multivec import MultiVector, basis_tuples, simple_from_columns
+from .multivec import basis_tuples
 from .simplex_lp import integer_image, interiors_intersect
 
 DEGENERACY_TOL = 1e-12
@@ -92,6 +100,15 @@ def kvectors(C: np.ndarray) -> np.ndarray:
         return np.linalg.det(E)[:, None]
     # a triangle in R^3: the 2 x 2 minors
     return np.stack([E[:, 0, i] * E[:, 1, j] - E[:, 0, j] * E[:, 1, i] for i, j in basis_tuples(n, 2)], axis=1)
+
+
+def row_wedges(R: np.ndarray) -> np.ndarray:
+    """Components of r_1 ^ ... ^ r_k for the rows of each block of R, shape (m, k, n).
+
+    These are the kvectors of the simplices with a zero origin and the rows
+    as their other vertices, indexed like multivec.basis_tuples(n, k).
+    """
+    return kvectors(np.concatenate([np.zeros((len(R), 1, R.shape[2])), R], axis=1))
 
 
 def simplex_volumes(C: np.ndarray) -> np.ndarray:
@@ -165,7 +182,7 @@ class Complex:
         self.validation: dict[str, bool] = {}
         self._incidence_arrays = incidence_arrays  # k -> (faces, signs), each (m_k, k + 1)
         self._volumes: dict[int, np.ndarray] = {}
-        self._barygrads: dict[tuple[int, int], np.ndarray] = {}
+        self._tangents: dict[int, np.ndarray] = {}
         self._face_tables: dict[tuple[int, int], np.ndarray] = {}
 
     @cached_property
@@ -225,35 +242,31 @@ class Complex:
     def barycenters(self, k: int) -> np.ndarray:
         return self.all_coords(k).mean(axis=1)
 
-    def unit_tangent(self, k: int, idx: int) -> MultiVector:
-        if k == 0:
-            return MultiVector(self.dim, 0, np.array([1.0]))
-        C = self.coords(k, idx)
-        E = (C[1:] - C[0]).T
-        comps = simple_from_columns(E)
-        nrm = np.linalg.norm(comps)
-        if nrm == 0.0:
-            raise DegenerateSimplex(f"degree-{k} simplex {idx} has zero volume")
-        return MultiVector(self.dim, k, comps / nrm)
+    def unit_tangents(self, k: int) -> np.ndarray:
+        """(m_k, C(n, k)): the unit k-vector of every k-simplex, oriented by its vertex order."""
+        if k not in self._tangents:
+            W = kvectors(self.all_coords(k))
+            self._tangents[k] = W / np.linalg.norm(W, axis=1)[:, None]
+        return self._tangents[k]
 
-    def barygrads(self, idx: int, k: int | None = None) -> np.ndarray:
-        """Rows i: (g_i, h_i) with lambda_i(x) = g_i . x + h_i on simplex idx.
+    @cached_property
+    def barygrads(self) -> np.ndarray:
+        """(m_K, K + 1, n + 1) for the top degree K: row i of simplex j is (g_i, h_i)
+        with lambda_i(x) = g_i . x + h_i on simplex j.
 
-        Gradients are tangential (minimum-norm) when the simplex has
-        degree below the ambient dimension.  The pseudo-inverse is taken in
-        the frame of the first vertex scaled by the simplex's extent, so its
-        conditioning does not depend on where the simplex sits or on its size.
+        Gradients are tangential (minimum-norm) when K is below the ambient
+        dimension.  One stacked pseudo-inverse covers the degree; each
+        simplex's is taken in the frame of its first vertex scaled by its
+        extent, so its conditioning does not depend on where the simplex
+        sits or on its size.
         """
-        k = self.top_degree if k is None else k
-        key = (k, idx)
-        if key not in self._barygrads:
-            C = self.coords(k, idx)
-            c0 = C[0]
-            h = float(np.abs(C - c0).max())
-            P = np.linalg.pinv(np.hstack([(C - c0) / h, np.ones((C.shape[0], 1))])).T
-            g = P[:, :-1] / h
-            self._barygrads[key] = np.hstack([g, (P[:, -1] - g @ c0)[:, None]])
-        return self._barygrads[key]
+        C = self.all_coords(self.top_degree)
+        c0 = C[:, :1]
+        h = np.abs(C - c0).max(axis=(1, 2))[:, None, None]
+        A = np.concatenate([(C - c0) / h, np.ones(C.shape[:2] + (1,))], axis=2)
+        P = np.linalg.pinv(A).transpose(0, 2, 1)
+        g = P[:, :, :-1] / h
+        return np.concatenate([g, (P[:, :, -1] - np.einsum("mij,mj->mi", g, c0[:, 0]))[:, :, None]], axis=2)
 
     def containing_top(self, k: int, idx: int) -> int:
         """Index of a top-degree simplex having (k, idx) as an iterated face."""
@@ -456,19 +469,6 @@ def first_overlapping_pair(vertices: np.ndarray, S: np.ndarray) -> tuple[int, in
             if interiors_intersect(R[x], R[y]):
                 return int(order[x]), int(order[y])
     return None
-
-
-# -- operations ---------------------------------------------------------
-
-
-def simplex_volume(cx: Complex, k: int, idx: int) -> float:
-    """k-dimensional Hausdorff volume of one simplex (see simplex_volumes)."""
-    return cx.volume(k, idx)
-
-
-def unit_tangent(cx: Complex, k: int, idx: int) -> MultiVector:
-    """Simple unit k-vector spanning the simplex, oriented by vertex order."""
-    return cx.unit_tangent(k, idx)
 
 
 # -- half-space splitting ------------------------------------------------

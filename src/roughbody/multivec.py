@@ -1,15 +1,17 @@
-"""Exterior algebra over R^n for n <= 3.
+"""Exterior algebra over R^n for n <= 3: the basis of Lambda_k R^n and its products.
 
-k-vectors and k-covectors are stored as coefficient arrays over the
-standard basis of Lambda_k R^n, indexed by sorted k-tuples of axes.
-For n <= 3 every k-vector is simple, so the mass norm of a k-vector and
-the comass of a k-covector both reduce to the Euclidean norm of the
-coefficient array; that fact is relied on throughout the package.
+k-vectors and k-covectors are plain coefficient arrays over the standard
+basis of Lambda_k R^n, indexed by sorted k-tuples of axes; this module
+holds that indexing and the wedge, pairing and contraction of such
+arrays.  The k-vectors of simplices are computed a whole degree at a time
+by mesh.kvectors.  For n <= 3 every k-vector is simple, so the mass norm
+of a k-vector and the comass of a k-covector both reduce to the Euclidean
+norm of the coefficient array; that fact is relied on throughout the
+package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -89,37 +91,3 @@ def contract(cov: np.ndarray, k: int, vec: np.ndarray, r: int, n: int) -> np.nda
                 acc += sign * cov[i] * vec[vec_index[merged]]
         out[j] = acc
     return out
-
-
-@dataclass(frozen=True)
-class MultiVector:
-    """A k-vector in R^n with components over the standard Lambda_k basis."""
-
-    n: int
-    degree: int
-    components: np.ndarray
-
-    def norm(self) -> float:
-        """Mass norm; equals the Euclidean norm since every k-vector is simple for n <= 3."""
-        return float(np.linalg.norm(self.components))
-
-    def wedge(self, other: "MultiVector") -> "MultiVector":
-        if self.n != other.n:
-            raise ValueError("ambient dimensions differ")
-        return MultiVector(
-            self.n,
-            self.degree + other.degree,
-            wedge(self.components, self.degree, other.components, other.degree, self.n),
-        )
-
-    def __neg__(self) -> "MultiVector":
-        return MultiVector(self.n, self.degree, -self.components)
-
-
-def simple_from_columns(E: np.ndarray) -> np.ndarray:
-    """Components of v_1 ^ ... ^ v_k for the columns of an (n, k) matrix."""
-    n, k = E.shape
-    comps = np.empty(dim(n, k))
-    for i, rows in enumerate(basis_tuples(n, k)):
-        comps[i] = np.linalg.det(E[list(rows), :]) if k > 0 else 1.0
-    return comps

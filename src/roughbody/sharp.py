@@ -1,7 +1,9 @@
 """Sharp (piecewise-linear Lipschitz) scalar fields and chain products.
 
 A sharp field is determined by vertex values; its gradient is constant on
-each top simplex.  Multiplication with a chain is the interior product
+each top simplex, and the gradients of all top simplices form one (m, n)
+array, the vertex values contracted with the complex's barycentric
+gradients.  Multiplication with a chain is the interior product
 with the induced 0-cochain, kept lazy as a density current and
 materialized to a simplicial chain only when the flat-norm LP needs one.
 """
@@ -9,6 +11,7 @@ materialized to a simplicial chain only when the flat-norm LP needs one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,34 +28,23 @@ BOUND_SLACK = 1e-6
 class SharpField:
     """PL scalar field from vertex values, with per-simplex constant gradients."""
 
-    __slots__ = ("complex", "values", "_gradients")
-
     def __init__(self, cx: Complex, values):
         values = np.asarray(values, dtype=float)
         if values.shape != (cx.vertices.shape[0],):
             raise ValueError("need one value per vertex")
         self.complex = cx
         self.values = values
-        self._gradients: dict[int, np.ndarray] = {}
 
-    def gradient(self, top_idx: int) -> np.ndarray:
-        g = self._gradients.get(top_idx)
-        if g is None:
-            G = self.complex.barygrads(top_idx)
-            verts = self.complex.simplices[self.complex.top_degree][top_idx]
-            g = G[:, : self.complex.dim].T @ self.values[list(verts)]
-            self._gradients[top_idx] = g
-        return g
-
-    def gradient_norm(self, top_idx: int) -> float:
-        return float(np.linalg.norm(self.gradient(top_idx)))
-
-    def vertex_magnitude(self, v: int) -> float:
-        return float(abs(self.values[v]))
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        """(m, n): the field's gradient on every top simplex."""
+        cx = self.complex
+        G = cx.barygrads[:, :, : cx.dim]
+        return np.matmul(G.transpose(0, 2, 1), self.values[cx.arrays[cx.top_degree]][:, :, None])[:, :, 0]
 
     def as_poly(self, top_idx: int) -> Poly:
         """Affine polynomial agreeing with the field on one top simplex."""
-        g = self.gradient(top_idx)
+        g = self.gradients[top_idx]
         verts = self.complex.simplices[self.complex.top_degree][top_idx]
         v0 = self.complex.vertices[verts[0]]
         return Poly.affine(self.complex.dim, g, self.values[verts[0]] - float(g @ v0))
@@ -62,20 +54,15 @@ class SharpField:
         return Cochain(self.complex, 0, {i: float(v) for i, v in enumerate(self.values)})
 
     def sup(self, region=None) -> float:
-        cx = self.complex
+        """Max |value| over all vertices, or over the vertices of the region's top simplices."""
         if region is None:
             return float(np.abs(self.values).max())
-        best = 0.0
-        for i in region:
-            for v in cx.simplices[cx.top_degree][i]:
-                best = max(best, abs(float(self.values[v])))
-        return best
+        cx = self.complex
+        return float(np.abs(self.values[cx.arrays[cx.top_degree][list(region)]]).max(initial=0.0))
 
     def lipschitz_constant(self, region=None) -> float:
-        cx = self.complex
-        if region is None:
-            region = range(cx.n_simplices(cx.top_degree))
-        return max(self.gradient_norm(i) for i in region)
+        g = self.gradients if region is None else self.gradients[list(region)]
+        return float(np.linalg.norm(g, axis=1).max())
 
     def __add__(self, other: "SharpField") -> "SharpField":
         if self.complex is not other.complex:
@@ -91,11 +78,12 @@ def multiply(phi: SharpField, A: Chain) -> EvaluableCurrent:
     if phi.complex is not A.complex:
         raise ComplexMismatch("field and chain live on different complexes")
     cx = A.complex
+    tangents = cx.unit_tangents(A.degree)
     entries = []
     for idx, a in A.coeffs.items():
         top = cx.containing_top(A.degree, idx)
         p = phi.as_poly(top).scale(a)
-        xi = cx.unit_tangent(A.degree, idx).components
+        xi = tangents[idx]
         density = [p.scale(float(c)) if c != 0.0 else Poly.zero(cx.dim) for c in xi]
         entries.append(CurrentEntry(A.degree, idx, density))
     return EvaluableCurrent(cx, A.degree, entries)

@@ -29,7 +29,7 @@ class RegionLocator:
         C = self.cx.all_coords(n)[self.idxs]
         self.lo = C.min(axis=1)
         self.hi = C.max(axis=1)
-        self.grads = [self.cx.barygrads(i) for i in self.idxs]
+        self.grads = [self.cx.barygrads[i] for i in self.idxs]
         self.tol = 1e-9 * self.cx.diameter()
 
     def contains(self, x: np.ndarray) -> bool:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from roughbody.chains import elementary
-from roughbody.errors import DegreeMismatch, TopDegree
+from roughbody import forms
+from roughbody.errors import AmbientTooSmall, DegreeMismatch, TopDegree
 from roughbody.forms import (
     Cochain,
     chain_as_current,
@@ -218,6 +219,31 @@ class TestInteriorProduct:
                     total += np.linalg.norm([p(x) for p in e.density]) / (N * N / 2) * 0.5
         assert got == pytest.approx(total, rel=2e-2)
 
+    def test_adaptive_mass_of_rank_two_density(self, square, square_chain, rng, monkeypatch):
+        # a random Whitney 1-form turns on each triangle, so X -| T has a
+        # rank-2 density and its mass takes the adaptive convexity brackets
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return adaptive(*args)
+
+        adaptive = forms._adaptive_norm_integral
+        monkeypatch.setattr(forms, "_adaptive_norm_integral", counted)
+        cur = interior_product(random_cochain(square, 1, rng), square_chain)
+        got = cur.mass(tol=1e-3)
+        assert len(calls) == len(cur.entries) == 2
+        total = 0.0
+        N = 120
+        for e in cur.entries:
+            C = square.coords(2, e.carrier_index)
+            for i in range(N):
+                for j in range(N - i):
+                    l1, l2 = (i + 1 / 3) / N, (j + 1 / 3) / N
+                    x = C[0] + l1 * (C[1] - C[0]) + l2 * (C[2] - C[0])
+                    total += np.linalg.norm([p(x) for p in e.density]) / (N * N / 2) * 0.5
+        assert got == pytest.approx(total, rel=2e-2)
+
 
 class TestMaterialize:
     def test_constant_density_is_exact(self, square, square_chain):
@@ -281,3 +307,12 @@ def test_leibniz_degree_zero(grid44, rng):
     for top in range(0, grid44.n_simplices(2), 5):
         x = grid44.coords(2, top).mean(axis=0)
         assert np.allclose(lhs.value(top, x), rhs.value(top, x), atol=1e-9)
+
+
+def test_cochain_rejects_indices_outside_its_complex():
+    cx = grid_mesh(2, 2)
+    assert cx.n_simplices(1) == 16
+    for bad in (-1, 16, 999):
+        with pytest.raises(AmbientTooSmall):
+            Cochain(cx, 1, {bad: 2.0})
+    assert coboundary(Cochain(cx, 1, {15: 2.0})).coeffs

@@ -254,7 +254,7 @@ class TestErrors:
 
         lift = PAMap(square, np.column_stack([square.vertices, np.zeros(4)]))
         with pytest.raises(NonSimplexImage):
-            lift.det(0)
+            lift.dets
 
     def test_lift_to_3d_pushforward_mass(self, square, square_chain):
         # a genuine m > n map: isometric lift into the z = x plane

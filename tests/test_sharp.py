@@ -12,7 +12,7 @@ class TestSharpField:
     def test_gradient_of_coordinate(self, square):
         phi = SharpField(square, square.vertices[:, 0])
         for top in range(2):
-            assert np.allclose(phi.gradient(top), [1.0, 0.0])
+            assert np.allclose(phi.gradients[top], [1.0, 0.0])
 
     def test_lipschitz_constant(self, square):
         phi = SharpField(square, 3.0 * square.vertices[:, 1])
