@@ -246,7 +246,7 @@ def koch_generalized_body(levels: int, eps: float = 1e-2, method: str = "mass") 
         if abs(body.mass() - area) > 1e-9 * area:
             raise OverlayFailure(f"level-{k} body has area {body.mass()}, not {area}")
         bodies.append(body)
-    report = certify_cauchy([b.chain for b in bodies], finest, eps=eps, method=method)
+    report = certify_cauchy([b.chain for b in bodies], eps=eps, method=method)
     return GeneralizedBody(bodies, report)
 
 

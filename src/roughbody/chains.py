@@ -1,11 +1,18 @@
-"""Polyhedral k-chains over a complex.
+"""Polyhedral k-chains and the sparse coefficient class they share with cochains.
 
 A chain is a sparse real-coefficient combination of oriented simplices of
-one degree on one complex.  Cross-complex arithmetic is rejected; build an
-explicit common refinement first (rough-bodies provides one).
+one degree on one complex; a cochain (forms.Cochain) stores coefficients the
+same way.  Both are _Coefficients: the linear structure, the dense vector
+over all k-simplices and one scatter-add, from_terms, through which every
+linear map between coefficient vectors goes (the boundary, sums,
+refinement carries, pushforwards and materialized currents).
+Cross-complex arithmetic is rejected; build an explicit common refinement
+first (rough-bodies provides one).
 """
 
 from __future__ import annotations
+
+from math import isfinite
 
 import numpy as np
 
@@ -15,8 +22,8 @@ from .mesh import Complex, HalfSpace, Refinement, refine_by_halfspace, side_of_s
 ZERO_DROP = 0.0  # exact-zero coefficients are never stored
 
 
-class Chain:
-    """Sparse chain: simplex index -> real coefficient, zeros dropped."""
+class _Coefficients:
+    """Sparse finite coefficients on the k-simplices of one complex: index -> value, zeros dropped."""
 
     __slots__ = ("complex", "degree", "coeffs")
 
@@ -28,65 +35,101 @@ class Chain:
         self.coeffs = {int(i): float(a) for i, a in (coeffs or {}).items() if a != ZERO_DROP}
         nmax = cx.n_simplices(degree)
         if any(i < 0 or i >= nmax for i in self.coeffs):
-            raise AmbientTooSmall("chain references simplices outside its complex")
+            raise AmbientTooSmall(f"{type(self).__name__.lower()} references simplices outside its complex")
+        if not all(map(isfinite, self.coeffs.values())):
+            i = next(i for i, a in self.coeffs.items() if not isfinite(a))
+            raise ValueError(f"coefficient of simplex {i} is not finite: {self.coeffs[i]}")
+
+    @classmethod
+    def from_terms(cls, cx: Complex, k: int, keys, values):
+        """The sum of the terms values[j] on the simplices keys[j].
+
+        Each key's terms are added in the order given, starting from 0.0,
+        and exact-zero sums are dropped.  Keys come in the order of the term
+        that last brought their running sum away from 0.0, as in a dict that
+        pops a key whenever its running sum reaches 0.0.
+        """
+        keys = np.asarray(keys, dtype=np.intp).ravel()
+        values = np.asarray(values, dtype=float).ravel()
+        order = np.argsort(keys, kind="stable")  # each key's terms together, in the order given
+        sorted_keys = keys[order]
+        run_starts = np.ones(len(keys) + 1, dtype=bool)  # where each key's run of terms starts, then the end
+        run_starts[1:-1] = sorted_keys[1:] != sorted_keys[:-1]
+        edges = np.flatnonzero(run_starts)
+        starts, counts = edges[:-1], edges[1:] - edges[:-1]
+        by_count = np.argsort(-counts, kind="stable")
+        sums = np.zeros(len(starts))
+        placed = np.empty(len(starts), dtype=np.intp)
+        # step j adds every key's j-th term, so each key sums in the order given
+        for j in range(counts.max(initial=0)):
+            rows = by_count[: np.count_nonzero(counts > j)]
+            terms = order[starts[rows] + j]
+            back = sums[rows] == 0.0
+            placed[rows[back]] = terms[back]
+            sums[rows] += values[terms]
+        live = np.flatnonzero(sums)
+        live = live[np.argsort(placed[live])]
+        return cls(cx, k, dict(zip(sorted_keys[starts[live]].tolist(), sums[live].tolist())))
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values as arrays, in the order of the dict."""
+        n = len(self.coeffs)
+        return np.fromiter(self.coeffs, np.intp, n), np.fromiter(self.coeffs.values(), float, n)
+
+    def vector(self) -> np.ndarray:
+        """Dense coefficients over all k-simplices of the complex."""
+        v = np.zeros(self.complex.n_simplices(self.degree))
+        idx, vals = self._arrays()
+        v[idx] = vals
+        return v
 
     # -- linear structure ------------------------------------------------
 
-    def _check_compatible(self, other: "Chain") -> None:
+    def _check_compatible(self, other: "_Coefficients") -> None:
         if self.complex is not other.complex:
-            raise ComplexMismatch("chains live on different complexes")
+            raise ComplexMismatch(f"{type(self).__name__.lower()}s live on different complexes")
         if self.degree != other.degree:
-            raise DegreeMismatch("chains have different degrees")
+            raise DegreeMismatch(f"{type(self).__name__.lower()}s have different degrees")
 
-    def __add__(self, other: "Chain") -> "Chain":
+    def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for i, a in other.coeffs.items():
-            v = out.get(i, 0.0) + a
-            if v == 0.0:
-                out.pop(i, None)
-            else:
-                out[i] = v
-        return Chain(self.complex, self.degree, out)
+        keys, values = zip(self._arrays(), other._arrays())
+        return self.from_terms(self.complex, self.degree, np.concatenate(keys), np.concatenate(values))
 
-    def __sub__(self, other: "Chain") -> "Chain":
+    def __sub__(self, other):
         return self + other.scale(-1.0)
 
-    def scale(self, a: float) -> "Chain":
-        if a == 0.0:
-            return Chain(self.complex, self.degree, {})
-        return Chain(self.complex, self.degree, {i: a * v for i, v in self.coeffs.items()})
+    def scale(self, a: float):
+        return type(self)(self.complex, self.degree, {i: a * v for i, v in self.coeffs.items()})
 
-    def __mul__(self, a: float) -> "Chain":
+    def __mul__(self, a: float):
         return self.scale(a)
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Chain":
+    def __neg__(self):
         return self.scale(-1.0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
+    def max_coefficient_diff(self, other) -> float:
+        self._check_compatible(other)
+        keys = set(self.coeffs) | set(other.coeffs)
+        return max((abs(self.coeffs.get(i, 0.0) - other.coeffs.get(i, 0.0)) for i in keys), default=0.0)
 
-    # -- geometry ----------------------------------------------------------
+
+class Chain(_Coefficients):
+    """Sparse chain: simplex index -> real coefficient, zeros dropped."""
+
+    __slots__ = ()
 
     def boundary(self) -> "Chain":
         if self.degree == 0:
             raise DegreeZero("0-chains have no boundary")
-        out: dict[int, float] = {}
         faces, signs = self.complex.incidence_arrays(self.degree)
-        idx = np.fromiter(self.coeffs, dtype=np.intp, count=len(self.coeffs))
-        terms = signs[idx] * np.fromiter(self.coeffs.values(), dtype=float, count=len(idx))[:, None]
-        for fidx, t in zip(faces[idx].ravel().tolist(), terms.ravel().tolist()):
-            v = out.get(fidx, 0.0) + t
-            if v == 0.0:
-                out.pop(fidx, None)
-            else:
-                out[fidx] = v
-        return Chain(self.complex, self.degree - 1, out)
+        idx, vals = self._arrays()
+        return Chain.from_terms(self.complex, self.degree - 1, faces[idx], signs[idx] * vals[:, None])
 
     def mass(self) -> float:
         vols = self.complex.volumes(self.degree)
@@ -96,11 +139,6 @@ class Chain:
         if self.degree == 0:
             raise DegreeZero("normal norm needs degree >= 1")
         return self.mass() + self.boundary().mass()
-
-    def max_coefficient_diff(self, other: "Chain") -> float:
-        self._check_compatible(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max((abs(self.coeffs.get(i, 0.0) - other.coeffs.get(i, 0.0)) for i in keys), default=0.0)
 
 
 def elementary(cx: Complex, degree: int, idx: int, coeff: float = 1.0) -> Chain:

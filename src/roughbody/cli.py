@@ -162,11 +162,7 @@ def cmd_flux_eval(args) -> int:
 def cmd_flux_roundtrip(args) -> int:
     flux, original = _load_flux(args.flux)
     rec = cochains_from_flux(flux)
-    max_err = 0.0
-    for X, Y in zip(original, rec.cochains):
-        keys = set(X.coeffs) | set(Y.coeffs)
-        for i in keys:
-            max_err = max(max_err, abs(X.coeffs.get(i, 0.0) - Y.coeffs.get(i, 0.0)))
+    max_err = max((X.max_coefficient_diff(Y) for X, Y in zip(original, rec.cochains)), default=0.0)
     scale = max((abs(a) for X in original for a in X.coeffs.values()), default=0.0)
     ok = max_err <= 1e-9 * scale and rec.bound_ok
     report = {

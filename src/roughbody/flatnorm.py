@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Chain
-from .errors import AmbientTooSmall, LPNumericalFailure, TooFewChains
+from .errors import LPNumericalFailure, TooFewChains
 from .mesh import Complex, kvectors
 from .netsimplex import min_cost_circulation
 from .simplex_lp import solve_lp
@@ -62,13 +62,11 @@ class FlatDecomposition:
     gap: float
 
 
-def flat_norm(T: Chain, ambient: Complex | None = None) -> FlatDecomposition:
-    """Ambient-relative flat norm of T with an optimal, certified decomposition."""
+def flat_norm(T: Chain) -> FlatDecomposition:
+    """Flat norm of T relative to its complex, with an optimal, certified decomposition."""
     cx = T.complex
-    if ambient is not None and ambient is not cx:
-        raise AmbientTooSmall("chain does not live on the ambient complex")
     k = T.degree
-    t = _dense(T)
+    t = T.vector()
     vol_k = cx.volumes(k)
     if k >= cx.top_degree:
         return certify(T, None, np.sign(t) * vol_k, "mass", 0)
@@ -105,7 +103,7 @@ def certify(T: Chain, S: Chain | None, phi: np.ndarray, solver: str, iterations:
     k = T.degree
     R = T if S is None else T - S.boundary()
     value = R.mass() + (0.0 if S is None else S.mass())
-    t = _dense(T)
+    t = T.vector()
     vol_k = cx.volumes(k)
     ratio = np.abs(phi) / vol_k
     if k < cx.top_degree:
@@ -125,13 +123,6 @@ def certify(T: Chain, S: Chain | None, phi: np.ndarray, solver: str, iterations:
             f" (value {value!r}, certificate scaled by 1/{rho!r})"
         )
     return FlatDecomposition(value, R, S, iterations, phi, solver, gap)
-
-
-def _dense(T: Chain) -> np.ndarray:
-    t = np.zeros(T.complex.n_simplices(T.degree))
-    for i, a in T.coeffs.items():
-        t[i] = a
-    return t
 
 
 def _dual_arcs(cx: Complex, k: int, faces: np.ndarray, signs: np.ndarray):
@@ -292,9 +283,9 @@ def _solve_dense(t, vol_k, vol_k1, faces, signs):
     return s, vol_k - res.reduced[:m], res.iterations
 
 
-def flat_distance(A: Chain, B: Chain, ambient: Complex | None = None) -> float:
-    """Flat distance F(A - B) on the common ambient complex."""
-    return flat_norm(A - B, ambient).value
+def flat_distance(A: Chain, B: Chain) -> float:
+    """Flat distance F(A - B) on the common complex."""
+    return flat_norm(A - B).value
 
 
 @dataclass
@@ -311,7 +302,6 @@ class CauchyReport:
 
 def certify_cauchy(
     chains: list[Chain],
-    ambient: Complex | None = None,
     eps: float = 1e-6,
     ratio_bound: float = 1.0,
     method: str = "flat",
@@ -332,7 +322,7 @@ def certify_cauchy(
         if method == "mass":
             dist.append((b - a).mass())
         else:
-            dist.append(flat_distance(b, a, ambient))
+            dist.append(flat_distance(b, a))
     ratios = []
     passed = dist[-1] <= eps
     for d0, d1 in zip(dist, dist[1:]):

@@ -1,9 +1,12 @@
 """Flat cochains, lowest-order Whitney forms and lazily evaluated currents.
 
-A cochain stores one coefficient per k-simplex.  Its Whitney realization
-is the piecewise-polynomial form field with those simplex integrals; the
-realization is tangentially continuous, so weak exterior derivatives have
-no face terms and all pairings reduce to exact polynomial integrals.
+A cochain stores one coefficient per k-simplex in the sparse coefficient
+class chains share (chains._Coefficients); it adds only the pairing with
+chains.  The coboundary is the adjoint of the boundary, taken on the dense
+vector.  A cochain's Whitney realization is the piecewise-polynomial form
+field with those simplex integrals; the realization is tangentially
+continuous, so weak exterior derivatives have no face terms and all
+pairings reduce to exact polynomial integrals.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from math import factorial, hypot
 import numpy as np
 
 from . import multivec
-from .chains import Chain
+from .chains import Chain, _Coefficients
 from .errors import (
-    AmbientTooSmall,
     ComplexMismatch,
     DegreeMismatch,
     DegreeOverflow,
@@ -27,38 +29,10 @@ from .mesh import Complex, _cut_vertices, _split_ids, barycentric_refine, row_we
 from .poly import Poly, integrate_over_simplex
 
 
-class Cochain:
+class Cochain(_Coefficients):
     """Sparse k-cochain: simplex index -> coefficient (Whitney duality)."""
 
-    __slots__ = ("complex", "degree", "coeffs")
-
-    def __init__(self, cx: Complex, degree: int, coeffs: dict[int, float] | None = None):
-        if degree < 0 or degree > cx.top_degree:
-            raise DegreeMismatch(f"degree {degree} not carried by the complex")
-        self.complex = cx
-        self.degree = degree
-        self.coeffs = {int(i): float(a) for i, a in (coeffs or {}).items() if a != 0.0}
-        nmax = cx.n_simplices(degree)
-        if any(i < 0 or i >= nmax for i in self.coeffs):
-            raise AmbientTooSmall("cochain references simplices outside its complex")
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if self.complex is not other.complex or self.degree != other.degree:
-            raise ComplexMismatch("cochain mismatch")
-        out = dict(self.coeffs)
-        for i, a in other.coeffs.items():
-            v = out.get(i, 0.0) + a
-            if v == 0.0:
-                out.pop(i, None)
-            else:
-                out[i] = v
-        return Cochain(self.complex, self.degree, out)
-
-    def scale(self, a: float) -> "Cochain":
-        return Cochain(self.complex, self.degree, {i: a * v for i, v in self.coeffs.items()})
-
-    def __neg__(self) -> "Cochain":
-        return self.scale(-1.0)
+    __slots__ = ()
 
     def __call__(self, chain: Chain) -> float:
         return evaluate(self, chain)
@@ -79,13 +53,11 @@ def coboundary(X: Cochain) -> Cochain:
     if X.degree >= cx.top_degree:
         raise TopDegree("coboundary exceeds the top degree of the mesh")
     faces, signs = cx.incidence_arrays(X.degree + 1)
-    x = np.zeros(cx.n_simplices(X.degree))
-    x[list(X.coeffs)] = list(X.coeffs.values())
+    x = X.vector()
     acc = np.zeros(len(faces))
     for i in range(faces.shape[1]):
         acc = acc + signs[:, i] * x[faces[:, i]]
-    nonzero = np.flatnonzero(acc)
-    return Cochain(cx, X.degree + 1, dict(zip(nonzero.tolist(), acc[nonzero].tolist())))
+    return Cochain.from_terms(cx, X.degree + 1, np.arange(len(acc)), acc)
 
 
 class FormField:
@@ -380,7 +352,7 @@ class EvaluableCurrent:
             size *= growth
             levels += 1
         ref = barycentric_refine(cx, levels)
-        coeffs: dict[int, float] = {}
+        keys, values = [], []
         err = 0.0
         for e in self.entries:
             xi = tangents[e.carrier_index]
@@ -389,11 +361,12 @@ class EvaluableCurrent:
                 bary = pc.mean(axis=0)
                 s = float(np.dot([p(bary) for p in e.density], xi))
                 if s != 0.0:
-                    coeffs[piece] = coeffs.get(piece, 0.0) + s
+                    keys.append(piece)
+                    values.append(s)
                 s_verts = [float(np.dot([p(x) for p in e.density], xi)) for x in pc]
                 dev = max(abs(v - s) for v in s_verts)
                 err += dev * ref.complex.volume(q, piece)
-        return Chain(ref.complex, q, coeffs), ref, err
+        return Chain.from_terms(ref.complex, q, keys, values), ref, err
 
 
 def _principal(vals: np.ndarray) -> np.ndarray:

@@ -5,7 +5,11 @@ complex, which makes pushforwards of chains exact (image simplices with
 orientation signs) instead of mollifier limits.  Degenerate image
 simplices are dropped; the area formula's signed multiplicity is realized
 by deduplicating coincident image simplices with relative orientation
-signs.
+signs.  The image table holds, per degree, two arrays over the source
+simplices: the image index (-1 where degenerate) and the sign.  F_#
+scatters a chain's coefficients through it (Chain.from_terms) and F^#
+gathers a cochain's dense vector through it, so the two are adjoint by
+construction.
 
 The derivatives of all affine pieces form one (m, t, n) array, the vertex
 images contracted with the source's barycentric gradients; determinants
@@ -42,9 +46,16 @@ DEGEN_TOL = 1e-12
 
 @dataclass
 class ImageData:
+    """The image complex and, per degree, each source simplex's image index and orientation sign.
+
+    simplex_image[k][i] is -1 and simplex_sign[k][i] is 0 where the image
+    of source k-simplex i is degenerate.
+    """
+
     complex: Complex
     vertex_map: list[int]
-    simplex_map: dict[int, list[tuple[int, int] | None]]  # (image index, sign) or None
+    simplex_image: dict[int, np.ndarray]
+    simplex_sign: dict[int, np.ndarray]
 
 
 class PAMap:
@@ -119,7 +130,8 @@ class PAMap:
         vmap, first = _first_seen(np.unique(grid, axis=0, return_inverse=True)[1].ravel())
         points = self.images[first]
         table: dict[int, np.ndarray] = {}
-        smap: dict[int, list[tuple[int, int] | None]] = {}
+        index: dict[int, np.ndarray] = {}
+        signs: dict[int, np.ndarray] = {}
         for k, S in self.source.arrays.items():
             img = vmap[S]
             key = np.sort(img, axis=1)
@@ -130,13 +142,13 @@ class PAMap:
             rows = np.flatnonzero(ok)
             pos, first = _first_seen(_row_codes(key[rows], nv=len(points))[0])
             table[k] = img[rows][first]
-            sign = sort_parity(img[rows]) * sort_parity(table[k][pos])
-            smap[k] = [None] * len(S)
-            for r, p, sg in zip(rows.tolist(), pos.tolist(), sign.tolist()):
-                smap[k][r] = (p, sg)
+            index[k] = np.full(len(S), -1, dtype=np.intp)
+            index[k][rows] = pos
+            signs[k] = np.zeros(len(S), dtype=np.intp)
+            signs[k][rows] = sort_parity(img[rows]) * sort_parity(table[k][pos])
         cx = build_complex(points, table, check_overlap=False)
         # table positions are preserved by build_complex (explicit first)
-        return ImageData(cx, vmap.tolist(), smap)
+        return ImageData(cx, vmap.tolist(), index, signs)
 
     def __call__(self, x: np.ndarray, top_idx: int) -> np.ndarray:
         M, c = self.affine_on(top_idx)
@@ -235,36 +247,20 @@ def pushforward(F: PAMap, T: Chain) -> Chain:
     img = F.image()
     if T.degree > img.complex.top_degree:
         raise NonSimplexImage("every image simplex of the chain degree is degenerate")
-    coeffs: dict[int, float] = {}
-    for idx, a in T.coeffs.items():
-        entry = img.simplex_map[T.degree][idx]
-        if entry is None:
-            continue
-        pos, sign = entry
-        v = coeffs.get(pos, 0.0) + sign * a
-        if v == 0.0:
-            coeffs.pop(pos, None)
-        else:
-            coeffs[pos] = v
-    return Chain(img.complex, T.degree, coeffs)
+    idx, vals = T._arrays()
+    pos, sign = img.simplex_image[T.degree][idx], img.simplex_sign[T.degree][idx]
+    keep = pos >= 0
+    return Chain.from_terms(img.complex, T.degree, pos[keep], (sign * vals)[keep])
 
 
 def pullback_cochain(F: PAMap, X: Cochain) -> Cochain:
-    """F^# X with (F^# X)(T) = X(F_# T), assembled simplex by simplex."""
+    """F^# X with (F^# X)(T) = X(F_# T): X's dense vector gathered through the image table."""
     img = F.image()
     if X.complex is not img.complex:
         raise ComplexMismatch("cochain does not live on the image complex")
-    src = F.source
-    out: dict[int, float] = {}
-    for idx in range(src.n_simplices(X.degree)):
-        entry = img.simplex_map[X.degree][idx]
-        if entry is None:
-            continue
-        pos, sign = entry
-        c = X.coeffs.get(pos)
-        if c:
-            out[idx] = sign * c
-    return Cochain(src, X.degree, out)
+    pos, sign = img.simplex_image[X.degree], img.simplex_sign[X.degree]
+    rows = np.flatnonzero(pos >= 0)
+    return Cochain.from_terms(F.source, X.degree, rows, sign[rows] * X.vector()[pos[rows]])
 
 
 def pullback_form(F: PAMap, omega: FormField) -> FormField:
@@ -281,11 +277,8 @@ def pullback_form(F: PAMap, omega: FormField) -> FormField:
     J = F.jacobians
     minors = np.stack([row_wedges(J[:, :, list(I)].transpose(0, 2, 1)) for I in out_tuples], axis=2).tolist()
     out: dict[int, list[Poly]] = {}
-    for top in range(src.n_simplices(K)):
-        entry = img.simplex_map[K][top]
-        if entry is None:
-            continue
-        polys = omega.comps.get(entry[0])
+    for top, image_top in enumerate(img.simplex_image[K].tolist()):
+        polys = omega.comps.get(image_top)  # None where the image is degenerate (-1)
         if polys is None:
             continue
         M, ccst = F.affine_on(top)

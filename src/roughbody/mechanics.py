@@ -53,10 +53,6 @@ class Configuration:
     def jacobian_det(self, top_idx: int) -> float:
         return float(self.map.dets[top_idx])
 
-    def orientation_preserving(self, support=None) -> bool:
-        dets = self.map.dets if support is None else self.map.dets[list(support)]
-        return bool((dets > 0.0).all())
-
     def push(self, T: Chain) -> Chain:
         return pushforward(self.map, T)
 
@@ -322,7 +318,8 @@ def stress_report(
     forms = [whitney_realize(X) for X in cochains]
 
     # per component, the n-forms d(v_i w_i), d w_i and (d v_i) ^ w_i on the image tops of T
-    tops = [e[0] for e in (img.simplex_map[n][idx] for idx in support) if e is not None]
+    image_tops = img.simplex_image[n].tolist()
+    tops = [image_tops[idx] for idx in support if image_tops[idx] >= 0]
     terms = []
     for i, w in enumerate(forms):
         here = [t for t in tops if t in w.comps]
@@ -334,10 +331,9 @@ def stress_report(
     material = np.zeros(3)
     for idx in support:
         coeff = T.coeffs[idx]
-        entry = img.simplex_map[n][idx]
-        if entry is None:
+        image_top = image_tops[idx]
+        if image_top < 0:
             continue
-        image_top = entry[0]
         M, c = config.map.affine_on(idx)
         J = config.jacobian_det(idx)
         coords = src.coords(n, idx)

@@ -67,10 +67,6 @@ class HalfSpace:
         nrm = float(np.linalg.norm(lam))
         return lam / nrm, self.s / nrm
 
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        lam, s = self.unit()
-        return np.asarray(points) @ lam - s
-
 
 def sort_parity(rows) -> np.ndarray:
     """Sign of the permutation that sorts each row (last axis) of distinct entries."""
@@ -615,12 +611,10 @@ class Refinement:
             from .errors import ComplexMismatch
 
             raise ComplexMismatch("chain does not live on the refinement source")
-        coeffs: dict[int, float] = {}
         cmap = self.carry[chain.degree]
-        for idx, a in chain.coeffs.items():
-            for new_idx in cmap[idx]:
-                coeffs[new_idx] = coeffs.get(new_idx, 0.0) + a
-        return Chain(self.complex, chain.degree, coeffs)
+        keys = [j for i in chain.coeffs for j in cmap[i]]
+        values = [a for i, a in chain.coeffs.items() for _ in cmap[i]]
+        return Chain.from_terms(self.complex, chain.degree, keys, values)
 
 
 def refine_by_halfspace(cx: Complex, hs: HalfSpace) -> Refinement:

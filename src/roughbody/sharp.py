@@ -32,6 +32,9 @@ class SharpField:
         values = np.asarray(values, dtype=float)
         if values.shape != (cx.vertices.shape[0],):
             raise ValueError("need one value per vertex")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"value at vertex {bad[0]} is not finite: {values[bad[0]]}")
         self.complex = cx
         self.values = values
 

@@ -253,11 +253,11 @@ def test_criterion_8_stress_frames():
     pk_dev = 0.0
     for pk, cauchy in zip(rep.piola_kirchhoff, rep.cauchy):
         for top in range(cx.n_simplices(2)):
-            entry = ident.map.image().simplex_map[2][top]
+            image_top = ident.map.image().simplex_image[2][top]
             for x in cx.coords(2, top):
                 pk_dev = max(
                     pk_dev,
-                    float(np.abs(pk.value(top, x) - cauchy.value(entry[0], x)).max()),
+                    float(np.abs(pk.value(top, x) - cauchy.value(image_top, x)).max()),
                 )
     assert pk_dev <= 1e-13
     _report(8, "stress-frames", f"50 configs, frame deviation {worst:.2e}, identity PK dev {pk_dev:.1e}")

@@ -325,3 +325,36 @@ def test_flux_checks_are_scale_relative(e, square_files, capsys, monkeypatch):
     assert main(["flux", "roundtrip", "--flux", str(flux_path)]) == 1
     assert not json.loads(capsys.readouterr().out)["bound_ok"]
     assert main(["verify", "balance", "--flux", str(flux_path), "--trials", "5"]) == 1
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite value in an input file is an input error: exit 2 naming where it is."""
+
+    def _expect_input_error(self, argv, capsys, where):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValueError" and where in err["error"]
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_flatnorm_chain(self, bad, square_files, capsys):
+        tmp, mesh_path, _, _ = square_files
+        (tmp / "c.json").write_text(f'{{"mesh": "square.json", "degree": 1, "coefficients": [[0, {bad}]]}}')
+        argv = ["flatnorm", "--mesh", str(mesh_path), "--chain", str(tmp / "c.json")]
+        self._expect_input_error(argv, capsys, "simplex 0")
+
+    def test_flux_build_cochain(self, square_files, capsys):
+        tmp, _, _, _ = square_files
+        (tmp / "x.json").write_text('{"mesh": "square.json", "degree": 1, "coefficients": [[0, 1.0], [2, NaN]]}')
+        argv = ["flux", "build", "--cochain", str(tmp / "x.json"), "--cochain", str(tmp / "x.json")]
+        self._expect_input_error(argv + ["--out", str(tmp / "flux.json")], capsys, "simplex 2")
+        assert not (tmp / "flux.json").exists()
+
+    def test_flux_eval_velocity(self, square_files, capsys):
+        tmp, _, body_path, cx = square_files
+        flux_path = _scaled_flux_file(tmp, cx, 0)
+        surf = io.load_chain(body_path, mesh=cx).boundary()
+        io.save_chain(surf, tmp / "surf.json", "square.json")
+        (tmp / "vel.json").write_text('{"mesh": "square.json", "components": [[NaN, 1, 1, 1], [0, 0, 0, 0]]}')
+        capsys.readouterr()
+        argv = ["flux", "eval", "--flux", str(flux_path), "--surface", str(tmp / "surf.json")]
+        self._expect_input_error(argv + ["--velocity", str(tmp / "vel.json")], capsys, "vertex 0")

@@ -1,0 +1,136 @@
+"""The one scatter-add (from_terms) against the dict loops it replaced.
+
+Values must agree bitwise and keys in the same order, also where a
+running sum cancels to exactly 0.0 and a later term revives the key; the
+±1 inputs are there to make that happen.
+"""
+
+import numpy as np
+import pytest
+
+import reference_coefficients as ref_coeffs
+from roughbody.chains import Chain
+from roughbody.errors import DegreeMismatch
+from roughbody.forms import Cochain
+from roughbody.generate import cube_mesh, grid_mesh, random_chain, random_cochain, random_halfspace
+from roughbody.maps import PAMap, pushforward
+from roughbody.mesh import barycentric_refine, build_complex, refine_by_halfspace
+
+
+def _bits(coeffs: dict) -> list[tuple[int, str]]:
+    return [(i, float(a).hex()) for i, a in coeffs.items()]
+
+
+def _assert_same(got: Chain, want: dict) -> None:
+    assert _bits(got.coeffs) == _bits(want)
+
+
+def _unit_chain(cx, k, rng, density=1.0) -> Chain:
+    m = cx.n_simplices(k)
+    keep = rng.uniform(size=m) < density
+    return Chain(cx, k, {i: float(s) for i, s in enumerate(rng.choice([-1.0, 1.0], size=m)) if keep[i]})
+
+
+def _chains(cx, rng):
+    for k in range(cx.top_degree + 1):
+        for density in (1.0, 0.5):
+            yield _unit_chain(cx, k, rng, density)
+        yield random_chain(cx, k, rng)
+
+
+def _folded_strip(n: int) -> PAMap:
+    """A strip of n unit cells folded like an accordion onto its first cell.
+
+    Cell i's diagonal alternates with i, so every cell's two triangles land
+    on the first cell's, with orientation signs alternating along the strip.
+    """
+    verts = [(i, j) for i in range(n + 1) for j in (0, 1)]
+    tris = []
+    for i in range(n):
+        a, b, c, d = 2 * i, 2 * i + 2, 2 * i + 3, 2 * i + 1  # (i,0) (i+1,0) (i+1,1) (i,1)
+        tris += [(a, b, c), (a, c, d)] if i % 2 == 0 else [(a, b, d), (b, c, d)]
+    cx = build_complex(np.array(verts, dtype=float), {2: tris})
+    images = [(i % 2, j) for i in range(n + 1) for j in (0, 1)]
+    return PAMap(cx, np.array(images, dtype=float))
+
+
+@pytest.mark.parametrize("make", [lambda: cube_mesh(2, 2, 2), lambda: grid_mesh(6, 6)])
+def test_boundary_matches_the_dict_loop(make):
+    cx = make()
+    rng = np.random.default_rng(11)
+    revived = 0
+    for T in _chains(cx, rng):
+        if T.degree == 0:
+            continue
+        want, r = ref_coeffs.boundary(T)
+        revived += r
+        _assert_same(T.boundary(), want)
+    assert revived > 0  # the ±1 chains revive keys below the top degree
+
+
+def test_sum_matches_the_dict_loop():
+    cx = cube_mesh(2, 2, 2)
+    rng = np.random.default_rng(12)
+    for k in range(cx.top_degree + 1):
+        A, B = _unit_chain(cx, k, rng, 0.6), _unit_chain(cx, k, rng, 0.6)
+        C = random_chain(cx, k, rng)
+        for P, Q in ((A, B), (A, -A), (B, A), (A, C), (C, A.scale(0.5)), (C, Chain(cx, k))):
+            _assert_same(P + Q, ref_coeffs.add(P, Q)[0])
+            _assert_same(P - Q, ref_coeffs.add(P, Q.scale(-1.0))[0])
+
+
+def test_pushforward_through_a_fold_matches_the_dict_loop():
+    F = _folded_strip(7)
+    src = F.source
+    assert F.image_complex.n_simplices(2) == 2
+    rng = np.random.default_rng(13)
+    revived = 0
+    for T in _chains(src, rng):
+        want, r = ref_coeffs.pushforward(F, T)
+        revived += r
+        _assert_same(pushforward(F, T), want)
+    assert revived > 0  # alternating signs on one image simplex cancel and come back
+
+
+def test_carry_matches_the_dict_loop():
+    cx = cube_mesh(2, 2, 2)
+    rng = np.random.default_rng(14)
+    refinements = [refine_by_halfspace(cx, random_halfspace(rng, cx)) for _ in range(3)]
+    refinements.append(barycentric_refine(cx, 1))
+    for ref in refinements:
+        for T in _chains(cx, rng):
+            _assert_same(ref.carry_chain(T), ref_coeffs.carry_chain(ref, T)[0])
+
+
+def test_from_terms_orders_keys_by_their_last_revival():
+    cx = grid_mesh(2, 2)
+    keys = [3, 1, 3, 2, 3, 1, 1]
+    values = [1.0, 2.0, -1.0, 5.0, 4.0, -2.0, 0.5]
+    got = Chain.from_terms(cx, 1, keys, values)
+    assert list(got.coeffs.items()) == [(2, 5.0), (3, 4.0), (1, 0.5)]
+    assert Chain.from_terms(cx, 1, [], []).is_zero()
+
+
+def test_vector_is_dense_over_the_degree():
+    cx = grid_mesh(3, 3)
+    X = random_cochain(cx, 1, np.random.default_rng(15))
+    T = Chain(cx, 1, {4: 2.0, 0: -1.0})
+    assert np.array_equal(X.vector(), [X.coeffs[i] for i in range(cx.n_simplices(1))])
+    assert np.array_equal(np.flatnonzero(T.vector()), [0, 4]) and T.vector()[4] == 2.0
+
+
+def test_cochain_sum_of_different_degrees_is_a_degree_mismatch():
+    cx = grid_mesh(2, 2)
+    X, Y = Cochain(cx, 0, {0: 1.0}), Cochain(cx, 1, {0: 1.0})
+    with pytest.raises(DegreeMismatch):
+        X + Y
+    with pytest.raises(DegreeMismatch):
+        Chain(cx, 0, {0: 1.0}) + Chain(cx, 1, {0: 1.0})
+
+
+@pytest.mark.parametrize("cls", [Chain, Cochain])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_coefficient_is_rejected(cls, bad):
+    cx = grid_mesh(2, 2)
+    with pytest.raises(ValueError, match="simplex 3"):
+        cls(cx, 1, {0: 1.0, 3: bad, 5: bad})

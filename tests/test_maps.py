@@ -235,10 +235,10 @@ class TestPullbacks:
 
 
 def _match_coeff(F, X, k, src_idx):
-    entry = F.image().simplex_map[k][src_idx]
-    if entry is None:
+    img = F.image()
+    pos, sign = img.simplex_image[k][src_idx], img.simplex_sign[k][src_idx]
+    if pos < 0:
         return 0.0
-    pos, sign = entry
     return sign * X.coeffs.get(pos, 0.0)
 
 

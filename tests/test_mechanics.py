@@ -368,9 +368,9 @@ class TestStressReport:
         for pk, cauchy in zip(rep.piola_kirchhoff, rep.cauchy):
             for top in range(identity_config.source.n_simplices(2)):
                 for x in identity_config.source.coords(2, top):
-                    img_entry = identity_config.map.image().simplex_map[2][top]
+                    image_top = identity_config.map.image().simplex_image[2][top]
                     assert np.allclose(
-                        pk.value(top, x), cauchy.value(img_entry[0], x), atol=1e-12
+                        pk.value(top, x), cauchy.value(image_top, x), atol=1e-12
                     )
 
     def test_uniform_scaling_frames_agree(self, split_square, body_chain, rng):
@@ -391,9 +391,9 @@ class TestStressReport:
         for pk, cauchy in zip(rep.piola_kirchhoff, rep.cauchy):
             for top in range(split_square.n_simplices(2)):
                 x = split_square.coords(2, top).mean(axis=0)
-                entry = config.map.image().simplex_map[2][top]
+                image_top = config.map.image().simplex_image[2][top]
                 assert np.allclose(
-                    pk.value(top, x), 2.0 * cauchy.value(entry[0], 2.0 * x), atol=1e-10
+                    pk.value(top, x), 2.0 * cauchy.value(image_top, 2.0 * x), atol=1e-10
                 )
 
     def test_random_configurations(self, rng):
