@@ -25,8 +25,6 @@ from .flatnorm import CauchyReport, certify_cauchy
 from .mesh import Complex, HalfSpace, build_complex, kvectors, refine_by_halfspace
 from .simplex_lp import simplex_interiors_intersect
 
-ORIENTATION_TOL = 1e-12
-
 
 @dataclass
 class Body:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,10 +19,9 @@ import numpy as np
 
 from . import io
 from .bodies import geometric_boundary_surface, koch_prefractal
-from .chains import Chain
 from .errors import RoughBodyError, SchemaViolation
 from .flatnorm import flat_norm
-from .forms import Cochain
+from .forms import Cochain, whitney_realize
 from .generate import (
     random_body,
     random_chain,
@@ -32,12 +30,12 @@ from .generate import (
 )
 from .maps import DEGEN_TOL
 from .mechanics import (
-    CauchyFlux,
     Configuration,
     VirtualVelocity,
     cochains_from_flux,
     estimate_balance_constants,
     flux_from_cochains,
+    stress_report,
     virtual_power_report,
 )
 from .mesh import barycentric_refine, sort_parity
@@ -64,10 +62,6 @@ def _emit(report: dict, out: str | None, table: list[dict] | None = None) -> Non
     sys.stdout.write(text)
 
 
-def _chain_payload(chain: Chain) -> list[list[float]]:
-    return [[i, chain.coeffs[i]] for i in sorted(chain.coeffs)]
-
-
 def cmd_mesh_validate(args) -> int:
     cx = io.load_mesh(args.mesh, check_overlap=True)
     report = {
@@ -92,8 +86,8 @@ def cmd_flatnorm(args) -> int:
         "solver": dec.solver,
         "iterations": dec.iterations,
         "subdivide": args.subdivide,
-        "R": _chain_payload(dec.R),
-        "S": _chain_payload(dec.S) if dec.S is not None else [],
+        "R": io.coefficient_list(dec.R),
+        "S": io.coefficient_list(dec.S) if dec.S is not None else [],
     }
     _emit(report, args.out)
     return 0
@@ -119,37 +113,18 @@ def cmd_fractal(args) -> int:
     return 0
 
 
-def _load_flux(path) -> tuple[CauchyFlux, tuple[Cochain, ...]]:
-    data = io._load_json(path)
-    for key in ("mesh", "components"):
-        if key not in data:
-            raise SchemaViolation(f"{path}: missing field '{key}'")
-    cx = io.load_mesh(Path(path).parent / data["mesh"])
-    k = cx.dim - 1
-    cochains = tuple(
-        Cochain(cx, k, {int(i): float(v) for i, v in comp}) for comp in data["components"]
-    )
-    return flux_from_cochains(cochains), cochains
-
-
 def cmd_flux_build(args) -> int:
     cache: dict = {}
-    cochains = [io.load_cochain(p, cache=cache) for p in args.cochain]
-    flux = flux_from_cochains(tuple(cochains))
-    data = {
-        "mesh": args.mesh_ref or io._load_json(args.cochain[0])["mesh"],
-        "degree": cochains[0].degree,
-        "components": [[[i, X.coeffs[i]] for i in sorted(X.coeffs)] for X in cochains],
-        "s": flux.s,
-        "b": flux.b,
-    }
-    Path(args.out).write_text(io.dumps_report(data))
+    cochains = tuple(io.load_cochain(p, cache=cache) for p in args.cochain)
+    flux = flux_from_cochains(cochains)
+    mesh_ref = args.mesh_ref or io.mesh_reference(args.cochain[0])
+    io.save_flux(cochains, args.out, mesh_ref, s=flux.s, b=flux.b)
     sys.stdout.write(io.dumps_report({"s": flux.s, "b": flux.b, "out": args.out}))
     return 0
 
 
 def cmd_flux_eval(args) -> int:
-    flux, _ = _load_flux(args.flux)
+    flux = flux_from_cochains(io.load_flux(args.flux))
     surface = io.load_chain(args.surface, mesh=flux.complex)
     fields = io.load_sharp_field(args.velocity, mesh=flux.complex)
     if isinstance(fields, SharpField):
@@ -160,8 +135,8 @@ def cmd_flux_eval(args) -> int:
 
 
 def cmd_flux_roundtrip(args) -> int:
-    flux, original = _load_flux(args.flux)
-    rec = cochains_from_flux(flux)
+    original = io.load_flux(args.flux)
+    rec = cochains_from_flux(flux_from_cochains(original))
     max_err = max((X.max_coefficient_diff(Y) for X, Y in zip(original, rec.cochains)), default=0.0)
     scale = max((abs(a) for X in original for a in X.coeffs.values()), default=0.0)
     ok = max_err <= 1e-9 * scale and rec.bound_ok
@@ -177,71 +152,68 @@ def cmd_flux_roundtrip(args) -> int:
     return 0 if ok else 1
 
 
+def _campaign(args, check: str, trial, verdict, column: str | None = None) -> int:
+    """Run a seeded verification campaign and emit its report and CSV table.
+
+    trial(rng) gives one CSV row's values after "trial"; verdict(worst, rows)
+    gives the report fields that follow "check", "trials" and "seed", among
+    them "passed".  worst is the largest value of `column` over the rows
+    (0.0 for no trials), or None without a column.
+    """
+    seed = _seed(args)
+    rng = np.random.default_rng(seed)
+    rows = [{"trial": t, **trial(rng)} for t in range(args.trials)]
+    worst = max([0.0] + [row[column] for row in rows]) if column else None
+    fields = verdict(worst, rows)
+    _emit({"check": check, "trials": args.trials, "seed": seed, **fields}, args.out, rows)
+    return 0 if fields["passed"] else 1
+
+
+def _within_tolerance(args, key: str):
+    """The verdict of a campaign that passes when its worst value is at most --tolerance."""
+    return lambda worst, rows: {key: worst, "tolerance": args.tolerance, "passed": worst <= args.tolerance}
+
+
 def cmd_verify_stokes(args) -> int:
     cx = io.load_mesh(args.mesh)
-    rng = np.random.default_rng(_seed(args))
-    rows = []
-    worst = 0.0
-    for t in range(args.trials):
+
+    def trial(rng):
         body = random_body(cx, rng)
         surface = geometric_boundary_surface(body)
         dev = surface.chain.max_coefficient_diff(body.chain.boundary())
-        worst = max(worst, dev)
-        rows.append({"trial": t, "simplices": len(body.chain.coeffs), "deviation": dev})
-    ok = worst <= args.tolerance
-    report = {
-        "check": "stokes",
-        "trials": args.trials,
-        "seed": _seed(args),
-        "max_deviation": worst,
-        "tolerance": args.tolerance,
-        "passed": ok,
-    }
-    _emit(report, args.out, rows)
-    return 0 if ok else 1
+        return {"simplices": len(body.chain.coeffs), "deviation": dev}
+
+    return _campaign(args, "stokes", trial, _within_tolerance(args, "max_deviation"), "deviation")
 
 
 def cmd_verify_product_rule(args) -> int:
     cx = io.load_mesh(args.mesh)
-    rng = np.random.default_rng(_seed(args))
-    rows = []
-    worst = 0.0
-    bound_fail = 0
-    for t in range(args.trials):
-        phi = random_sharp_field(cx, rng)
-        A = random_chain(cx, cx.top_degree, rng)
-        omega_co = random_chain(cx, cx.top_degree - 1, rng)  # reuse coefficients
-        from .forms import whitney_realize
+    k = cx.top_degree
 
-        omega = whitney_realize(Cochain(cx, cx.top_degree - 1, omega_co.coeffs))
-        lhs = multiply(phi, A).boundary_evaluate(omega)
-        rhs = boundary_product(phi, A).evaluate(omega)
-        dev = abs(lhs - rhs)
-        worst = max(worst, dev)
-        rep = check_product_bounds(phi, A)
-        if not rep.passed:
-            bound_fail += 1
-        rows.append({"trial": t, "identity_residual": dev, "bounds_ok": rep.passed})
-    ok = worst <= args.tolerance and bound_fail == 0
-    report = {
-        "check": "product-rule",
-        "trials": args.trials,
-        "seed": _seed(args),
-        "max_identity_residual": worst,
-        "bound_failures": bound_fail,
-        "tolerance": args.tolerance,
-        "passed": ok,
-    }
-    _emit(report, args.out, rows)
-    return 0 if ok else 1
+    def trial(rng):
+        phi = random_sharp_field(cx, rng)
+        A = random_chain(cx, k, rng)
+        omega = whitney_realize(Cochain(cx, k - 1, random_chain(cx, k - 1, rng).coeffs))
+        dev = abs(multiply(phi, A).boundary_evaluate(omega) - boundary_product(phi, A).evaluate(omega))
+        return {"identity_residual": dev, "bounds_ok": check_product_bounds(phi, A).passed}
+
+    def verdict(worst, rows):
+        fails = sum(not row["bounds_ok"] for row in rows)
+        passed = worst <= args.tolerance and fails == 0
+        return {
+            "max_identity_residual": worst,
+            "bound_failures": fails,
+            "tolerance": args.tolerance,
+            "passed": passed,
+        }
+
+    return _campaign(args, "product-rule", trial, verdict, "identity_residual")
 
 
 def cmd_verify_virtual_power(args) -> int:
     cx = io.load_mesh(args.mesh)
-    rng = np.random.default_rng(_seed(args))
-    rows = []
-    worst = 0.0
-    for t in range(args.trials):
+
+    def trial(rng):
         config = Configuration(random_embedding_map(cx, rng))
         icx = config.image_complex
         cochains = tuple(
@@ -250,54 +222,39 @@ def cmd_verify_virtual_power(args) -> int:
         )
         body = random_body(cx, rng)
         v = VirtualVelocity([random_sharp_field(icx, rng) for _ in range(cx.dim)])
-        vp = virtual_power_report(cochains, config, body.chain, v)
-        worst = max(worst, vp.residual)
-        rows.append({"trial": t, "residual": vp.residual})
-    ok = worst <= args.tolerance
-    report = {
-        "check": "virtual-power",
-        "trials": args.trials,
-        "seed": _seed(args),
-        "max_residual": worst,
-        "tolerance": args.tolerance,
-        "passed": ok,
-    }
-    _emit(report, args.out, rows)
-    return 0 if ok else 1
+        return {"residual": virtual_power_report(cochains, config, body.chain, v).residual}
+
+    return _campaign(args, "virtual-power", trial, _within_tolerance(args, "max_residual"), "residual")
 
 
 def cmd_verify_balance(args) -> int:
-    flux, _ = _load_flux(args.flux)
+    flux = flux_from_cochains(io.load_flux(args.flux))
     cx = flux.complex
-    rng = np.random.default_rng(_seed(args))
-    surfaces = []
-    bodies = []
-    velocities = []
-    for _ in range(args.trials):
-        body = random_body(cx, rng)
-        bodies.append(body.chain)
-        surfaces.append(body.chain.boundary())
-        velocities.append(VirtualVelocity([random_sharp_field(cx, rng) for _ in range(cx.dim)]))
-    rows = []
-    for t, (S, v) in enumerate(zip(surfaces, velocities)):
-        est_t = estimate_balance_constants(flux, [S], [v], [bodies[t]], enforce=False)
-        rows.append({"trial": t, "s_ratio": est_t.s_emp, "b_ratio": est_t.b_emp})
-    est = estimate_balance_constants(flux, surfaces, velocities, bodies, enforce=False)
-    ok = est.s_emp <= flux.s * (1.0 + 1e-9) and est.b_emp <= flux.b * (1.0 + 1e-9)
-    report = {
-        "check": "balance",
-        "trials": args.trials,
-        "seed": _seed(args),
-        "s_declared": flux.s,
-        "b_declared": flux.b,
-        "s_empirical": est.s_emp,
-        "b_empirical": est.b_emp,
-        "witness_s": list(est.s_witness) if est.s_witness else None,
-        "witness_b": list(est.b_witness) if est.b_witness else None,
-        "passed": ok,
-    }
-    _emit(report, args.out, rows)
-    return 0 if ok else 1
+    surfaces, velocities, bodies = [], [], []
+
+    def trial(rng):
+        body = random_body(cx, rng).chain
+        v = VirtualVelocity([random_sharp_field(cx, rng) for _ in range(cx.dim)])
+        bodies.append(body)
+        surfaces.append(body.boundary())
+        velocities.append(v)
+        est = estimate_balance_constants(flux, surfaces[-1:], [v], [body], enforce=False)
+        return {"s_ratio": est.s_emp, "b_ratio": est.b_emp}
+
+    def verdict(_worst, _rows):
+        # the constants bound every surface-velocity pair, not only each trial's own
+        est = estimate_balance_constants(flux, surfaces, velocities, bodies, enforce=False)
+        return {
+            "s_declared": flux.s,
+            "b_declared": flux.b,
+            "s_empirical": est.s_emp,
+            "b_empirical": est.b_emp,
+            "witness_s": list(est.s_witness) if est.s_witness else None,
+            "witness_b": list(est.b_witness) if est.b_witness else None,
+            "passed": est.s_emp <= flux.s * (1.0 + 1e-9) and est.b_emp <= flux.b * (1.0 + 1e-9),
+        }
+
+    return _campaign(args, "balance", trial, verdict)
 
 
 def _rekey_cochain(X: Cochain, target) -> Cochain:
@@ -326,9 +283,8 @@ def _rekey_cochain(X: Cochain, target) -> Cochain:
 
 
 def cmd_stress_report(args) -> int:
-    from .mechanics import stress_report
-
-    flux, cochains = _load_flux(args.flux)
+    cochains = io.load_flux(args.flux)
+    flux_from_cochains(cochains)  # rejects a component count other than n, as every flux command does
     pamap = io.load_pamap(args.map)
     config = Configuration(pamap)
     body = io.load_chain(args.body, mesh=pamap.source)
@@ -352,6 +308,14 @@ def cmd_stress_report(args) -> int:
     }
     _emit(report, args.out)
     return 0 if ok else 1
+
+
+# (subcommand, handler, default --trials, default --tolerance) of the campaigns on a --mesh
+_MESH_CAMPAIGNS = (
+    ("stokes", cmd_verify_stokes, 50, 1e-10),
+    ("product-rule", cmd_verify_product_rule, 50, 1e-9),
+    ("virtual-power", cmd_verify_virtual_power, 20, 1e-8),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,27 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="randomized verification campaigns")
     vsub = p.add_subparsers(dest="subcommand", required=True)
-    s = vsub.add_parser("stokes")
-    s.add_argument("--mesh", required=True)
-    s.add_argument("--trials", type=int, default=50)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--tolerance", type=float, default=1e-10)
-    s.add_argument("--out")
-    s.set_defaults(func=cmd_verify_stokes)
-    pr = vsub.add_parser("product-rule")
-    pr.add_argument("--mesh", required=True)
-    pr.add_argument("--trials", type=int, default=50)
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--tolerance", type=float, default=1e-9)
-    pr.add_argument("--out")
-    pr.set_defaults(func=cmd_verify_product_rule)
-    vp = vsub.add_parser("virtual-power")
-    vp.add_argument("--mesh", required=True)
-    vp.add_argument("--trials", type=int, default=20)
-    vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--tolerance", type=float, default=1e-8)
-    vp.add_argument("--out")
-    vp.set_defaults(func=cmd_verify_virtual_power)
+    for name, func, trials, tolerance in _MESH_CAMPAIGNS:
+        c = vsub.add_parser(name)
+        c.add_argument("--mesh", required=True)
+        c.add_argument("--trials", type=int, default=trials)
+        c.add_argument("--seed", type=int, default=0)
+        c.add_argument("--tolerance", type=float, default=tolerance)
+        c.add_argument("--out")
+        c.set_defaults(func=func)
     ba = vsub.add_parser("balance")
     ba.add_argument("--flux", required=True)
     ba.add_argument("--trials", type=int, default=20)

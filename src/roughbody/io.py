@@ -3,10 +3,15 @@
 Mesh:        {"dim": n, "vertices": [[x, ...]], "simplices": {"k": [[i, ...]]}}
 Chain:       {"mesh": path, "degree": k, "coefficients": [[index, value]], "role"?: tag}
 Cochain:     {"mesh": path, "degree": k, "coefficients": [[index, value]]}
+Flux:        {"mesh": path, "degree": n-1, "components": [[[index, value]] per component], "s": s, "b": b}
 PA map:      {"mesh": path, "images": [[y, ...] per vertex]}
 Sharp field: {"mesh": path, "values": [per-vertex value]}   (vector: {"components": [...]})
 
 Indices are 0-based; simplex orientation is the listed vertex order.
+Chain, cochain and flux files share one coefficient reader: an index out of
+range, an entry other than [integer index, value] and an index listed twice
+in one coefficient list are schema errors.  A flux is the tuple of its (n-1)-cochain
+components; its recorded s and b are written for the reader and not read back.
 Mesh references are resolved relative to the referencing file.
 """
 
@@ -82,57 +87,87 @@ def _resolve_mesh(data, path, cache: dict | None = None) -> Complex:
     return cx
 
 
-def _coefficients(data, path, cx, degree):
-    if "coefficients" not in data:
-        _fail(path, "missing field 'coefficients'")
+def _coefficients(entries, where, cx, degree) -> dict[int, float]:
+    if not isinstance(entries, list):
+        _fail(where, "coefficients must be a list of [index, value] entries")
     out = {}
     nmax = cx.n_simplices(degree)
-    for pair in data["coefficients"]:
-        if len(pair) != 2:
-            _fail(path, f"coefficient entry {pair} is not [index, value]")
-        idx, val = int(pair[0]), float(pair[1])
+    for entry in entries:
+        try:
+            index, value = entry
+            idx, val = int(index), float(value)
+            if idx != index:  # a fractional or string index
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            _fail(where, f"coefficient entry {entry} is not [index, value]")
         if idx < 0 or idx >= nmax:
-            _fail(path, f"coefficient index {idx} out of range for degree {degree}")
+            _fail(where, f"coefficient index {idx} out of range for degree {degree}")
+        if idx in out:
+            _fail(where, f"coefficient index {idx} is listed twice")
         out[idx] = val
     return out
 
 
-def load_chain(path, mesh: Complex | None = None, cache: dict | None = None) -> Chain:
+def _load_coefficients(path, mesh, cache, cls, field="coefficients"):
+    """cls(complex, degree, coefficients) read from a chain or cochain file, or
+    with field="components" the tuple of them, one per component of a flux file."""
     data = _load_json(path)
     cx = mesh if mesh is not None else _resolve_mesh(data, path, cache)
-    if "degree" not in data:
-        _fail(path, "missing field 'degree'")
+    for key in ("degree", field):
+        if key not in data:
+            _fail(path, f"missing field '{key}'")
     k = int(data["degree"])
-    return Chain(cx, k, _coefficients(data, path, cx, k))
+    if field == "coefficients":
+        return cls(cx, k, _coefficients(data[field], path, cx, k))
+    if k != cx.dim - 1 or not isinstance(data[field], list):
+        _fail(path, f"a flux lists {cx.dim - 1}-cochain components")
+    comps = data[field]
+    return tuple(cls(cx, k, _coefficients(c, f"{path} component {i}", cx, k)) for i, c in enumerate(comps))
+
+
+def coefficient_list(T: Chain | Cochain) -> list[list]:
+    """[[index, value]] of a chain or cochain, by index."""
+    return [[i, T.coeffs[i]] for i in sorted(T.coeffs)]
+
+
+def _save_coefficients(path, mesh_path, degree, **fields) -> None:
+    _dump({"mesh": str(mesh_path), "degree": degree, **fields}, path)
+
+
+def load_chain(path, mesh: Complex | None = None, cache: dict | None = None) -> Chain:
+    return _load_coefficients(path, mesh, cache, Chain)
 
 
 def save_chain(chain: Chain, path, mesh_path, role: str | None = None) -> None:
-    data = {
-        "mesh": str(mesh_path),
-        "degree": chain.degree,
-        "coefficients": [[i, chain.coeffs[i]] for i in sorted(chain.coeffs)],
-    }
-    if role:
-        data["role"] = role
-    _dump(data, path)
+    tag = {"role": role} if role else {}
+    _save_coefficients(path, mesh_path, chain.degree, coefficients=coefficient_list(chain), **tag)
 
 
 def load_cochain(path, mesh: Complex | None = None, cache: dict | None = None) -> Cochain:
-    data = _load_json(path)
-    cx = mesh if mesh is not None else _resolve_mesh(data, path, cache)
-    if "degree" not in data:
-        _fail(path, "missing field 'degree'")
-    k = int(data["degree"])
-    return Cochain(cx, k, _coefficients(data, path, cx, k))
+    return _load_coefficients(path, mesh, cache, Cochain)
 
 
 def save_cochain(cochain: Cochain, path, mesh_path) -> None:
-    data = {
-        "mesh": str(mesh_path),
-        "degree": cochain.degree,
-        "coefficients": [[i, cochain.coeffs[i]] for i in sorted(cochain.coeffs)],
-    }
-    _dump(data, path)
+    _save_coefficients(path, mesh_path, cochain.degree, coefficients=coefficient_list(cochain))
+
+
+def load_flux(path, mesh: Complex | None = None, cache: dict | None = None) -> tuple[Cochain, ...]:
+    """The cochain components of a flux file, all on its one mesh."""
+    return _load_coefficients(path, mesh, cache, Cochain, field="components")
+
+
+def save_flux(cochains, path, mesh_path, s: float, b: float) -> None:
+    """Write a flux's cochain components with its declared constants s and b."""
+    components = [coefficient_list(X) for X in cochains]
+    _save_coefficients(path, mesh_path, cochains[0].degree, components=components, s=s, b=b)
+
+
+def mesh_reference(path) -> str:
+    """The mesh path a chain, cochain or flux file records, as written."""
+    data = _load_json(path)
+    if "mesh" not in data:
+        _fail(path, "missing field 'mesh'")
+    return data["mesh"]
 
 
 def load_pamap(path, mesh: Complex | None = None, cache: dict | None = None) -> PAMap:

@@ -109,8 +109,8 @@ def flux_from_cochains(cochains) -> CauchyFlux:
     cx = cochains[0].complex
     if any(X.complex is not cx for X in cochains):
         raise ComplexMismatch("cochain components live on different complexes")
-    if len(cochains) != cx.dim:
-        raise ValueError(f"need {cx.dim} cochain components")
+    if len(cochains) != cx.dim or any(X.degree != cx.dim - 1 for X in cochains):
+        raise ValueError(f"need {cx.dim} {cx.dim - 1}-cochain components")
     forms = [whitney_realize(X) for X in cochains]
 
     def make(i):

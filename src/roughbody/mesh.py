@@ -186,14 +186,6 @@ class Complex:
         """Per degree, vertex set -> simplex index (built on first use)."""
         return {k: {frozenset(s): i for i, s in enumerate(lst)} for k, lst in self.simplices.items()}
 
-    @cached_property
-    def incidence(self) -> dict[int, list[list[tuple[int, int]]]]:
-        """Per degree, per simplex, [(facet index, incidence sign), ...] (built on first use)."""
-        return {
-            k: [list(zip(f, s)) for f, s in zip(faces.tolist(), signs.tolist())]
-            for k, (faces, signs) in self._incidence_arrays.items()
-        }
-
     # -- basic geometry ------------------------------------------------
 
     def n_simplices(self, k: int) -> int:
@@ -273,10 +265,6 @@ class Complex:
                 raise ValueError(f"simplex ({k},{idx}) is not a face of any top simplex")
             cur_k, cur = cur_k + 1, parent
         return cur
-
-    def faces(self, k: int, idx: int, j: int) -> list[int]:
-        """Indices of the j-faces of simplex (k, idx)."""
-        return self.face_table(k, j)[idx].tolist()
 
     def diameter(self) -> float:
         lo = self.vertices.min(axis=0)

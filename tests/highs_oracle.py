@@ -23,8 +23,9 @@ def highs_flat_norm(T):
     for i, a in T.coeffs.items():
         t[i] = a
     rows, cols, vals = [], [], []
-    for j, row in enumerate(cx.incidence[k + 1]):
-        for fidx, sgn in row:
+    faces, signs = cx.incidence_arrays(k + 1)
+    for j, row in enumerate(zip(faces.tolist(), signs.tolist())):
+        for fidx, sgn in zip(*row):
             rows.append(fidx)
             cols.append(j)
             vals.append(sgn)

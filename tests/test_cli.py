@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,3 +359,125 @@ class TestNonFiniteInput:
         capsys.readouterr()
         argv = ["flux", "eval", "--flux", str(flux_path), "--surface", str(tmp / "surf.json")]
         self._expect_input_error(argv + ["--velocity", str(tmp / "vel.json")], capsys, "vertex 0")
+
+
+def _write_flux(tmp, components, degree=1):
+    """A flux file on the square with the given raw component lists."""
+    flux = {"mesh": "square.json", "degree": degree, "components": components, "s": 1.0, "b": 3.0}
+    (tmp / "flux.json").write_text(json.dumps(flux))
+    return tmp / "flux.json"
+
+
+def _flux_commands(flux_path, tmp):
+    """Every subcommand that reads a flux file; it is read before any other input."""
+    return {
+        "flux roundtrip": ["flux", "roundtrip", "--flux", str(flux_path)],
+        "flux eval": ["flux", "eval", "--flux", str(flux_path), "--surface", str(tmp / "s.json"),
+                      "--velocity", str(tmp / "v.json")],
+        "verify balance": ["verify", "balance", "--flux", str(flux_path), "--trials", "2"],
+        "stress report": ["stress", "report", "--flux", str(flux_path), "--map", str(tmp / "m.json"),
+                          "--body", str(tmp / "b.json"), "--velocity", str(tmp / "v.json")],
+    }
+
+
+class TestCoefficientSchema:
+    """Chain, cochain and flux files share one coefficient reader; its errors exit 2."""
+
+    def _expect_schema_error(self, argv, capsys, where):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "SchemaViolation" and where in err["error"], err
+
+    def test_flatnorm_repeated_index(self, square_files, capsys):
+        tmp, mesh_path, _, _ = square_files
+        chain = {"mesh": "square.json", "degree": 2, "coefficients": [[0, 1.0], [0, 5.0], [1, 1.0]]}
+        (tmp / "c.json").write_text(json.dumps(chain))
+        argv = ["flatnorm", "--mesh", str(mesh_path), "--chain", str(tmp / "c.json")]
+        self._expect_schema_error(argv, capsys, f"{tmp / 'c.json'}: coefficient index 0 is listed twice")
+
+    def test_cochain_repeated_index(self, square_files):
+        tmp, _, _, _ = square_files
+        cochain = {"mesh": "square.json", "degree": 1, "coefficients": [[3, 1.0], [3, 1.0]]}
+        (tmp / "x.json").write_text(json.dumps(cochain))
+        with pytest.raises(SchemaViolation, match="index 3 is listed twice"):
+            io.load_cochain(tmp / "x.json")
+
+    def test_flux_roundtrip_repeated_index(self, square_files, capsys):
+        tmp, _, _, _ = square_files
+        flux_path = _write_flux(tmp, [[[0, 1.0], [2, 1.0]], [[4, 1.0], [2, 0.5], [4, 2.0]]])
+        argv = ["flux", "roundtrip", "--flux", str(flux_path)]
+        self._expect_schema_error(argv, capsys, f"{flux_path} component 1: coefficient index 4 is listed twice")
+
+    @pytest.mark.parametrize("command", ["flux roundtrip", "flux eval", "verify balance", "stress report"])
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_flux_index_out_of_range(self, command, bad, square_files, capsys):
+        tmp, _, _, cx = square_files
+        assert cx.n_simplices(1) == 5
+        flux_path = _write_flux(tmp, [[[0, 1.0]], [[bad, 1.0]]])
+        argv = _flux_commands(flux_path, tmp)[command]
+        self._expect_schema_error(argv, capsys, f"coefficient index {bad} out of range for degree 1")
+
+    @pytest.mark.parametrize("command", ["flux roundtrip", "flux eval", "verify balance", "stress report"])
+    @pytest.mark.parametrize("entry", [[0], [0, 1.0, 2.0], 0, [None, 1.0], ["1", 1.0], [1.5, 1.0]])
+    def test_flux_entry_not_a_pair(self, command, entry, square_files, capsys):
+        tmp, _, _, _ = square_files
+        flux_path = _write_flux(tmp, [[[1, 1.0]], [entry]])
+        argv = _flux_commands(flux_path, tmp)[command]
+        self._expect_schema_error(argv, capsys, "is not [index, value]")
+
+    def test_flux_components_must_be_facet_cochains(self, square_files):
+        tmp, _, _, _ = square_files
+        with pytest.raises(SchemaViolation, match="a flux lists 1-cochain components"):
+            io.load_flux(_write_flux(tmp, [[[0, 1.0]], [[1, 1.0]]], degree=0))
+
+    def test_flux_build_needs_facet_cochains(self, square_files, capsys):
+        tmp, _, _, _ = square_files
+        (tmp / "x.json").write_text(json.dumps({"mesh": "square.json", "degree": 0, "coefficients": [[0, 1.0]]}))
+        argv = ["flux", "build", "--cochain", str(tmp / "x.json"), "--cochain", str(tmp / "x.json")]
+        assert main(argv + ["--out", str(tmp / "flux.json")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValueError" and "need 2 1-cochain components" in err["error"]
+        assert not (tmp / "flux.json").exists()
+
+    def test_flux_round_trip(self, square_files):
+        tmp, _, _, cx = square_files
+        from roughbody.forms import Cochain
+
+        Xs = (Cochain(cx, 1, {0: 1.5, 3: -2.0}), Cochain(cx, 1, {4: 0.25}))
+        io.save_flux(Xs, tmp / "f.json", "square.json", s=2.0, b=6.0)
+        back = io.load_flux(tmp / "f.json")
+        assert [X.coeffs for X in back] == [X.coeffs for X in Xs]
+        assert back[0].complex is back[1].complex
+        data = json.loads((tmp / "f.json").read_text())
+        assert (data["mesh"], data["degree"], data["s"], data["b"]) == ("square.json", 1, 2.0, 6.0)
+
+
+# the CSV columns README documents for each campaign, and each report's keys
+CAMPAIGN_TABLES = {
+    "stokes": (["trial", "simplices", "deviation"], {"max_deviation", "tolerance"}),
+    "product-rule": (
+        ["trial", "identity_residual", "bounds_ok"],
+        {"max_identity_residual", "bound_failures", "tolerance"},
+    ),
+    "virtual-power": (["trial", "residual"], {"max_residual", "tolerance"}),
+    "balance": (
+        ["trial", "s_ratio", "b_ratio"],
+        {"s_declared", "b_declared", "s_empirical", "b_empirical", "witness_s", "witness_b"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_TABLES))
+def test_campaign_tables_match_readme(name, square_files, capsys):
+    tmp, mesh_path, _, cx = square_files
+    columns, fields = CAMPAIGN_TABLES[name]
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    assert f"`verify {name}` emits `{', '.join(columns)}`" in readme
+    source = ["--flux", str(_scaled_flux_file(tmp, cx, 0))] if name == "balance" else ["--mesh", str(mesh_path)]
+    out = tmp / f"{name}.json"
+    assert main(["verify", name, *source, "--trials", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"check", "trials", "seed", "passed"} | fields
+    assert report["check"] == name and report["trials"] == 2
+    lines = out.with_suffix(".csv").read_text().splitlines()
+    assert lines[0] == ",".join(columns) and len(lines) == 3

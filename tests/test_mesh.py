@@ -68,9 +68,10 @@ class TestBuildComplex:
     def test_shared_diagonal_sign_consistent(self, square):
         # the diagonal appears once and receives opposite signs from the two triangles
         diag = square.index[1][frozenset((0, 2))]
+        faces, incidences = square.incidence_arrays(2)
         signs = []
         for tri in range(2):
-            for fidx, sgn in square.incidence[2][tri]:
+            for fidx, sgn in zip(faces[tri].tolist(), incidences[tri].tolist()):
                 if fidx == diag:
                     signs.append(sgn)
         assert sorted(signs) == [-1, 1]
