@@ -152,26 +152,34 @@ def cmd_flux_roundtrip(args) -> int:
     return 0 if ok else 1
 
 
-def _campaign(args, check: str, trial, verdict, column: str | None = None) -> int:
+def _campaign(args, check: str, trial, verdict) -> int:
     """Run a seeded verification campaign and emit its report and CSV table.
 
-    trial(rng) gives one CSV row's values after "trial"; verdict(worst, rows)
-    gives the report fields that follow "check", "trials" and "seed", among
-    them "passed".  worst is the largest value of `column` over the rows
-    (0.0 for no trials), or None without a column.
+    trial(rng) gives one CSV row's values after "trial"; verdict(rows) gives
+    the report fields that follow "check", "trials" and "seed", among them
+    "passed".
     """
     seed = _seed(args)
     rng = np.random.default_rng(seed)
     rows = [{"trial": t, **trial(rng)} for t in range(args.trials)]
-    worst = max([0.0] + [row[column] for row in rows]) if column else None
-    fields = verdict(worst, rows)
+    fields = verdict(rows)
     _emit({"check": check, "trials": args.trials, "seed": seed, **fields}, args.out, rows)
     return 0 if fields["passed"] else 1
 
 
-def _within_tolerance(args, key: str):
-    """The verdict of a campaign that passes when its worst value is at most --tolerance."""
-    return lambda worst, rows: {key: worst, "tolerance": args.tolerance, "passed": worst <= args.tolerance}
+def _worst(rows, column: str) -> float:
+    """The largest value of a campaign's column, 0.0 for no trials."""
+    return max([0.0] + [row[column] for row in rows])
+
+
+def _within_tolerance(args, key: str, column: str):
+    """The verdict of a campaign that passes when its worst `column` value is at most --tolerance."""
+
+    def verdict(rows):
+        worst = _worst(rows, column)
+        return {key: worst, "tolerance": args.tolerance, "passed": worst <= args.tolerance}
+
+    return verdict
 
 
 def cmd_verify_stokes(args) -> int:
@@ -183,7 +191,7 @@ def cmd_verify_stokes(args) -> int:
         dev = surface.chain.max_coefficient_diff(body.chain.boundary())
         return {"simplices": len(body.chain.coeffs), "deviation": dev}
 
-    return _campaign(args, "stokes", trial, _within_tolerance(args, "max_deviation"), "deviation")
+    return _campaign(args, "stokes", trial, _within_tolerance(args, "max_deviation", "deviation"))
 
 
 def cmd_verify_product_rule(args) -> int:
@@ -197,7 +205,8 @@ def cmd_verify_product_rule(args) -> int:
         dev = abs(multiply(phi, A).boundary_evaluate(omega) - boundary_product(phi, A).evaluate(omega))
         return {"identity_residual": dev, "bounds_ok": check_product_bounds(phi, A).passed}
 
-    def verdict(worst, rows):
+    def verdict(rows):
+        worst = _worst(rows, "identity_residual")
         fails = sum(not row["bounds_ok"] for row in rows)
         passed = worst <= args.tolerance and fails == 0
         return {
@@ -207,7 +216,7 @@ def cmd_verify_product_rule(args) -> int:
             "passed": passed,
         }
 
-    return _campaign(args, "product-rule", trial, verdict, "identity_residual")
+    return _campaign(args, "product-rule", trial, verdict)
 
 
 def cmd_verify_virtual_power(args) -> int:
@@ -224,7 +233,7 @@ def cmd_verify_virtual_power(args) -> int:
         v = VirtualVelocity([random_sharp_field(icx, rng) for _ in range(cx.dim)])
         return {"residual": virtual_power_report(cochains, config, body.chain, v).residual}
 
-    return _campaign(args, "virtual-power", trial, _within_tolerance(args, "max_residual"), "residual")
+    return _campaign(args, "virtual-power", trial, _within_tolerance(args, "max_residual", "residual"))
 
 
 def cmd_verify_balance(args) -> int:
@@ -241,7 +250,7 @@ def cmd_verify_balance(args) -> int:
         est = estimate_balance_constants(flux, surfaces[-1:], [v], [body], enforce=False)
         return {"s_ratio": est.s_emp, "b_ratio": est.b_emp}
 
-    def verdict(_worst, _rows):
+    def verdict(_rows):
         # the constants bound every surface-velocity pair, not only each trial's own
         est = estimate_balance_constants(flux, surfaces, velocities, bodies, enforce=False)
         return {
@@ -284,7 +293,6 @@ def _rekey_cochain(X: Cochain, target) -> Cochain:
 
 def cmd_stress_report(args) -> int:
     cochains = io.load_flux(args.flux)
-    flux_from_cochains(cochains)  # rejects a component count other than n, as every flux command does
     pamap = io.load_pamap(args.map)
     config = Configuration(pamap)
     body = io.load_chain(args.body, mesh=pamap.source)

@@ -8,10 +8,12 @@ PA map:      {"mesh": path, "images": [[y, ...] per vertex]}
 Sharp field: {"mesh": path, "values": [per-vertex value]}   (vector: {"components": [...]})
 
 Indices are 0-based; simplex orientation is the listed vertex order.
-Chain, cochain and flux files share one coefficient reader: an index out of
-range, an entry other than [integer index, value] and an index listed twice
-in one coefficient list are schema errors.  A flux is the tuple of its (n-1)-cochain
-components; its recorded s and b are written for the reader and not read back.
+Chain, cochain and flux files share one coefficient reader: a degree that is
+not an integer, an entry other than [integer index, numeric value], an index
+out of range and an index listed twice in one coefficient list are schema
+errors.  A flux is the tuple of its n (n-1)-cochain components; any other
+degree or component count is a schema error.  Its recorded s and b are
+written for the reader and not read back.
 Mesh references are resolved relative to the referencing file.
 """
 
@@ -87,6 +89,13 @@ def _resolve_mesh(data, path, cache: dict | None = None) -> Complex:
     return cx
 
 
+def _integer(x) -> int:
+    """x as an int; ValueError unless it is an integral number (a string is not)."""
+    if isinstance(x, str) or int(x) != x:
+        raise ValueError
+    return int(x)
+
+
 def _coefficients(entries, where, cx, degree) -> dict[int, float]:
     if not isinstance(entries, list):
         _fail(where, "coefficients must be a list of [index, value] entries")
@@ -95,9 +104,10 @@ def _coefficients(entries, where, cx, degree) -> dict[int, float]:
     for entry in entries:
         try:
             index, value = entry
-            idx, val = int(index), float(value)
-            if idx != index:  # a fractional or string index
+            idx = index if type(index) is int else _integer(index)
+            if type(value) is not float and not isinstance(value, int):
                 raise ValueError
+            val = float(value)
         except (TypeError, ValueError, OverflowError):
             _fail(where, f"coefficient entry {entry} is not [index, value]")
         if idx < 0 or idx >= nmax:
@@ -108,21 +118,23 @@ def _coefficients(entries, where, cx, degree) -> dict[int, float]:
     return out
 
 
-def _load_coefficients(path, mesh, cache, cls, field="coefficients"):
-    """cls(complex, degree, coefficients) read from a chain or cochain file, or
-    with field="components" the tuple of them, one per component of a flux file."""
-    data = _load_json(path)
-    cx = mesh if mesh is not None else _resolve_mesh(data, path, cache)
+def _degree(data, path, field: str) -> int:
+    """The degree of a coefficient file that lists its coefficients under `field`."""
     for key in ("degree", field):
         if key not in data:
             _fail(path, f"missing field '{key}'")
-    k = int(data["degree"])
-    if field == "coefficients":
-        return cls(cx, k, _coefficients(data[field], path, cx, k))
-    if k != cx.dim - 1 or not isinstance(data[field], list):
-        _fail(path, f"a flux lists {cx.dim - 1}-cochain components")
-    comps = data[field]
-    return tuple(cls(cx, k, _coefficients(c, f"{path} component {i}", cx, k)) for i, c in enumerate(comps))
+    try:
+        return _integer(data["degree"])
+    except (TypeError, ValueError, OverflowError):
+        _fail(path, f"field 'degree' must be an integer, got {data['degree']!r}")
+
+
+def _load_coefficients(path, mesh, cache, cls):
+    """cls(complex, degree, coefficients) read from a chain or cochain file."""
+    data = _load_json(path)
+    cx = mesh if mesh is not None else _resolve_mesh(data, path, cache)
+    k = _degree(data, path, "coefficients")
+    return cls(cx, k, _coefficients(data["coefficients"], path, cx, k))
 
 
 def coefficient_list(T: Chain | Cochain) -> list[list]:
@@ -130,17 +142,15 @@ def coefficient_list(T: Chain | Cochain) -> list[list]:
     return [[i, T.coeffs[i]] for i in sorted(T.coeffs)]
 
 
-def _save_coefficients(path, mesh_path, degree, **fields) -> None:
-    _dump({"mesh": str(mesh_path), "degree": degree, **fields}, path)
-
-
 def load_chain(path, mesh: Complex | None = None, cache: dict | None = None) -> Chain:
     return _load_coefficients(path, mesh, cache, Chain)
 
 
 def save_chain(chain: Chain, path, mesh_path, role: str | None = None) -> None:
-    tag = {"role": role} if role else {}
-    _save_coefficients(path, mesh_path, chain.degree, coefficients=coefficient_list(chain), **tag)
+    data = {"mesh": str(mesh_path), "degree": chain.degree, "coefficients": coefficient_list(chain)}
+    if role:
+        data["role"] = role
+    _dump(data, path)
 
 
 def load_cochain(path, mesh: Complex | None = None, cache: dict | None = None) -> Cochain:
@@ -148,18 +158,24 @@ def load_cochain(path, mesh: Complex | None = None, cache: dict | None = None) -
 
 
 def save_cochain(cochain: Cochain, path, mesh_path) -> None:
-    _save_coefficients(path, mesh_path, cochain.degree, coefficients=coefficient_list(cochain))
+    _dump({"mesh": str(mesh_path), "degree": cochain.degree, "coefficients": coefficient_list(cochain)}, path)
 
 
-def load_flux(path, mesh: Complex | None = None, cache: dict | None = None) -> tuple[Cochain, ...]:
-    """The cochain components of a flux file, all on its one mesh."""
-    return _load_coefficients(path, mesh, cache, Cochain, field="components")
+def load_flux(path) -> tuple[Cochain, ...]:
+    """The n (n-1)-cochain components of a flux file, all on its one mesh."""
+    data = _load_json(path)
+    cx = _resolve_mesh(data, path)
+    k = _degree(data, path, "components")
+    comps = data["components"]
+    if k != cx.dim - 1 or not isinstance(comps, list) or len(comps) != cx.dim:
+        _fail(path, f"a flux lists {cx.dim} components of degree {cx.dim - 1}")
+    return tuple(Cochain(cx, k, _coefficients(c, f"{path} component {i}", cx, k)) for i, c in enumerate(comps))
 
 
 def save_flux(cochains, path, mesh_path, s: float, b: float) -> None:
     """Write a flux's cochain components with its declared constants s and b."""
     components = [coefficient_list(X) for X in cochains]
-    _save_coefficients(path, mesh_path, cochains[0].degree, components=components, s=s, b=b)
+    _dump({"mesh": str(mesh_path), "degree": cochains[0].degree, "components": components, "s": s, "b": b}, path)
 
 
 def mesh_reference(path) -> str:

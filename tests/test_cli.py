@@ -425,10 +425,35 @@ class TestCoefficientSchema:
         argv = _flux_commands(flux_path, tmp)[command]
         self._expect_schema_error(argv, capsys, "is not [index, value]")
 
+    @pytest.mark.parametrize("entry", [[0, "5"], [0, None], [0, [1.0]]])
+    def test_value_not_a_number(self, entry, square_files, capsys):
+        tmp, mesh_path, _, _ = square_files
+        chain = {"mesh": "square.json", "degree": 2, "coefficients": [entry]}
+        (tmp / "c.json").write_text(json.dumps(chain))
+        argv = ["flatnorm", "--mesh", str(mesh_path), "--chain", str(tmp / "c.json")]
+        self._expect_schema_error(argv, capsys, "is not [index, value]")
+
+    @pytest.mark.parametrize("degree", [1.5, "x", "1", None])
+    def test_degree_not_an_integer(self, degree, square_files, capsys):
+        tmp, mesh_path, _, _ = square_files
+        chain = {"mesh": "square.json", "degree": degree, "coefficients": [[0, 1.0]]}
+        (tmp / "c.json").write_text(json.dumps(chain))
+        argv = ["flatnorm", "--mesh", str(mesh_path), "--chain", str(tmp / "c.json")]
+        self._expect_schema_error(argv, capsys, "field 'degree' must be an integer")
+        argv = ["flux", "roundtrip", "--flux", str(_write_flux(tmp, [[[0, 1.0]], [[1, 1.0]]], degree=degree))]
+        self._expect_schema_error(argv, capsys, "field 'degree' must be an integer")
+
     def test_flux_components_must_be_facet_cochains(self, square_files):
         tmp, _, _, _ = square_files
-        with pytest.raises(SchemaViolation, match="a flux lists 1-cochain components"):
+        with pytest.raises(SchemaViolation, match="a flux lists 2 components of degree 1"):
             io.load_flux(_write_flux(tmp, [[[0, 1.0]], [[1, 1.0]]], degree=0))
+
+    @pytest.mark.parametrize("command", ["flux roundtrip", "flux eval", "verify balance", "stress report"])
+    @pytest.mark.parametrize("components", [[], [[[0, 1.0]]], [[[0, 1.0]], [[1, 1.0]], [[2, 1.0]]]])
+    def test_flux_component_count(self, command, components, square_files, capsys):
+        tmp, _, _, _ = square_files
+        argv = _flux_commands(_write_flux(tmp, components), tmp)[command]
+        self._expect_schema_error(argv, capsys, "a flux lists 2 components of degree 1")
 
     def test_flux_build_needs_facet_cochains(self, square_files, capsys):
         tmp, _, _, _ = square_files
