@@ -165,26 +165,22 @@ def normal_norm(chain: Chain) -> float:
     return chain.normal_norm()
 
 
-def restrict_with_refinement(
-    chain: Chain, hs: HalfSpace, complement: bool = False
-) -> tuple[Chain, Refinement]:
-    """Exact restriction of a chain to a half space, with the refinement used.
+def _one_side(ref: Refinement, chain: Chain, hs: HalfSpace, complement: bool = False) -> Chain:
+    """The chain carried to the refinement, keeping only the pieces on one side of hs."""
+    carried = ref.carry_chain(chain)
+    sides = side_of_simplices(ref.complex, chain.degree, hs)
+    want = -1 if complement else 1
+    return Chain(ref.complex, chain.degree, {i: a for i, a in carried.coeffs.items() if sides[i] == want})
+
+
+def restrict(chain: Chain, hs: HalfSpace, complement: bool = False) -> Chain:
+    """Exact restriction of a chain to a half space, on a refined complex.
 
     The closed side {lam.x >= s} keeps pieces lying inside the cut
     hyperplane; the complement is the open side, so the two restrictions
     are disjointly additive.
     """
-    ref = refine_by_halfspace(chain.complex, hs)
-    carried = ref.carry_chain(chain)
-    sides = side_of_simplices(ref.complex, chain.degree, hs)
-    want = -1 if complement else 1
-    kept = {i: a for i, a in carried.coeffs.items() if sides[i] == want}
-    return Chain(ref.complex, chain.degree, kept), ref
-
-
-def restrict(chain: Chain, hs: HalfSpace, complement: bool = False) -> Chain:
-    """Restriction of a chain to a (closed) half space, on a refined complex."""
-    return restrict_with_refinement(chain, hs, complement)[0]
+    return _one_side(refine_by_halfspace(chain.complex, hs), chain, hs, complement)
 
 
 def restriction_defect(chain: Chain, hs: HalfSpace) -> float:
@@ -196,19 +192,7 @@ def restriction_defect(chain: Chain, hs: HalfSpace) -> float:
     if chain.degree == 0:
         raise DegreeZero("restriction defect needs degree >= 1")
     ref = refine_by_halfspace(chain.complex, hs)
-    carried = ref.carry_chain(chain)
-    carried_bnd = ref.carry_chain(chain.boundary())
-    sides_k = side_of_simplices(ref.complex, chain.degree, hs)
-    sides_f = side_of_simplices(ref.complex, chain.degree - 1, hs)
-    restricted = Chain(
-        ref.complex, chain.degree, {i: a for i, a in carried.coeffs.items() if sides_k[i] == 1}
-    )
-    bnd_restricted = Chain(
-        ref.complex,
-        chain.degree - 1,
-        {i: a for i, a in carried_bnd.coeffs.items() if sides_f[i] == 1},
-    )
-    return (bnd_restricted - restricted.boundary()).mass()
+    return (_one_side(ref, chain.boundary(), hs) - _one_side(ref, chain, hs).boundary()).mass()
 
 
 def defect_integral(

@@ -45,6 +45,10 @@ class TooFewChains(RoughBodyError, ValueError):
     """A sequence certificate was given fewer than two chains."""
 
 
+class MassBudgetExceeded(RoughBodyError):
+    """An adaptive mass integral did not close its bracket within the piece budget."""
+
+
 class LPNumericalFailure(RoughBodyError):
     """The simplex solver failed to produce a verified optimum."""
 

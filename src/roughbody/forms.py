@@ -6,7 +6,11 @@ chains.  The coboundary is the adjoint of the boundary, taken on the dense
 vector.  A cochain's Whitney realization is the piecewise-polynomial form
 field with those simplex integrals; the realization is tangentially
 continuous, so weak exterior derivatives have no face terms and all
-pairings reduce to exact polynomial integrals.
+pairings reduce to exact polynomial integrals.  A form field is paired
+with anything, a chain included, as an EvaluableCurrent: a chain T
+integrates w as chain_as_current(T).evaluate(w).  The signs of the
+exterior derivative and the interior product are the rows of
+multivec.wedge_table.
 """
 
 from __future__ import annotations
@@ -23,10 +27,13 @@ from .errors import (
     ComplexMismatch,
     DegreeMismatch,
     DegreeOverflow,
+    MassBudgetExceeded,
     TopDegree,
 )
 from .mesh import Complex, _cut_vertices, _split_ids, barycentric_refine, row_wedges, simplex_volumes
 from .poly import Poly, integrate_over_simplex
+
+MASS_PIECE_BUDGET = 1 << 16  # adaptive mass pieces per carrier
 
 
 class Cochain(_Coefficients):
@@ -103,20 +110,15 @@ class FormField:
         cx = self.complex
         n = cx.dim
         k = self.degree
-        out_tuples = multivec.basis_tuples(n, k + 1)
-        out_index = multivec.basis_index(n, k + 1)
+        sign = -1 if k % 2 else 1  # dx_a ^ dx_I = (-1)^k dx_I ^ dx_a
+        table = multivec.wedge_table(n, k, 1)
         out: dict[int, list[Poly]] = {}
         for top, polys in self.comps.items():
-            res = [Poly.zero(n) for _ in out_tuples]
-            for i, I in enumerate(multivec.basis_tuples(n, k)):
-                for dax in range(n):
-                    sign, merged = multivec.merge_sign((dax,), I)
-                    if sign == 0:
-                        continue
-                    dp = polys[i].diff(dax)
-                    if dp.is_zero():
-                        continue
-                    res[out_index[merged]] = res[out_index[merged]] + dp.scale(sign)
+            res = [Poly.zero(n) for _ in range(multivec.dim(n, k + 1))]
+            for i, dax, o, s in table:
+                dp = polys[i].diff(dax)
+                if not dp.is_zero():
+                    res[o] = res[o] + dp.scale(sign * s)
             out[top] = res
         return FormField(cx, k + 1, out)
 
@@ -147,30 +149,6 @@ class FormField:
                 v = np.array([p(x) for p in polys])
                 best = max(best, float(np.linalg.norm(v)))
         return best
-
-    def pairing_with_chain(self, T: Chain) -> float:
-        """Exact integral of the form over the chain (degree must match)."""
-        if T.complex is not self.complex:
-            raise ComplexMismatch("chain on a different complex")
-        if T.degree != self.degree:
-            raise DegreeMismatch("form and chain degrees differ")
-        cx = self.complex
-        tangents = cx.unit_tangents(T.degree)
-        total = 0.0
-        for idx, a in T.coeffs.items():
-            top = cx.containing_top(T.degree, idx)
-            polys = self.comps.get(top)
-            if polys is None:
-                continue
-            xi = tangents[idx]
-            scalar = Poly.zero(cx.dim)
-            for comp, p in zip(xi, polys):
-                if comp != 0.0 and not p.is_zero():
-                    scalar = scalar + p.scale(comp)
-            if scalar.is_zero():
-                continue
-            total += a * integrate_over_simplex(scalar, cx.coords(T.degree, idx), cx.volume(T.degree, idx))
-        return total
 
 
 def constant_form(cx: Complex, degree: int, comps) -> FormField:
@@ -287,9 +265,6 @@ class EvaluableCurrent:
             total += integrate_over_simplex(scalar, coords, cx.volume(e.carrier_degree, e.carrier_index))
         return total
 
-    def evaluate_cochain(self, X: Cochain) -> float:
-        return self.evaluate(whitney_realize(X))
-
     def boundary_evaluate(self, omega: FormField) -> float:
         """Pairing of the boundary current with omega, via (bd T)(w) = T(dw)."""
         return self.evaluate(omega.d())
@@ -301,7 +276,9 @@ class EvaluableCurrent:
 
         Exact when a density keeps a constant direction (it is then a
         plus/minus-affine scalar and the carrier is split along its zero
-        set); otherwise adaptively refined with convexity brackets.
+        set); otherwise adaptively refined with convexity brackets to tol,
+        raising MassBudgetExceeded where a carrier needs more than
+        MASS_PIECE_BUDGET pieces.
         """
         cx = self.complex
         total = 0.0
@@ -312,11 +289,11 @@ class EvaluableCurrent:
             scale = np.abs(vals).max(initial=0.0)
             if scale == 0.0:
                 continue
-            svals = np.linalg.svd(vals, compute_uv=False)
+            _, svals, Vt = np.linalg.svd(vals, full_matrices=False)
             if svals.size == 1 or svals[1] <= 1e-12 * svals[0]:
-                total += _integral_abs_affine(coords, vals @ _principal(vals), vol)
+                total += _integral_abs_affine(coords, vals @ Vt[0], vol)
             else:
-                total += _adaptive_norm_integral(coords, vals, vol, tol)
+                total += _adaptive_norm_integral(coords, vals, vol, tol, (e.carrier_degree, e.carrier_index))
         return total
 
     def materialize(self, tol: float = 1e-3, size_budget: int = 600):
@@ -369,11 +346,6 @@ class EvaluableCurrent:
         return Chain.from_terms(ref.complex, q, keys, values), ref, err
 
 
-def _principal(vals: np.ndarray) -> np.ndarray:
-    _, _, Vt = np.linalg.svd(vals)
-    return Vt[0]
-
-
 def _integral_abs_affine(coords: np.ndarray, vertex_vals: np.ndarray, vol: float) -> float:
     """Exact integral of |affine scalar| by splitting at its zero set."""
     k = coords.shape[0] - 1
@@ -404,36 +376,57 @@ def _split_coords_by_values(coords: np.ndarray, vals: np.ndarray):
     return [(pts[list(piece)], vals[list(piece)]) for piece in plus + minus]
 
 
-def _adaptive_norm_integral(coords: np.ndarray, vals: np.ndarray, vol: float, tol: float) -> float:
+def _adaptive_norm_integral(
+    coords: np.ndarray, vals: np.ndarray, vol: float, tol: float, carrier: tuple[int, int]
+) -> float:
     """Integral of |f| for an affine vector field f with vertex values vals, by convexity brackets.
 
     |f| is convex, so on a piece of volume v, v |f(barycenter)| bounds the
-    integral below and v times the mean vertex norm above.  A piece whose
-    bracket is wider than tol (relative) is bisected along its longest edge
-    (the first in combinations order on a tie), down to depth 24; f at the
-    midpoint is the mean of its end values, as f is affine.
+    integral below and v times the mean vertex norm above.  A piece is kept
+    once its bracket is at most tol times the larger of its upper bound and
+    its share v / vol of the carrier's upper bound U, so the result is within
+    tol U of the integral; the share lets pieces where |f| vanishes close.
+    Other pieces are bisected along their longest edge (the first in
+    combinations order on a tie); f at the midpoint is the mean of its end
+    values, as f is affine.  A carrier (degree, index) that needs more than
+    MASS_PIECE_BUDGET pieces raises MassBudgetExceeded with the bracket of
+    its integral reached so far.
     """
     edges = list(combinations(range(len(coords)), 2))
 
-    def recurse(c, f, norms, v, depth):
-        upper = v * sum(norms) / len(norms)
-        lower = v * hypot(*(sum(col) / len(f) for col in zip(*f)))
-        if upper - lower <= tol * max(upper, 1e-300) or depth > 24:
-            return 0.5 * (upper + lower)
+    def bracket(f, norms, v):
+        return v * hypot(*(sum(col) / len(f) for col in zip(*f))), v * sum(norms) / len(norms)
+
+    f = [tuple(row) for row in np.asarray(vals, dtype=float).tolist()]
+    c = [tuple(row) for row in np.asarray(coords, dtype=float).tolist()]
+    norms = [hypot(*row) for row in f]
+    share = sum(norms) / len(norms)  # U / vol
+    stack = [(c, f, norms, vol)]
+    lower = upper = 0.0
+    pieces = 1
+    while stack:
+        c, f, norms, v = stack.pop()
+        lo, hi = bracket(f, norms, v)
+        if hi - lo <= tol * max(hi, v * share):
+            lower, upper = lower + lo, upper + hi
+            continue
+        if pieces >= MASS_PIECE_BUDGET:
+            for lo_p, hi_p in [(lo, hi)] + [bracket(*piece[1:]) for piece in stack]:
+                lower, upper = lower + lo_p, upper + hi_p
+            raise MassBudgetExceeded(
+                f"carrier {carrier[0]}-simplex {carrier[1]}: mass bracket [{lower!r}, {upper!r}] "
+                f"after {pieces} pieces is wider than tol {tol!r}"
+            )
         i, j = max(edges, key=lambda e: sum((x - y) ** 2 for x, y in zip(c[e[0]], c[e[1]])))
         fm = tuple(0.5 * (x + y) for x, y in zip(f[i], f[j]))
         cm = tuple(0.5 * (x + y) for x, y in zip(c[i], c[j]))
         nm = hypot(*fm)
-        halves = []
-        for end in (i, j):
+        for end in (j, i):
             c2, f2, n2 = list(c), list(f), list(norms)
             c2[end], f2[end], n2[end] = cm, fm, nm
-            halves.append(recurse(c2, f2, n2, v / 2, depth + 1))
-        return halves[0] + halves[1]
-
-    f = [tuple(row) for row in np.asarray(vals, dtype=float).tolist()]
-    c = [tuple(row) for row in np.asarray(coords, dtype=float).tolist()]
-    return recurse(c, f, [hypot(*row) for row in f], vol, 0)
+            stack.append((c2, f2, n2, v / 2))
+        pieces += 1
+    return 0.5 * (lower + upper)
 
 
 def interior_product(X: Cochain, T: Chain) -> EvaluableCurrent:
@@ -448,7 +441,7 @@ def interior_product(X: Cochain, T: Chain) -> EvaluableCurrent:
     W = whitney_realize(X)
     q = r - k
     tangents = cx.unit_tangents(r)
-    vec_index = multivec.basis_index(n, r)
+    table = multivec.wedge_table(n, k, q)  # e_I ^ e_J = s e_o; each J sums over I in order
     entries = []
     for idx, a in T.coeffs.items():
         top = cx.containing_top(r, idx)
@@ -456,17 +449,13 @@ def interior_product(X: Cochain, T: Chain) -> EvaluableCurrent:
         if polys is None:
             continue
         xi = tangents[idx]
-        density = []
-        for J in multivec.basis_tuples(n, q):
-            acc = Poly.zero(n)
-            for i, I in enumerate(multivec.basis_tuples(n, k)):
-                sign, merged = multivec.merge_sign(I, J)
-                if sign == 0 or polys[i].is_zero():
-                    continue
-                factor = sign * xi[vec_index[merged]] * a
-                if factor != 0.0:
-                    acc = acc + polys[i].scale(factor)
-            density.append(acc)
+        density = [Poly.zero(n) for _ in range(multivec.dim(n, q))]
+        for i, j, o, s in table:
+            if polys[i].is_zero():
+                continue
+            factor = s * xi[o] * a
+            if factor != 0.0:
+                density[j] = density[j] + polys[i].scale(factor)
         if any(not p.is_zero() for p in density):
             entries.append(CurrentEntry(r, idx, density))
     return EvaluableCurrent(cx, q, entries)

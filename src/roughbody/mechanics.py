@@ -22,10 +22,17 @@ from .errors import (
     OrientationReversal,
 )
 from .flatnorm import cochain_flat_norm
-from .forms import Cochain, EvaluableCurrent, FormField, coboundary, interior_product, whitney_realize
+from .forms import (
+    Cochain,
+    EvaluableCurrent,
+    FormField,
+    chain_as_current,
+    coboundary,
+    interior_product,
+    whitney_realize,
+)
 from .maps import PAMap, lip_seminorm, pullback_form, pushforward
 from .mesh import Complex
-from .poly import Poly, integrate_over_simplex
 from .sharp import SharpField, multiply
 
 EXTENSION_TOL = 1e-9
@@ -299,57 +306,31 @@ def stress_report(
 ) -> StressReport:
     """Material-frame power integrals cross-checked against spatial evaluations.
 
-    Every term is pulled back per source simplex (compose with the affine
-    map, weight by the Jacobian determinant, integrate exactly); the
-    Piola-Kirchhoff tuple is the pullback of the Cauchy stress forms.
+    Per component, the n-forms d(v_i w_i), -v_i dw_i and dv_i ^ w_i of the
+    spatial powers are pulled back to the source (maps.pullback_form) and
+    paired with T as a current, so T's orientation counts as it does in the
+    spatial frame; the Piola-Kirchhoff tuple is the pullback of the Cauchy
+    stress forms.
     """
     cochains = tuple(cochains)
-    src = config.source
-    n = src.dim
+    n = config.source.dim
     if config.map.target_dim != n:
         raise OrientationReversal("material frame needs equal source and target dimensions")
-    support = sorted(T.coeffs)
-    for idx in support:
+    for idx in sorted(T.coeffs):
         if config.jacobian_det(idx) <= 0.0:
             raise OrientationReversal(f"simplex {idx} has non-positive Jacobian")
 
     vp = virtual_power_report(cochains, config, T, v)
-    img = config.map.image()
     forms = [whitney_realize(X) for X in cochains]
-
-    # per component, the n-forms d(v_i w_i), d w_i and (d v_i) ^ w_i on the image tops of T
-    image_tops = img.simplex_image[n].tolist()
-    tops = [image_tops[idx] for idx in support if image_tops[idx] >= 0]
-    terms = []
-    for i, w in enumerate(forms):
-        here = [t for t in tops if t in w.comps]
-        vw = FormField(w.complex, n - 1, {t: [v[i].as_poly(t) * p for p in w.comps[t]] for t in here})
-        dw = FormField(w.complex, n - 1, {t: w.comps[t] for t in here}).d()
-        dv = FormField(w.complex, 1, {t: [Poly.constant(n, g) for g in v[i].gradients[t]] for t in here})
-        terms.append((vw.d(), dw, dv.wedge(w)))
-
+    body = chain_as_current(T)
     material = np.zeros(3)
-    for idx in support:
-        coeff = T.coeffs[idx]
-        image_top = image_tops[idx]
-        if image_top < 0:
-            continue
-        M, c = config.map.affine_on(idx)
-        J = config.jacobian_det(idx)
-        coords = src.coords(n, idx)
-        vol = src.volume(n, idx)
-        for i, (d_vw, dw, dv_w) in enumerate(terms):
-            if image_top not in dw.comps:
-                continue
-            body = (v[i].as_poly(image_top) * dw.comps[image_top][0]).scale(-1.0)
-            polys = (d_vw.comps[image_top][0], body, dv_w.comps[image_top][0])
-            material += coeff * J * np.array(
-                [integrate_over_simplex(p.compose_affine(M, c), coords, vol) for p in polys]
-            )
+    for i, w in enumerate(forms):
+        vi = whitney_realize(v[i].as_cochain())
+        terms = (vi.wedge(w).d(), vi.wedge(w.d()).scale(-1.0), vi.d().wedge(w))
+        material += [body.evaluate(pullback_form(config.map, term)) for term in terms]
 
     spatial = (vp.surface_power, vp.body_power, vp.internal_power)
     material = tuple(material.tolist())
     dev = max(abs(a - b) for a, b in zip(spatial, material))
     pk = tuple(pullback_form(config.map, w) for w in forms)
     return StressReport(spatial, material, dev, pk, tuple(forms))
-

@@ -5,9 +5,9 @@ order of a row is the orientation of its simplex) and per-degree boundary
 arrays: faces[j, i] is the facet of simplex j opposite its vertex i, and
 signs[j, i] is that facet's incidence.  Faces are derived automatically
 and a shared face is stored once, which makes "boundary of boundary = 0"
-structural.  The tuple lists `simplices`, the frozenset-keyed `index` and
-the list-form `incidence` are views of these arrays, each built on first
-use (`simplices` per degree).
+structural.  The tuple lists `simplices` and the frozenset-keyed `index`
+are views of these arrays, each built on first use (`simplices` per
+degree).
 
 Simplex geometry has one home.  `kvectors` holds every determinant: the
 k-vectors of the edges of whole degrees of simplices, from which come

@@ -3,8 +3,11 @@
 k-vectors and k-covectors are plain coefficient arrays over the standard
 basis of Lambda_k R^n, indexed by sorted k-tuples of axes; this module
 holds that indexing and the wedge, pairing and contraction of such
-arrays.  The k-vectors of simplices are computed a whole degree at a time
-by mesh.kvectors.  For n <= 3 every k-vector is simple, so the mass norm
+arrays.  Every sign of e_I ^ e_J comes from one cached table,
+wedge_table(n, k, r): the wedge and the contraction here, and the
+exterior derivative and interior product of forms, all walk its rows.
+The k-vectors of simplices are computed a whole degree at a time by
+mesh.kvectors.  For n <= 3 every k-vector is simple, so the mass norm
 of a k-vector and the comass of a k-covector both reduce to the Euclidean
 norm of the coefficient array; that fact is relied on throughout the
 package.
@@ -52,7 +55,11 @@ def merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, 
 
 @lru_cache(maxsize=None)
 def wedge_table(n: int, k: int, r: int):
-    """List of (i, j, out, sign) entries describing Lambda_k x Lambda_r -> Lambda_{k+r}."""
+    """List of (i, j, out, sign) entries describing Lambda_k x Lambda_r -> Lambda_{k+r}.
+
+    e_I ^ e_J = sign e_out for the i-th k-tuple I and the j-th r-tuple J
+    sharing no axis; rows run over i, then j.
+    """
     out_index = basis_index(n, k + r)
     table = []
     for i, a in enumerate(basis_tuples(n, k)):
@@ -80,14 +87,7 @@ def contract(cov: np.ndarray, k: int, vec: np.ndarray, r: int, n: int) -> np.nda
     """Interior product phi -| xi: the (r-k)-vector with <psi, phi-|xi> = <phi^psi, xi>."""
     if k > r:
         raise ValueError("contraction degree exceeds vector degree")
-    q = r - k
-    out = np.zeros(dim(n, q))
-    vec_index = basis_index(n, r)
-    for j, b in enumerate(basis_tuples(n, q)):
-        acc = 0.0
-        for i, a in enumerate(basis_tuples(n, k)):
-            sign, merged = merge_sign(a, b)
-            if sign != 0:
-                acc += sign * cov[i] * vec[vec_index[merged]]
-        out[j] = acc
+    out = np.zeros(dim(n, r - k))
+    for i, j, o, s in wedge_table(n, k, r - k):  # each out[j] sums over i in order
+        out[j] += s * cov[i] * vec[o]
     return out

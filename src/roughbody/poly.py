@@ -46,11 +46,8 @@ class Poly:
                 terms[m] = float(lin[d])
         return cls(n, terms)
 
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)

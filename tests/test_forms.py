@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from roughbody.chains import elementary
 from roughbody import forms
-from roughbody.errors import AmbientTooSmall, DegreeMismatch, TopDegree
+from roughbody.errors import AmbientTooSmall, DegreeMismatch, MassBudgetExceeded, TopDegree
 from roughbody.forms import (
     Cochain,
     chain_as_current,
@@ -85,7 +87,7 @@ class TestWhitneyRealize:
             X = random_cochain(square, k, rng)
             w = whitney_realize(X)
             for i in range(square.n_simplices(k)):
-                got = w.pairing_with_chain(elementary(square, k, i))
+                got = chain_as_current(elementary(square, k, i)).evaluate(w)
                 assert got == pytest.approx(X.coeffs.get(i, 0.0), abs=1e-12)
 
     def test_duality_3d(self, rng):
@@ -94,7 +96,7 @@ class TestWhitneyRealize:
             X = random_cochain(cx, k, rng)
             w = whitney_realize(X)
             for i in range(0, cx.n_simplices(k), 3):
-                got = w.pairing_with_chain(elementary(cx, k, i))
+                got = chain_as_current(elementary(cx, k, i)).evaluate(w)
                 assert got == pytest.approx(X.coeffs.get(i, 0.0), abs=1e-12)
 
     def test_grid_dx_field(self):
@@ -112,7 +114,7 @@ class TestWhitneyRealize:
     def test_simplicial_pairing_matches_integration(self, grid44, rng):
         X = random_cochain(grid44, 1, rng)
         T = random_chain(grid44, 1, rng)
-        integral = whitney_realize(X).pairing_with_chain(T)
+        integral = chain_as_current(T).evaluate(whitney_realize(X))
         assert integral == pytest.approx(evaluate(X, T), abs=1e-10)
 
     def test_exterior_derivative_commutes(self, grid44, rng):
@@ -129,7 +131,7 @@ class TestWedge:
     def test_dx_wedge_dy_on_square(self, square, square_chain):
         dy = constant_form(square, 1, [0.0, 1.0])
         w = wedge(dx_cochain(square), dy)
-        assert w.pairing_with_chain(square_chain) == pytest.approx(1.0, abs=1e-12)
+        assert chain_as_current(square_chain).evaluate(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_wedge_with_zero(self, square):
         dy = constant_form(square, 1, [0.0, 1.0])
@@ -184,7 +186,7 @@ class TestInteriorProduct:
             Y = random_cochain(grid44, 1, rng)
             omega = whitney_realize(Y)
             lhs = interior_product(X, T).evaluate(omega)
-            rhs = wedge(X, omega).pairing_with_chain(T)
+            rhs = chain_as_current(T).evaluate(wedge(X, omega))
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
     def test_degree_mismatch(self, square, rng):
@@ -243,6 +245,16 @@ class TestInteriorProduct:
                     x = C[0] + l1 * (C[1] - C[0]) + l2 * (C[2] - C[0])
                     total += np.linalg.norm([p(x) for p in e.density]) / (N * N / 2) * 0.5
         assert got == pytest.approx(total, rel=2e-2)
+
+    def test_default_tol_mass_stops_at_piece_budget(self):
+        # tol 1e-9 would need about 1e9 pieces on a rank-2 carrier
+        rng = np.random.default_rng(0)
+        cx = grid_mesh(4, 4)
+        cur = interior_product(random_cochain(cx, 1, rng), random_chain(cx, 2, rng))
+        start = time.perf_counter()
+        with pytest.raises(MassBudgetExceeded, match=r"carrier 2-simplex \d+: mass bracket \[\S+, \S+\]"):
+            cur.mass()
+        assert time.perf_counter() - start < 2.0
 
 
 class TestMaterialize:

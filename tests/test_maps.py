@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roughbody.errors import EmptyRegion
-from roughbody.forms import constant_form, evaluate, whitney_realize
+from roughbody.forms import chain_as_current, constant_form, evaluate, whitney_realize
 from roughbody.generate import (
     grid_mesh,
     random_chain,
@@ -217,8 +217,8 @@ class TestPullbacks:
             X = random_cochain(F.image_complex, 1, rng)
             w = whitney_realize(X)
             T = random_chain(cx, 1, rng)
-            lhs = pullback_form(F, w).pairing_with_chain(T)
-            rhs = w.pairing_with_chain(pushforward(F, T))
+            lhs = chain_as_current(T).evaluate(pullback_form(F, w))
+            rhs = chain_as_current(pushforward(F, T)).evaluate(w)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
     def test_full_dimensional_body_area_formula(self, square, square_chain):

@@ -409,6 +409,17 @@ class TestStressReport:
             worst = max(worst, rep.max_deviation)
         assert worst <= 1e-8
 
+    def test_clockwise_body_frames_agree(self, rng):
+        # both triangles listed clockwise: T's orientation enters both frames alike
+        cx = build_complex([[0, 0], [1, 0], [1, 1], [0, 1]], {2: [(0, 2, 1), (0, 3, 2)]})
+        A = np.array([[1.5, 0.3], [-0.2, 0.8]])
+        config = Configuration(PAMap(cx, cx.vertices @ A.T + [0.4, -1.0]))
+        icx = config.image_complex
+        Xs = cochain_tuple(icx, rng)
+        v = VirtualVelocity([random_sharp_field(icx, rng) for _ in range(2)])
+        rep = stress_report(Xs, config, Chain(cx, 2, {0: 1.0, 1: 1.0}), v)
+        assert rep.max_deviation <= 1e-9
+
     def test_orientation_reversal_rejected(self, split_square, body_chain, rng):
         flipped = split_square.vertices @ np.array([[-1.0, 0.0], [0.0, 1.0]]).T
         config = Configuration(PAMap(split_square, flipped))

@@ -34,7 +34,7 @@ class TestMultiply:
         X = random_cochain(square, 2, rng)
         from roughbody.forms import evaluate
 
-        assert cur.evaluate_cochain(X) == pytest.approx(
+        assert cur.evaluate(whitney_realize(X)) == pytest.approx(
             evaluate(X, square_chain), abs=1e-12
         )
 
