@@ -75,9 +75,7 @@ from .mesh import (
     HalfSpace,
     Refinement,
     barycentric_refine,
-    barycentric_subdivide,
     build_complex,
-    clip_simplex,
     refine_by_halfspace,
 )
 from .sharp import ProductBoundsReport, SharpField, boundary_product, check_product_bounds, multiply

@@ -43,11 +43,12 @@ import numpy as np
 
 from .errors import DegenerateSimplex, NonManifoldOverlap
 from .multivec import basis_tuples
-from .simplex_lp import integer_image, interiors_intersect
+from .simplex_lp import certainly_disjoint, facet_signs, float_image, integer_image, interiors_intersect
 
 DEGENERACY_TOL = 1e-12
 VALUE_SNAP = 1e-10
 PAIR_BLOCK = 4096  # candidate pairs screened per numpy pass of the overlap sweep
+FILTER_BLOCK = 128  # box-meeting pairs per call of the overlap sweep's float filter, about 1 kB each in 2D
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -346,8 +347,10 @@ def build_complex(vertices, simplices, check_overlap: bool = True) -> Complex:
     relative interiors (top degree and explicitly given degrees are tested;
     disable with check_overlap=False for trusted input).  The overlap test
     is one exact sweep per tested degree on the vertices and id rows (see
-    first_overlapping_pair): shared faces never count, and no overlap is
-    too shallow to be found.
+    first_overlapping_pair): for full-dimensional simplices a float filter
+    with Shewchuk's forward error bounds proves most pairs disjoint, and the
+    integer separating-axis test decides every other pair.  Shared faces
+    never count, and no overlap is too shallow to be found.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] not in (1, 2, 3):
@@ -422,10 +425,18 @@ def first_overlapping_pair(vertices: np.ndarray, S: np.ndarray) -> tuple[int, in
     S holds (m, k + 1) ids of rows of `vertices`.  A sweep over the
     simplices sorted by their lowest x finds the pairs whose bounding boxes
     meet, PAIR_BLOCK pairs per numpy pass, in the order (a, then b) of the
-    sorted simplices.  Every vertex is scaled to ints once, by one power of
-    two for the whole mesh, and the separating-axis test
-    `simplex_lp.interiors_intersect` decides each pair exactly on that
-    image.  Boxes that only touch are tested, because the test is exact.
+    sorted simplices.  When the simplices are full-dimensional (k = n) the
+    float filter `simplex_lp.certainly_disjoint` runs first, FILTER_BLOCK
+    pairs per call, on the float image of the vertices and facet signs taken
+    once per sweep; it proves most pairs disjoint, neighbours across shared
+    faces included.  Every pair it leaves, and every pair when k < n, goes
+    in sweep order to the separating-axis test
+    `simplex_lp.interiors_intersect`, which decides it exactly on the
+    vertices scaled to ints by one power of two for the whole mesh; that
+    image is built when the first pair reaches it.  The filter is never
+    wrong when it calls a pair disjoint, so the first overlapping pair is
+    the one the integer test alone would find.  Boxes that only touch are
+    tested, because both tests are exact about contact.
     """
     vertices = np.asarray(vertices, dtype=float)
     S = np.asarray(S, dtype=np.intp)
@@ -436,20 +447,38 @@ def first_overlapping_pair(vertices: np.ndarray, S: np.ndarray) -> tuple[int, in
     for col in S.T[1:]:
         lo, hi = np.minimum(lo, vertices[col]), np.maximum(hi, vertices[col])
     order = np.argsort(lo[:, 0])
-    S, lo, hi = S[order], lo[order], hi[order]
-    # simplex a meets the boxes of candidates a + 1 .. ends[a] - 1; pair t of
-    # the sweep is (a, a + 1 + t - starts[a]) with starts[a] <= t < starts[a + 1]
-    ends = np.searchsorted(lo[:, 0], hi[:, 0], side="right")
+    S, lo, hi = S[order], lo[order].T.copy(), hi[order].T.copy()
+    # simplex a meets the boxes of candidates a + 1 .. ends[a] - 1 in x; pair t
+    # of the sweep is (a, a + 1 + t - starts[a]) with starts[a] <= t < starts[a + 1]
+    ends = np.searchsorted(lo[0], hi[0], side="right")
     starts = np.concatenate([[0], np.cumsum(ends - np.arange(1, m + 1))])
-    P = integer_image(vertices)
-    # integer vertex rows in sweep order, built a column at a time to hold few int objects at once
-    R = list(zip(*[list(map(P.__getitem__, col.tolist())) for col in S.T]))
+    full = S.shape[1] == vertices.shape[1] + 1
+    if full:
+        # vertex, coordinate, simplex: every array of the filter runs along the simplices
+        C = np.ascontiguousarray(np.moveaxis(float_image(vertices)[S], 0, -1))
+        signs = np.concatenate([facet_signs(C[..., c : c + FILTER_BLOCK]) for c in range(0, m, FILTER_BLOCK)], axis=1)
+    R = None
     for t0 in range(0, int(starts[-1]), PAIR_BLOCK):
-        t = np.arange(t0, min(t0 + PAIR_BLOCK, int(starts[-1])))
-        a = np.searchsorted(starts, t, side="right") - 1
-        b = a + 1 + t - starts[a]
-        meet = np.all(lo[b] <= hi[a], axis=1) & np.all(hi[b] >= lo[a], axis=1)
-        for x, y in zip(a[meet].tolist(), b[meet].tolist()):
+        t1 = min(t0 + PAIR_BLOCK, int(starts[-1]))
+        a = np.searchsorted(starts, np.arange(t0, t1), side="right") - 1
+        b = a + np.arange(t0 + 1, t1 + 1) - starts[a]
+        # the boxes meet in x by the choice of candidates
+        meet = np.ones(len(a), dtype=bool)
+        for lo_d, hi_d in zip(lo[1:], hi[1:]):
+            meet &= (lo_d.take(b) <= hi_d.take(a)) & (hi_d.take(b) >= lo_d.take(a))
+        a, b = a[meet], b[meet]
+        if full:
+            undecided = np.ones(len(a), dtype=bool)
+            for c in range(0, len(a), FILTER_BLOCK):
+                x, y = a[c : c + FILTER_BLOCK], b[c : c + FILTER_BLOCK]
+                disjoint = certainly_disjoint(C.take(x, -1), signs.take(x, -1), C.take(y, -1), signs.take(y, -1))
+                undecided[c : c + FILTER_BLOCK] = ~disjoint
+            a, b = a[undecided], b[undecided]
+        if len(a) and R is None:
+            P = integer_image(vertices)
+            # integer vertex rows in sweep order, built a column at a time to hold few int objects at once
+            R = list(zip(*[list(map(P.__getitem__, col.tolist())) for col in S.T]))
+        for x, y in zip(a.tolist(), b.tolist()):
             if interiors_intersect(R[x], R[y]):
                 return int(order[x]), int(order[y])
     return None
@@ -642,19 +671,6 @@ def side_of_simplices(cx: Complex, k: int, hs: HalfSpace) -> np.ndarray:
     return np.where(d >= -VALUE_SNAP * cx.diameter(), 1, -1)
 
 
-def clip_simplex(cx: Complex, k: int, idx: int, hs: HalfSpace) -> list[np.ndarray]:
-    """Exact simplicial subdivision of (simplex intersect half-space).
-
-    Returns vertex-coordinate arrays, each oriented like the parent simplex;
-    an empty intersection yields an empty list.  The simplex is refined on
-    its own by refine_by_halfspace and the pieces on the + side are kept.
-    """
-    one = build_complex(cx.coords(k, idx), {k: [tuple(range(k + 1))]}, check_overlap=False)
-    ref = refine_by_halfspace(one, hs)
-    sides = side_of_simplices(ref.complex, k, hs)
-    return [ref.complex.coords(k, j) for j in ref.carry[k][0] if sides[j] > 0]
-
-
 # -- barycentric refinement ----------------------------------------------
 
 
@@ -710,8 +726,3 @@ def _barycentric_once(cx: Complex) -> Refinement:
         positions = list(range(len(new[k])))
         carry[k] = [positions[i : i + len(flags)] for i in range(0, len(positions), len(flags))]
     return Refinement(build_complex(np.concatenate(centers), new, check_overlap=False), cx, carry)
-
-
-def barycentric_subdivide(cx: Complex, levels: int) -> Complex:
-    """Refined complex after `levels` barycentric subdivisions."""
-    return barycentric_refine(cx, levels).complex

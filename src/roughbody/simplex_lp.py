@@ -13,8 +13,20 @@ produces routinely.
 of their relative interiors.  It needs no LP and no tolerance: the float
 coordinates are scaled to Python integers by one power of two
 (`integer_image`), and a separating-axis test (`interiors_intersect`) runs
-in exact integer arithmetic.  `mesh.first_overlapping_pair` scales a whole
-mesh once and calls the same integer test on the pairs that need it.
+in exact integer arithmetic.  That integer test is the reference.
+
+`certainly_disjoint` is a float filter in front of it for pairs of
+full-dimensional simplices (k = n).  It evaluates the orientation of every
+vertex of one simplex against every facet hyperplane of the other in numpy,
+each with Shewchuk's static forward error bound (orient2d (3 + 16 eps) eps,
+orient3d (7 + 56 eps) eps times the permanent, eps = 2^-53; Shewchuk,
+"Adaptive precision floating-point arithmetic and fast robust geometric
+predicates", DCG 18, 1997).  A pair is called disjoint only when one facet
+hyperplane certainly separates it, so that answer is always right; every
+other pair is left to the integer test.  The bounds hold on `float_image`,
+a power-of-two scaling that keeps every product of differences clear of
+underflow and overflow.  `mesh.first_overlapping_pair` runs the filter on
+each block of box-meeting pairs and the integer test on the rest.
 """
 
 from __future__ import annotations
@@ -28,6 +40,13 @@ import numpy as np
 from .errors import LPNumericalFailure
 
 FEAS_TOL = 1e-9
+
+_EPS = 2.0**-53
+# Shewchuk's static error bounds of orient2d and orient3d, per unit of the determinant's permanent
+ORIENT2D_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+ORIENT3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
+# no two entries of one column of a float image differ by less than this unless they are equal
+FLOAT_GAP = 2.0**-300
 
 
 @dataclass
@@ -269,3 +288,108 @@ def _properly_separates(u, A, B) -> bool:
     if hi_b <= lo_a:
         return lo_b < hi_a
     return False
+
+
+def float_image(X: np.ndarray) -> np.ndarray:
+    """The rows of a finite X scaled by one power of two into (-1, 1), NaN where the float filter may not use them.
+
+    A row is NaN when the scaling changes it (an entry falls below the
+    normal range) or when one of its entries differs from an entry of the
+    same column by less than FLOAT_GAP without being equal to it.  So the
+    float difference of two entries of one column of the other rows is 0
+    or of magnitude in [FLOAT_GAP, 2).  Every product that orient2d and
+    orient3d form from such differences is then 0 or a normal number (a
+    nonzero difference of two products is at least 2^-53 times the
+    smaller), and Shewchuk's bounds hold whatever the scale of X.  NaN
+    makes every sign that uses the row uncertain.
+    """
+    X = np.asarray(X, dtype=float)
+    e = np.frexp(np.abs(X).max(initial=0.0))[1]
+    Y = np.ldexp(X, -e)
+    bad = (np.ldexp(Y, e) != X).any(axis=1)
+    for col in Y.T:
+        values, which = np.unique(col, return_inverse=True)
+        near = np.diff(values) < FLOAT_GAP
+        bad |= (np.append(near, False) | np.insert(near, 0, False))[which]
+    Y[bad] = np.nan
+    return Y
+
+
+def _facets(n: int) -> list[list[int]]:
+    """Vertex positions of facet i of an n-simplex, the one opposite vertex i, ascending."""
+    return [[j for j in range(n + 1) if j != i] for i in range(n + 1)]
+
+
+def _orient(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float determinants of the matrices with rows R[0], ..., R[n - 1] and their forward error bounds.
+
+    R[r, c] holds coordinate c of row r, for a whole array of matrices.
+    Row r is a facet vertex minus the test point, so a test point equal to
+    a facet vertex gives a zero row, det 0 and bound 0 exactly.  The
+    formulas and bounds are Shewchuk's orient2d and orient3d: the float
+    det differs from the exact one by at most the bound.  In R^1 the det is
+    one float difference, whose sign is exact, and the bound is 0.
+    """
+    n = len(R)
+    if n == 1:
+        return R[0, 0], np.zeros_like(R[0, 0])
+    if n == 2:
+        left, right = R[0, 0] * R[1, 1], R[0, 1] * R[1, 0]
+        return left - right, ORIENT2D_BOUND * (np.abs(left) + np.abs(right))
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = R
+    bxcy, cxby, cxay, axcy, axby, bxay = bx * cy, cx * by, cx * ay, ax * cy, ax * by, bx * ay
+    det = az * (bxcy - cxby) + bz * (cxay - axcy) + cz * (axby - bxay)
+    permanent = (
+        (np.abs(bxcy) + np.abs(cxby)) * np.abs(az)
+        + (np.abs(cxay) + np.abs(axcy)) * np.abs(bz)
+        + (np.abs(axby) + np.abs(bxay)) * np.abs(cz)
+    )
+    return det, ORIENT3D_BOUND * permanent
+
+
+def _facet_rows(C: np.ndarray) -> np.ndarray:
+    """The vertices of every facet of the simplices C, (vertex, coordinate, simplex), as (row, coordinate, facet, simplex)."""
+    return C[_facets(len(C) - 1)].transpose(1, 2, 0, 3)
+
+
+def facet_signs(C: np.ndarray) -> np.ndarray:
+    """Certain sign of the orientation of facet i of each simplex at its own vertex i, else 0.
+
+    C holds the simplices of a float image as (n + 1, n, m): vertex,
+    coordinate, simplex.  The result is (n + 1, m).  A sign is 0 where the
+    float evaluation cannot certify it, which includes every flat simplex;
+    such a facet gives the filter no separating axis.  The rows are a_f -
+    a_i, facet vertex minus test point, as in certainly_disjoint.
+    """
+    det, bound = _orient(_facet_rows(C) - C.transpose(1, 0, 2))
+    return (det > bound).astype(np.int8) - (det < -bound)
+
+
+def certainly_disjoint(CA: np.ndarray, sA: np.ndarray, CB: np.ndarray, sB: np.ndarray) -> np.ndarray:
+    """Which pairs of full-dimensional simplices a float filter proves to have disjoint interiors.
+
+    CA and CB hold the p pairs' simplices of a float image (float_image)
+    as (n + 1, n, p): vertex, coordinate, pair, so that every array below
+    runs contiguously along the pairs.  sA and sB are their facet_signs.
+    Pair q is called disjoint when a facet hyperplane of A[q] (or B[q])
+    with a certain own sign has every vertex of the other simplex certainly
+    on its far side or exactly on it: then it properly separates the pair
+    (Rockafellar, Thm 11.3).  Shared vertices lie exactly on it, so
+    neighbours across a shared facet are decided.  True is always right;
+    False means only that the floats could not decide, and the pair is
+    left to `interiors_intersect`.
+    """
+    return _facet_separates(CA, sA, CB) | _facet_separates(CB, sB, CA)
+
+
+def _facet_separates(CA, sA, CB) -> np.ndarray:
+    """Whether some facet of A with a certain own sign has every vertex of B certainly beyond it or on it.
+
+    Shewchuk's bound is not strict, so det = -bound still leaves the true
+    value on the far side or on the hyperplane, which is all a proper
+    separation needs; a zero bound certifies a zero det.
+    """
+    # row r, coordinate c of A's facet i at B's vertex j: a_f - b_j, indexed [r, c, j, i, pair]
+    det, bound = _orient(_facet_rows(CA)[:, :, None] - CB.transpose(1, 0, 2)[:, :, None])
+    own = sA.astype(float)
+    return ((det * own <= -bound).all(axis=0) & (own != 0)).any(axis=0)

@@ -13,10 +13,9 @@ from roughbody.generate import cube_mesh, grid_mesh, segment_mesh
 from roughbody.mesh import (
     HalfSpace,
     barycentric_refine,
-    barycentric_subdivide,
     build_complex,
-    clip_simplex,
     refine_by_halfspace,
+    side_of_simplices,
 )
 
 
@@ -103,21 +102,27 @@ class TestVolumesAndTangents:
                 assert np.linalg.norm(grid44.unit_tangents(k)[i]) == pytest.approx(1.0)
 
 
+def _clip(cx, k, hs):
+    """Vertex coordinates of the k-simplices on the + side of cx refined by hs."""
+    ref = refine_by_halfspace(cx, hs)
+    return [ref.complex.coords(k, j) for j in np.flatnonzero(side_of_simplices(ref.complex, k, hs) > 0)]
+
+
 class TestClipping:
     def test_empty_clip(self):
         tri = build_complex([[0, 0], [1, 0], [0, 1]], {2: [(0, 1, 2)]})
-        assert clip_simplex(tri, 2, 0, HalfSpace((1, 0), 2.0)) == []
+        assert _clip(tri, 2, HalfSpace((1, 0), 2.0)) == []
 
     def test_full_clip_returns_whole(self):
         tri = build_complex([[0, 0], [1, 0], [0, 1]], {2: [(0, 1, 2)]})
-        pieces = clip_simplex(tri, 2, 0, HalfSpace((1, 0), 0.0))
+        pieces = _clip(tri, 2, HalfSpace((1, 0), 0.0))
         assert len(pieces) == 1
         assert np.allclose(pieces[0], tri.coords(2, 0))
 
     def test_corner_area(self):
         # analytic: the corner beyond x = 0.5 is a similar triangle of area 1/8
         tri = build_complex([[0, 0], [1, 0], [0, 1]], {2: [(0, 1, 2)]})
-        pieces = clip_simplex(tri, 2, 0, HalfSpace((1, 0), 0.5))
+        pieces = _clip(tri, 2, HalfSpace((1, 0), 0.5))
         area = sum(abs(np.linalg.det((p[1:] - p[0]).T)) / 2 for p in pieces)
         assert area == pytest.approx(0.125, abs=1e-12)
 
@@ -133,7 +138,7 @@ class TestClipping:
         hs = HalfSpace(tuple(lam), s)
         hs_c = HalfSpace(tuple(-lam), -s)
         area = lambda ps: sum(abs(np.linalg.det((p[1:] - p[0]).T)) / 2 for p in ps)
-        total = area(clip_simplex(tri, 2, 0, hs)) + area(clip_simplex(tri, 2, 0, hs_c))
+        total = area(_clip(tri, 2, hs)) + area(_clip(tri, 2, hs_c))
         assert total == pytest.approx(0.5, abs=1e-10)
 
     def test_tet_clip_additivity(self, rng):
@@ -144,9 +149,8 @@ class TestClipping:
             hs = HalfSpace(tuple(lam), s)
             hs_c = HalfSpace(tuple(-lam), -s)
             total = 0.0
-            for i in range(tet.n_simplices(3)):
-                for pieces in (clip_simplex(tet, 3, i, hs), clip_simplex(tet, 3, i, hs_c)):
-                    total += sum(abs(np.linalg.det((p[1:] - p[0]).T)) / 6 for p in pieces)
+            for pieces in (_clip(tet, 3, hs), _clip(tet, 3, hs_c)):
+                total += sum(abs(np.linalg.det((p[1:] - p[0]).T)) / 6 for p in pieces)
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -176,13 +180,13 @@ class TestHalfspaceRefinement:
 class TestBarycentric:
     def test_triangle_becomes_six(self):
         tri = build_complex([[0, 0], [1, 0], [0, 1]], {2: [(0, 1, 2)]})
-        fine = barycentric_subdivide(tri, 1)
+        fine = barycentric_refine(tri, 1).complex
         assert fine.n_simplices(2) == 6
         total = Chain(fine, 2, {i: 1.0 for i in range(6)}).mass()
         assert total == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_levels_identity(self, square):
-        same = barycentric_subdivide(square, 0)
+        same = barycentric_refine(square, 0).complex
         assert same.n_simplices(2) == square.n_simplices(2)
 
     def test_volume_preserved_per_skeleton(self, square):
