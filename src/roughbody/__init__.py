@@ -41,7 +41,6 @@ from .forms import (
     constant_form,
     evaluate,
     interior_product,
-    wedge,
     whitney_realize,
 )
 from .maps import (

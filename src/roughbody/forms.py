@@ -6,11 +6,16 @@ chains.  The coboundary is the adjoint of the boundary, taken on the dense
 vector.  A cochain's Whitney realization is the piecewise-polynomial form
 field with those simplex integrals; the realization is tangentially
 continuous, so weak exterior derivatives have no face terms and all
-pairings reduce to exact polynomial integrals.  A form field is paired
-with anything, a chain included, as an EvaluableCurrent: a chain T
-integrates w as chain_as_current(T).evaluate(w).  The signs of the
-exterior derivative and the interior product are the rows of
-multivec.wedge_table.
+pairings reduce to exact polynomial integrals.
+
+Every lazy current is built by one contraction, `interior_product(W, T)`:
+the densities W -| T of a form field W on the carriers of a chain T.  The
+current of a chain is 1 -| T (chain_as_current), a sharp product phi A is
+phi's PL interpolant contracted with A (sharp.multiply), and a cochain X
+acts as whitney_realize(X).  A form field is paired with a current by
+EvaluableCurrent.evaluate: a chain T integrates w as
+chain_as_current(T).evaluate(w).  The signs of the exterior derivative and
+the interior product are the rows of multivec.wedge_table.
 """
 
 from __future__ import annotations
@@ -202,11 +207,6 @@ def whitney_realize(X: Cochain) -> FormField:
         if res is not None:
             comps[top] = res
     return FormField(cx, k, comps)
-
-
-def wedge(X: Cochain, omega: FormField) -> FormField:
-    """Realized wedge of a cochain with a form field; Leibniz rule holds piecewise."""
-    return whitney_realize(X).wedge(omega)
 
 
 @dataclass
@@ -429,23 +429,27 @@ def _adaptive_norm_integral(
     return 0.5 * (lower + upper)
 
 
-def interior_product(X: Cochain, T: Chain) -> EvaluableCurrent:
-    """The (r-k)-current X -| T with (X -| T)(w) = (X ^ w)(T)."""
-    if X.complex is not T.complex:
-        raise ComplexMismatch("cochain and chain live on different complexes")
-    k, r = X.degree, T.degree
+def interior_product(omega: FormField, T: Chain) -> EvaluableCurrent:
+    """The (r-k)-current omega -| T with (omega -| T)(w) = (omega ^ w)(T).
+
+    On each simplex of T the density is omega's polynomials on its
+    containing top simplex contracted with T's coefficient times the unit
+    tangent.  Every current's densities are built here; EvaluableCurrent
+    only rescales and concatenates them.
+    """
+    if omega.complex is not T.complex:
+        raise ComplexMismatch("form field and chain live on different complexes")
+    k, r = omega.degree, T.degree
     if k > r:
         raise DegreeMismatch("contraction degree exceeds chain degree")
     cx = T.complex
     n = cx.dim
-    W = whitney_realize(X)
     q = r - k
     tangents = cx.unit_tangents(r)
     table = multivec.wedge_table(n, k, q)  # e_I ^ e_J = s e_o; each J sums over I in order
     entries = []
     for idx, a in T.coeffs.items():
-        top = cx.containing_top(r, idx)
-        polys = W.comps.get(top)
+        polys = omega.comps.get(cx.containing_top(r, idx))
         if polys is None:
             continue
         xi = tangents[idx]
@@ -462,12 +466,5 @@ def interior_product(X: Cochain, T: Chain) -> EvaluableCurrent:
 
 
 def chain_as_current(T: Chain) -> EvaluableCurrent:
-    """The evaluable current of a simplicial chain (constant densities)."""
-    cx = T.complex
-    tangents = cx.unit_tangents(T.degree)
-    entries = []
-    for idx, a in T.coeffs.items():
-        xi = tangents[idx]
-        density = [Poly.constant(cx.dim, a * c) for c in xi]
-        entries.append(CurrentEntry(T.degree, idx, density))
-    return EvaluableCurrent(cx, T.degree, entries)
+    """The evaluable current of a simplicial chain: the constant 0-form 1 contracted with T."""
+    return interior_product(constant_form(T.complex, 0, [1.0]), T)

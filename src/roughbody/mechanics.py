@@ -256,7 +256,7 @@ def strain(config: Configuration, T: Chain, v: VirtualVelocity) -> tuple[Evaluab
     B = config.push(T)
     if v.complex is not config.image_complex:
         raise ComplexMismatch("velocity does not live on the deformed mesh")
-    return tuple(interior_product(coboundary(v[i].as_cochain()), B) for i in range(len(v)))
+    return tuple(interior_product(whitney_realize(coboundary(v[i].as_cochain())), B) for i in range(len(v)))
 
 
 @dataclass
@@ -325,7 +325,7 @@ def stress_report(
     body = chain_as_current(T)
     material = np.zeros(3)
     for i, w in enumerate(forms):
-        vi = whitney_realize(v[i].as_cochain())
+        vi = v[i].form
         terms = (vi.wedge(w).d(), vi.wedge(w.d()).scale(-1.0), vi.d().wedge(w))
         material += [body.evaluate(pullback_form(config.map, term)) for term in terms]
 

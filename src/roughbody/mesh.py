@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DegenerateSimplex, NonManifoldOverlap
 from .multivec import basis_tuples
-from .simplex_lp import certainly_disjoint, facet_signs, float_image, integer_image, interiors_intersect
+from .simplex_lp import certainly_disjoint, facet_signs, float_image, simplex_interiors_intersect
 
 DEGENERACY_TOL = 1e-12
 VALUE_SNAP = 1e-10
@@ -430,13 +430,13 @@ def first_overlapping_pair(vertices: np.ndarray, S: np.ndarray) -> tuple[int, in
     pairs per call, on the float image of the vertices and facet signs taken
     once per sweep; it proves most pairs disjoint, neighbours across shared
     faces included.  Every pair it leaves, and every pair when k < n, goes
-    in sweep order to the separating-axis test
-    `simplex_lp.interiors_intersect`, which decides it exactly on the
-    vertices scaled to ints by one power of two for the whole mesh; that
-    image is built when the first pair reaches it.  The filter is never
-    wrong when it calls a pair disjoint, so the first overlapping pair is
-    the one the integer test alone would find.  Boxes that only touch are
-    tested, because both tests are exact about contact.
+    in sweep order to the exact predicate
+    `simplex_lp.simplex_interiors_intersect`, which scales that pair's
+    vertices to ints by one power of two.  The filter is never wrong when
+    it calls a pair disjoint, and every power-of-two scaling is exact, so
+    the first overlapping pair is the one the integer test alone would
+    find.  Boxes that only touch are tested, because both tests are exact
+    about contact.
     """
     vertices = np.asarray(vertices, dtype=float)
     S = np.asarray(S, dtype=np.intp)
@@ -457,7 +457,6 @@ def first_overlapping_pair(vertices: np.ndarray, S: np.ndarray) -> tuple[int, in
         # vertex, coordinate, simplex: every array of the filter runs along the simplices
         C = np.ascontiguousarray(np.moveaxis(float_image(vertices)[S], 0, -1))
         signs = np.concatenate([facet_signs(C[..., c : c + FILTER_BLOCK]) for c in range(0, m, FILTER_BLOCK)], axis=1)
-    R = None
     for t0 in range(0, int(starts[-1]), PAIR_BLOCK):
         t1 = min(t0 + PAIR_BLOCK, int(starts[-1]))
         a = np.searchsorted(starts, np.arange(t0, t1), side="right") - 1
@@ -474,12 +473,8 @@ def first_overlapping_pair(vertices: np.ndarray, S: np.ndarray) -> tuple[int, in
                 disjoint = certainly_disjoint(C.take(x, -1), signs.take(x, -1), C.take(y, -1), signs.take(y, -1))
                 undecided[c : c + FILTER_BLOCK] = ~disjoint
             a, b = a[undecided], b[undecided]
-        if len(a) and R is None:
-            P = integer_image(vertices)
-            # integer vertex rows in sweep order, built a column at a time to hold few int objects at once
-            R = list(zip(*[list(map(P.__getitem__, col.tolist())) for col in S.T]))
         for x, y in zip(a.tolist(), b.tolist()):
-            if interiors_intersect(R[x], R[y]):
+            if simplex_interiors_intersect(vertices[S[x]], vertices[S[y]]):
                 return int(order[x]), int(order[y])
     return None
 

@@ -3,7 +3,10 @@
 Everything the package integrates is a polynomial of low total degree
 (piecewise-linear fields and their products), so integrals are evaluated
 in closed form through barycentric monomial formulas instead of
-quadrature rules.
+quadrature rules.  One affine substitution, `Poly.compose_affine`, serves
+both the pullback of forms by affine maps and integration, which
+substitutes barycentric coordinates and integrates each monomial by the
+Dirichlet formula.
 """
 
 from __future__ import annotations
@@ -96,18 +99,36 @@ class Poly:
             acc += v
         return acc
 
-    def compose_affine(self, M: np.ndarray, c: np.ndarray) -> "Poly":
-        """Substitute x = c + M y, returning a polynomial in y (M is n x ny)."""
+    def compose_affine(self, M: np.ndarray, c) -> "Poly":
+        """Substitute x = c + M y, returning a polynomial in y (M is n x ny, c has n entries).
+
+        Each monomial is expanded one factor x_d = c_d + sum_i M[d, i] y_i at
+        a time in a dict of y-exponents; zero entries of M and c add no term.
+        """
         ny = M.shape[1]
-        subs = [Poly.affine(ny, M[d, :], c[d]) for d in range(self.n)]
-        out = Poly.zero(ny)
+        rows = M.tolist()
+        shift = [float(x) for x in c]
+        out: dict[Monomial, float] = {}
+        zero = (0,) * ny
         for m, coeff in self.terms.items():
-            term = Poly.constant(ny, coeff)
+            expansion: dict[Monomial, float] = {zero: coeff}
             for d, e in enumerate(m):
                 for _ in range(e):
-                    term = term * subs[d]
-            out = out + term
-        return out
+                    nxt: dict[Monomial, float] = {}
+                    for bet, cc in expansion.items():
+                        if shift[d] != 0.0:
+                            nxt[bet] = nxt.get(bet, 0.0) + cc * shift[d]
+                        for i, mdi in enumerate(rows[d]):
+                            if mdi == 0.0:
+                                continue
+                            nb = list(bet)
+                            nb[i] += 1
+                            key = tuple(nb)
+                            nxt[key] = nxt.get(key, 0.0) + cc * mdi
+                    expansion = nxt
+            for bet, cc in expansion.items():
+                out[bet] = out.get(bet, 0.0) + cc
+        return Poly(ny, out)
 
 
 def _bary_monomial_integral(beta: tuple[int, ...], k: int) -> float:
@@ -121,31 +142,12 @@ def _bary_monomial_integral(beta: tuple[int, ...], k: int) -> float:
 def integrate_over_simplex(p: Poly, coords: np.ndarray, volume: float) -> float:
     """Exact integral of p over the simplex with vertex rows `coords`.
 
-    The polynomial is expanded in barycentric coordinates; the Dirichlet
-    formula then integrates each barycentric monomial exactly.
+    Substituting x = sum_i lambda_i coords[i] expands p in barycentric
+    coordinates; the Dirichlet formula then integrates each barycentric
+    monomial exactly.
     """
     k = coords.shape[0] - 1
-    # lambda-polynomials: x_d = sum_i lambda_i * coords[i, d]
-    out: dict[tuple[int, ...], float] = {}
-    zero = (0,) * (k + 1)
-    for m, c in p.terms.items():
-        expansion: dict[tuple[int, ...], float] = {zero: c}
-        for d, e in enumerate(m):
-            for _ in range(e):
-                nxt: dict[tuple[int, ...], float] = {}
-                for bet, cc in expansion.items():
-                    for i in range(k + 1):
-                        vid = coords[i, d]
-                        if vid == 0.0:
-                            continue
-                        nb = list(bet)
-                        nb[i] += 1
-                        key = tuple(nb)
-                        nxt[key] = nxt.get(key, 0.0) + cc * vid
-                expansion = nxt
-        for bet, cc in expansion.items():
-            out[bet] = out.get(bet, 0.0) + cc
     total = 0.0
-    for bet, cc in out.items():
+    for bet, cc in p.compose_affine(coords.T, [0.0] * p.n).terms.items():
         total += cc * _bary_monomial_integral(bet, k)
     return total * volume

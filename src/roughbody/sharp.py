@@ -3,8 +3,10 @@
 A sharp field is determined by vertex values; its gradient is constant on
 each top simplex, and the gradients of all top simplices form one (m, n)
 array, the vertex values contracted with the complex's barycentric
-gradients.  Multiplication with a chain is the interior product
-with the induced 0-cochain, kept lazy as a density current and
+gradients.  The field's one piecewise-linear interpolant is `form`, the
+Whitney realization of its vertex values (Whitney, Geometric Integration
+Theory, 1957).  Multiplication with a chain is that 0-form contracted with
+the chain by forms.interior_product, kept lazy as a density current and
 materialized to a simplicial chain only when the flat-norm LP needs one.
 """
 
@@ -18,9 +20,9 @@ import numpy as np
 from .chains import Chain
 from .errors import ComplexMismatch, DegreeZero
 from .flatnorm import flat_norm
-from .forms import Cochain, CurrentEntry, EvaluableCurrent, coboundary, interior_product
+from .forms import Cochain, EvaluableCurrent, FormField, coboundary, interior_product, whitney_realize
+from .maps import _region
 from .mesh import Complex
-from .poly import Poly
 
 BOUND_SLACK = 1e-6
 
@@ -45,27 +47,24 @@ class SharpField:
         G = cx.barygrads[:, :, : cx.dim]
         return np.matmul(G.transpose(0, 2, 1), self.values[cx.arrays[cx.top_degree]][:, :, None])[:, :, 0]
 
-    def as_poly(self, top_idx: int) -> Poly:
-        """Affine polynomial agreeing with the field on one top simplex."""
-        g = self.gradients[top_idx]
-        verts = self.complex.simplices[self.complex.top_degree][top_idx]
-        v0 = self.complex.vertices[verts[0]]
-        return Poly.affine(self.complex.dim, g, self.values[verts[0]] - float(g @ v0))
+    @cached_property
+    def form(self) -> FormField:
+        """The field as a 0-form: the Whitney realization of its vertex values."""
+        return whitney_realize(self.as_cochain())
 
     def as_cochain(self) -> Cochain:
         """The flat 0-cochain induced by the field (vertex values)."""
         return Cochain(self.complex, 0, {i: float(v) for i, v in enumerate(self.values)})
 
     def sup(self, region=None) -> float:
-        """Max |value| over all vertices, or over the vertices of the region's top simplices."""
+        """Max |value| over all vertices, or over the vertices of the region's top simplices (EmptyRegion if none)."""
         if region is None:
             return float(np.abs(self.values).max())
         cx = self.complex
-        return float(np.abs(self.values[cx.arrays[cx.top_degree][list(region)]]).max(initial=0.0))
+        return float(np.abs(self.values[cx.arrays[cx.top_degree][_region(cx, region)]]).max())
 
     def lipschitz_constant(self, region=None) -> float:
-        g = self.gradients if region is None else self.gradients[list(region)]
-        return float(np.linalg.norm(g, axis=1).max())
+        return float(np.linalg.norm(self.gradients[_region(self.complex, region)], axis=1).max())
 
     def __add__(self, other: "SharpField") -> "SharpField":
         if self.complex is not other.complex:
@@ -77,19 +76,8 @@ class SharpField:
 
 
 def multiply(phi: SharpField, A: Chain) -> EvaluableCurrent:
-    """phi * A as a lazy current: carrier simplices of A with PL scalar density."""
-    if phi.complex is not A.complex:
-        raise ComplexMismatch("field and chain live on different complexes")
-    cx = A.complex
-    tangents = cx.unit_tangents(A.degree)
-    entries = []
-    for idx, a in A.coeffs.items():
-        top = cx.containing_top(A.degree, idx)
-        p = phi.as_poly(top).scale(a)
-        xi = tangents[idx]
-        density = [p.scale(float(c)) if c != 0.0 else Poly.zero(cx.dim) for c in xi]
-        entries.append(CurrentEntry(A.degree, idx, density))
-    return EvaluableCurrent(cx, A.degree, entries)
+    """phi * A as a lazy current: phi's PL interpolant contracted with A."""
+    return interior_product(phi.form, A)
 
 
 def boundary_product(phi: SharpField, A: Chain) -> EvaluableCurrent:
@@ -97,7 +85,7 @@ def boundary_product(phi: SharpField, A: Chain) -> EvaluableCurrent:
     if A.degree == 0:
         raise DegreeZero("the boundary product rule needs degree >= 1")
     first = multiply(phi, A.boundary())
-    second = interior_product(coboundary(phi.as_cochain()), A)
+    second = interior_product(whitney_realize(coboundary(phi.as_cochain())), A)
     return first - second
 
 

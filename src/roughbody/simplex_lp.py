@@ -26,7 +26,8 @@ hyperplane certainly separates it, so that answer is always right; every
 other pair is left to the integer test.  The bounds hold on `float_image`,
 a power-of-two scaling that keeps every product of differences clear of
 underflow and overflow.  `mesh.first_overlapping_pair` runs the filter on
-each block of box-meeting pairs and the integer test on the rest.
+each block of box-meeting pairs and `simplex_interiors_intersect` on each
+pair the filter leaves.
 """
 
 from __future__ import annotations
@@ -187,7 +188,9 @@ def simplex_interiors_intersect(V: np.ndarray, W: np.ndarray) -> bool:
     """Whether two simplices (vertex rows V, W in R^n, n <= 3) share a relative-interior point.
 
     The pair is scaled to integers by `integer_image` and decided by
-    `interiors_intersect`; mesh sweeps scale a whole mesh once instead.
+    `interiors_intersect`.  This is the exact step of every overlap test,
+    mesh sweeps included: `mesh.first_overlapping_pair` calls it on each
+    pair its float filter leaves.
     """
     P = integer_image(np.concatenate([V, W]))
     return interiors_intersect(P[: len(V)], P[len(V) :])
@@ -377,7 +380,7 @@ def certainly_disjoint(CA: np.ndarray, sA: np.ndarray, CB: np.ndarray, sB: np.nd
     (Rockafellar, Thm 11.3).  Shared vertices lie exactly on it, so
     neighbours across a shared facet are decided.  True is always right;
     False means only that the floats could not decide, and the pair is
-    left to `interiors_intersect`.
+    left to `simplex_interiors_intersect`.
     """
     return _facet_separates(CA, sA, CB) | _facet_separates(CB, sB, CA)
 

@@ -128,6 +128,6 @@ def test_at_most_two_percent_of_box_meeting_pairs_reach_the_exact_test(name, mon
     assert undecided.sum() <= 0.02 * len(a), (int(undecided.sum()), len(a))
     # the sweep sends exactly those pairs on: none of them overlaps, so it tests every one
     calls = []
-    monkeypatch.setattr(mesh, "interiors_intersect", lambda A, B: calls.append(1) or False)
+    monkeypatch.setattr(mesh, "simplex_interiors_intersect", lambda A, B: calls.append(1) or False)
     assert mesh.first_overlapping_pair(V, S) is None
     assert len(calls) == undecided.sum()

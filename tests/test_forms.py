@@ -13,10 +13,10 @@ from roughbody.forms import (
     constant_form,
     evaluate,
     interior_product,
-    wedge,
     whitney_realize,
 )
-from roughbody.generate import cube_mesh, grid_mesh, random_chain, random_cochain
+from roughbody.generate import cube_mesh, grid_mesh, random_chain, random_cochain, random_pa_map
+from roughbody.maps import pullback_form
 
 
 def dx_cochain(cx):
@@ -130,12 +130,12 @@ class TestWhitneyRealize:
 class TestWedge:
     def test_dx_wedge_dy_on_square(self, square, square_chain):
         dy = constant_form(square, 1, [0.0, 1.0])
-        w = wedge(dx_cochain(square), dy)
+        w = whitney_realize(dx_cochain(square)).wedge(dy)
         assert chain_as_current(square_chain).evaluate(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_wedge_with_zero(self, square):
         dy = constant_form(square, 1, [0.0, 1.0])
-        w = wedge(Cochain(square, 1, {}), dy)
+        w = whitney_realize(Cochain(square, 1, {})).wedge(dy)
         assert not w.comps
 
     def test_leibniz_rule_pointwise(self, grid44, rng):
@@ -171,12 +171,12 @@ class TestWedge:
 
 class TestInteriorProduct:
     def test_dx_contract_square_on_dy(self, square, square_chain):
-        ip = interior_product(dx_cochain(square), square_chain)
+        ip = interior_product(whitney_realize(dx_cochain(square)), square_chain)
         dy = constant_form(square, 1, [0.0, 1.0])
         assert ip.evaluate(dy) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_cochain(self, square, square_chain):
-        ip = interior_product(Cochain(square, 1, {}), square_chain)
+        ip = interior_product(whitney_realize(Cochain(square, 1, {})), square_chain)
         assert ip.evaluate(constant_form(square, 1, [1.0, 0.0])) == 0.0
 
     def test_defining_identity_randomized(self, grid44, rng):
@@ -185,13 +185,31 @@ class TestInteriorProduct:
             T = random_chain(grid44, 2, rng)
             Y = random_cochain(grid44, 1, rng)
             omega = whitney_realize(Y)
-            lhs = interior_product(X, T).evaluate(omega)
-            rhs = chain_as_current(T).evaluate(wedge(X, omega))
+            lhs = interior_product(whitney_realize(X), T).evaluate(omega)
+            rhs = chain_as_current(T).evaluate(whitney_realize(X).wedge(omega))
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+    def test_any_form_field_contracts(self, rng):
+        # constant fields and pullbacks satisfy (W -| T)(w) = (W ^ w)(T) as realized cochains do
+        cx = grid_mesh(2, 2)
+        F = random_pa_map(cx, rng, amplitude=0.2)
+        fields = [
+            constant_form(cx, 0, [rng.normal()]),
+            constant_form(cx, 1, rng.normal(size=2)),
+            pullback_form(F, whitney_realize(random_cochain(F.image_complex, 0, rng))),
+            pullback_form(F, whitney_realize(random_cochain(F.image_complex, 1, rng))),
+        ]
+        for W in fields:
+            for r in range(W.degree, 3):
+                T = random_chain(cx, r, rng)
+                w = whitney_realize(random_cochain(cx, r - W.degree, rng))
+                lhs = interior_product(W, T).evaluate(w)
+                rhs = chain_as_current(T).evaluate(W.wedge(w))
+                assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
     def test_degree_mismatch(self, square, rng):
         with pytest.raises(DegreeMismatch):
-            interior_product(random_cochain(square, 2, rng), random_chain(square, 1, rng))
+            interior_product(whitney_realize(random_cochain(square, 2, rng)), random_chain(square, 1, rng))
 
     def test_mass_of_chain_current(self, grid44, rng):
         T = random_chain(grid44, 1, rng)
@@ -207,7 +225,7 @@ class TestInteriorProduct:
                 for i in range(square.n_simplices(1))
             },
         )  # dy-like
-        cur = interior_product(X, square_chain)
+        cur = interior_product(whitney_realize(X), square_chain)
         got = cur.mass(tol=1e-7)
         # oracle: |density| integrated by brute midpoint grid over both triangles
         total = 0.0
@@ -232,7 +250,7 @@ class TestInteriorProduct:
 
         adaptive = forms._adaptive_norm_integral
         monkeypatch.setattr(forms, "_adaptive_norm_integral", counted)
-        cur = interior_product(random_cochain(square, 1, rng), square_chain)
+        cur = interior_product(whitney_realize(random_cochain(square, 1, rng)), square_chain)
         got = cur.mass(tol=1e-3)
         assert len(calls) == len(cur.entries) == 2
         total = 0.0
@@ -250,7 +268,7 @@ class TestInteriorProduct:
         # tol 1e-9 would need about 1e9 pieces on a rank-2 carrier
         rng = np.random.default_rng(0)
         cx = grid_mesh(4, 4)
-        cur = interior_product(random_cochain(cx, 1, rng), random_chain(cx, 2, rng))
+        cur = interior_product(whitney_realize(random_cochain(cx, 1, rng)), random_chain(cx, 2, rng))
         start = time.perf_counter()
         with pytest.raises(MassBudgetExceeded, match=r"carrier 2-simplex \d+: mass bracket \[\S+, \S+\]"):
             cur.mass()
@@ -281,7 +299,7 @@ def test_wedge_degree_overflow(square, rng):
     X = random_cochain(square, 1, rng)
     w2 = whitney_realize(random_cochain(square, 2, rng))
     with pytest.raises(DegreeOverflow):
-        wedge(X, w2)
+        whitney_realize(X).wedge(w2)
 
 
 def test_whitney_tangential_continuity(grid44, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roughbody.chains import Chain
-from roughbody.errors import DegreeZero
+from roughbody.errors import DegreeZero, EmptyRegion
 from roughbody.forms import constant_form, whitney_realize
 from roughbody.generate import grid_mesh, random_chain, random_cochain, random_sharp_field
 from roughbody.sharp import SharpField, boundary_product, check_product_bounds, multiply
@@ -18,13 +18,20 @@ class TestSharpField:
         phi = SharpField(square, 3.0 * square.vertices[:, 1])
         assert phi.lipschitz_constant() == pytest.approx(3.0)
 
-    def test_as_poly_interpolates(self, grid44, rng):
+    def test_form_interpolates(self, grid44, rng):
         phi = random_sharp_field(grid44, rng)
         for top in range(0, grid44.n_simplices(2), 7):
             for v in grid44.simplices[2][top]:
-                assert phi.as_poly(top)(grid44.vertices[v]) == pytest.approx(
+                assert phi.form.value(top, grid44.vertices[v])[0] == pytest.approx(
                     phi.values[v], abs=1e-10
                 )
+
+    def test_empty_region_raises(self, square):
+        phi = SharpField(square, square.vertices[:, 0])
+        with pytest.raises(EmptyRegion):
+            phi.sup([])
+        with pytest.raises(EmptyRegion):
+            phi.lipschitz_constant([])
 
 
 class TestMultiply:
