@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from pathlib import Path
@@ -326,6 +327,7 @@ _MESH_CAMPAIGNS = (
 )
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one tree serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="roughbody")
     sub = parser.add_subparsers(dest="command", required=True)

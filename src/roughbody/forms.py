@@ -466,5 +466,12 @@ def interior_product(omega: FormField, T: Chain) -> EvaluableCurrent:
 
 
 def chain_as_current(T: Chain) -> EvaluableCurrent:
-    """The evaluable current of a simplicial chain: the constant 0-form 1 contracted with T."""
-    return interior_product(constant_form(T.complex, 0, [1.0]), T)
+    """The evaluable current of a simplicial chain: the constant 0-form 1 contracted with T.
+
+    The form is built only on the top simplices containing T's simplices,
+    the ones the contraction reads, so the cost follows T, not the mesh.
+    """
+    cx = T.complex
+    one = Poly.constant(cx.dim, 1.0)
+    tops = {cx.containing_top(T.degree, i) for i in T.coeffs}
+    return interior_product(FormField(cx, 0, {i: [one] for i in tops}), T)

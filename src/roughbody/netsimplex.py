@@ -11,12 +11,22 @@ reached a bound or the tree it is never free again, so this is the
 bounded-variable primal simplex with finitely many interior starts and
 needs neither a phase 1 nor artificial arcs.
 
-Pricing is Dantzig's rule, evaluated with numpy over all arcs.  The leaving
+Pricing works from a candidate list.  One numpy pass over all arcs keeps
+the CANDIDATES most violated arcs, ordered by violation (ties by arc
+index).  The pivots that follow take the list's arcs in that order, each
+priced again in plain Python against the current potentials and skipped
+if no longer violated; the next full pass comes when the list is empty.
+Optimality is declared only when a full pass finds no violated arc and
+the potentials, recomputed along the tree, have not drifted.  The leaving
 arc is the last blocking arc of the pivot cycle counted from its apex
 (Cunningham's strongly feasible tree rule), which rules out cycling on the
-degenerate pivots that chain geometry produces.  The tree is stored as
-parent pointers, subtree sizes and a depth-first thread (the layout of
-networkx's `network_simplex`), so memory is O(arcs).
+degenerate pivots that chain geometry produces.
+
+The tree is stored as parent pointers, subtree sizes and a depth-first
+thread with its last descendants, so memory is O(arcs).  A pivot walks the
+cycle once to find the apex and the blocking arc, and re-hangs the cut-off
+subtree as the first child of the entering arc's other end; sizes change
+only below the apex, and the potentials only on the moved subtree.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .errors import LPNumericalFailure
 
 PRICE_TOL = 1e-12  # reduced-cost tolerance; callers normalise costs to at most 1
 PIVOTS_PER_ARC = 50  # a run past 50 pivots per arc (plus 1000) is taken as stalled
+CANDIDATES = 1024  # arcs one full pricing pass hands to the pivots that follow
 
 
 @dataclass
@@ -61,7 +72,7 @@ def min_cost_circulation(tail, head, cap, cost, star) -> Circulation:
     dn = np.ones(n_arcs)  # 1 where the arc may decrease
     up[parent_arc[:-1]] = 0.0
     dn[parent_arc[:-1]] = 0.0
-    pi = np.zeros(n)
+    pi = [0.0] * n
     for j in range(n - 1):
         a = parent_arc[j]
         pi[j] = cs[a] if tl[a] == j else -cs[a]
@@ -69,67 +80,89 @@ def min_cost_circulation(tail, head, cap, cost, star) -> Circulation:
     rc = np.empty(n_arcs)
     buf = np.empty(n_arcs)
     viol = np.empty(n_arcs)
+    cand = []  # (arc, tail, head, cost, up, dn), most violated last
     pivots = 0
     while True:
-        # Dantzig pricing over every arc
-        np.take(pi, tail, out=rc)
-        np.subtract(cost, rc, out=rc)
-        np.take(pi, head, out=buf)
-        rc += buf
-        np.multiply(rc, dn, out=viol)
-        np.multiply(rc, up, out=buf)
-        np.negative(buf, out=buf)
-        np.maximum(viol, buf, out=viol)
-        e = int(viol.argmax())
-        if not viol[e] > PRICE_TOL:
-            if _refresh_potentials(pi, parent, parent_arc, nxt, tl, cs, root):
-                continue  # drift removed; price again with exact potentials
-            break
+        e = -1
+        while cand:
+            a, t, h, c, u, d = cand.pop()
+            r = c - pi[t] + pi[h]
+            if (r * d if r > 0.0 else -r * u) > PRICE_TOL:
+                e, rc_e = a, r
+                break
+        if e < 0:
+            # full pass: reduced costs of every arc against exact potentials
+            pot = np.array(pi)
+            np.take(pot, tail, out=rc)
+            np.subtract(cost, rc, out=rc)
+            np.take(pot, head, out=buf)
+            rc += buf
+            np.multiply(rc, dn, out=viol)
+            np.multiply(rc, up, out=buf)
+            np.negative(buf, out=buf)
+            np.maximum(viol, buf, out=viol)
+            hot = np.flatnonzero(viol > PRICE_TOL)
+            if hot.size == 0:
+                if _refresh_potentials(pi, parent, parent_arc, nxt, tl, cs, root):
+                    continue  # drift removed; price again with exact potentials
+                break
+            v = viol[hot]
+            if hot.size > CANDIDATES:
+                cut = np.partition(v, hot.size - CANDIDATES)[hot.size - CANDIDATES]
+                hot, v = hot[v >= cut], v[v >= cut]
+            hot = hot[np.argsort(-v, kind="stable")[:CANDIDATES][::-1]]
+            cand = list(zip(hot.tolist(), *(arr[hot].tolist() for arr in (tail, head, cost, up, dn))))
+            continue
         if pivots >= max_pivots:
             raise LPNumericalFailure(f"network simplex exceeded {max_pivots} pivots")
         pivots += 1
         # push flow along e from p to q, then back to p through the tree
-        if rc[e] < 0.0:
+        if rc_e < 0.0:
             p, q = tl[e], hd[e]
         else:
             p, q = hd[e], tl[e]
 
-        # apex of the cycle: climb from the smaller subtree
-        a_, b_ = p, q
-        while a_ != b_:
-            if size[a_] < size[b_]:
-                a_ = parent[a_]
-            elif size[a_] > size[b_]:
-                b_ = parent[b_]
+        # climb to the apex from the smaller subtree, keeping each side's
+        # tightest arc: on p's side the one nearest p, on q's side the one
+        # nearest the apex, so that ties go to the last arc from the apex
+        theta = cp[e] - x[e] if tl[e] == p else x[e] + cp[e]
+        dmin = umin = theta + 1.0
+        u, w = p, q
+        while u != w:
+            if size[u] < size[w]:
+                a = parent_arc[u]
+                r = x[a] + cp[a] if tl[a] == u else cp[a] - x[a]
+                if r < dmin:
+                    dmin, dnode = r, u
+                u = parent[u]
             else:
-                a_ = parent[a_]
-                b_ = parent[b_]
-        apex = a_
-
-        # cycle arcs (arc, node it is entered from, tree child) in order from
-        # the apex: down to p, then e, then up from q to the apex
-        cycle = []
-        v = p
-        while v != apex:
-            cycle.append((parent_arc[v], parent[v], v))
-            v = parent[v]
-        cycle.reverse()
-        n_down = len(cycle)
-        cycle.append((e, p, -1))
-        v = q
-        while v != apex:
-            cycle.append((parent_arc[v], v, v))
-            v = parent[v]
-        resid = [cp[a] - x[a] if tl[a] == s else x[a] + cp[a] for a, s, _ in cycle]
-        theta = min(resid)
-        leave_pos = len(resid) - 1 - resid[::-1].index(theta)  # last blocking arc
-        for a, s, _ in cycle:
-            if tl[a] == s:
-                x[a] += theta
-            else:
-                x[a] -= theta
-        f, fs, fchild = cycle[leave_pos]
-        forward = tl[f] == fs  # f stopped at its upper bound
+                a = parent_arc[w]
+                r = cp[a] - x[a] if tl[a] == w else x[a] + cp[a]
+                if r <= umin:
+                    umin, unode = r, w
+                w = parent[w]
+        apex = u
+        # the cycle runs apex -> p, e, q -> apex; the last blocking arc leaves
+        if umin <= theta and umin <= dmin:
+            theta, u_out, u_in, v_in = umin, unode, q, p
+        elif dmin < theta:
+            theta, u_out, u_in, v_in = dmin, dnode, p, q
+        else:
+            u_out = -1
+        if theta > 0.0:
+            x[e] += theta if tl[e] == p else -theta
+            for v, step in ((p, -theta), (q, theta)):  # flow runs down to p, up from q
+                while v != apex:
+                    a = parent_arc[v]
+                    x[a] += step if tl[a] == v else -step
+                    v = parent[v]
+        if u_out < 0:
+            f = e
+            forward = tl[e] == p
+        else:
+            f = parent_arc[u_out]
+            forward = (tl[f] == u_out) == (u_in == q)
+        x[f] = cp[f] if forward else -cp[f]  # f stopped at this bound
         up[f] = 0.0 if forward else 1.0
         dn[f] = 1.0 if forward else 0.0
         if f == e:
@@ -137,106 +170,103 @@ def min_cost_circulation(tail, head, cap, cost, star) -> Circulation:
 
         # f leaves the tree; the side it cuts off is re-hung from e
         up[e] = dn[e] = 0.0
-        inner, outer = (p, q) if leave_pos < n_down else (q, p)
-        _remove_edge(parent[fchild], fchild, parent, parent_arc, size, nxt, prv, last)
-        _make_root(inner, parent, parent_arc, size, nxt, prv, last)
-        _add_edge(e, outer, inner, parent, parent_arc, size, nxt, prv, last)
+        _rehang(e, u_in, v_in, u_out, apex, parent, parent_arc, size, nxt, prv, last)
         # potentials of the moved subtree so that e has zero reduced cost
-        if hd[e] == inner:
-            d = pi[outer] - cs[e] - pi[inner]
-        else:
-            d = pi[outer] + cs[e] - pi[inner]
-        nodes = [inner]
-        v, stop = inner, last[inner]
+        d = pi[v_in] - pi[u_in] + (cs[e] if tl[e] == u_in else -cs[e])
+        v, stop = u_in, last[u_in]
+        pi[v] += d
         while v != stop:
             v = nxt[v]
-            nodes.append(v)
-        pi[nodes] += d
+            pi[v] += d
 
-    return Circulation(np.asarray(x), pi, pivots)
+    return Circulation(np.asarray(x), np.array(pi), pivots)
 
 
 def _refresh_potentials(pi, parent, parent_arc, nxt, tl, cs, root) -> bool:
     """Recompute potentials along the thread; True if they had drifted."""
-    fresh = np.empty_like(pi)
-    fresh[root] = 0.0
+    fresh = [0.0] * len(pi)
     v = nxt[root]
     while v != root:
         a = parent_arc[v]
         u = parent[v]
         fresh[v] = fresh[u] + cs[a] if tl[a] == v else fresh[u] - cs[a]
         v = nxt[v]
-    drifted = bool(np.any(fresh != pi))
+    drifted = fresh != pi
     pi[:] = fresh
     return drifted
 
 
-def _remove_edge(s, t, parent, parent_arc, size, nxt, prv, last) -> None:
-    """Cut the tree arc joining t to its parent s; t's subtree becomes its own thread."""
-    size_t = size[t]
-    prev_t = prv[t]
-    last_t = last[t]
-    next_last_t = nxt[last_t]
-    parent[t] = -1
-    parent_arc[t] = -1
-    nxt[prev_t] = next_last_t
-    prv[next_last_t] = prev_t
-    nxt[last_t] = t
-    prv[t] = last_t
-    while s != -1:
-        size[s] -= size_t
-        if last[s] == last_t:
-            last[s] = prev_t
-        s = parent[s]
+def _rehang(e, u_in, v_in, u_out, apex, parent, parent_arc, size, nxt, prv, last) -> None:
+    """Cut u_out from its parent and hang its subtree, re-rooted at u_in, below v_in by arc e.
 
+    u_in lies in u_out's subtree and v_in outside it; apex is the nearest
+    common ancestor of u_in and v_in before the cut.  The moved thread goes
+    in right after v_in, so it becomes v_in's first child: last descendants
+    change only along the stem from u_out down to u_in and on the two
+    ancestor chains that ended at v_in or at the moved thread, and sizes
+    only on the stem and between v_in, u_out's old parent and the apex.
+    """
+    v_out = parent[u_out]
+    old_prev = prv[u_out]
+    old_size = size[u_out]
+    old_last = last[u_out]
+    # the stem u_in -> parent -> ... -> u_out reverses: each stem node's
+    # thread, minus the stem node below it, follows that node's thread
+    cont = nxt[old_last] if old_prev == v_in else nxt[v_in]
+    stem, below = u_in, v_in
+    end = last[u_in]
+    after = nxt[end]
+    nxt[v_in] = u_in
+    relinked = [v_in]
+    while stem != u_out:
+        above = parent[stem]
+        nxt[end] = above
+        relinked.append(end)
+        before = prv[stem]
+        nxt[before] = after
+        prv[after] = before
+        parent[stem] = below
+        below, stem = stem, above
+        end = prv[below] if last[stem] == last[below] else last[stem]
+        after = nxt[end]
+    parent[u_out] = below
+    nxt[end] = cont
+    prv[cont] = end
+    last[u_out] = end
+    if old_prev != v_in:
+        nxt[old_prev] = after
+        prv[after] = old_prev
+    for v in relinked:
+        prv[nxt[v]] = v
+    # stem arcs, sizes and last descendants, from u_out down to u_in
+    acc = 0
+    v = u_out
+    while v != u_in:
+        w = parent[v]
+        parent_arc[v] = parent_arc[w]
+        acc += size[v] - size[w]
+        size[v] = acc
+        last[w] = end
+        v = w
+    size[u_in] = old_size
+    parent_arc[u_in] = e
 
-def _make_root(q, parent, parent_arc, size, nxt, prv, last) -> None:
-    """Re-root the detached tree holding q at q, reversing the path to its old root."""
-    path = []
-    while q != -1:
-        path.append(q)
-        q = parent[q]
-    path.reverse()
-    for p, q in zip(path, path[1:]):
-        size_p = size[p]
-        last_p = last[p]
-        prev_q = prv[q]
-        last_q = last[q]
-        next_last_q = nxt[last_q]
-        parent[p] = q
-        parent[q] = -1
-        parent_arc[p] = parent_arc[q]
-        parent_arc[q] = -1
-        size[p] = size_p - size[q]
-        size[q] = size_p
-        nxt[prev_q] = next_last_q
-        prv[next_last_q] = prev_q
-        nxt[last_q] = q
-        prv[q] = last_q
-        if last_p == last_q:
-            last[p] = prev_q
-            last_p = prev_q
-        prv[p] = last_q
-        nxt[last_q] = p
-        nxt[last_p] = q
-        prv[q] = last_p
-        last[q] = last_p
-
-
-def _add_edge(a, p, q, parent, parent_arc, size, nxt, prv, last) -> None:
-    """Hang the detached tree rooted at q below p through arc a."""
-    last_p = last[p]
-    next_last_p = nxt[last_p]
-    size_q = size[q]
-    last_q = last[q]
-    parent[q] = p
-    parent_arc[q] = a
-    nxt[last_p] = q
-    prv[q] = last_p
-    prv[next_last_p] = last_q
-    nxt[last_q] = next_last_p
-    while p != -1:
-        size[p] += size_q
-        if last[p] == last_p:
-            last[p] = last_q
-        p = parent[p]
+    # last descendants of the ancestors: v_in's chain gains the moved thread
+    # at its end, u_out's old chain loses it
+    stop = apex if last[apex] == v_in else -1
+    new_last = last[u_out]
+    v = v_in
+    while v != -1 and last[v] == v_in:
+        last[v] = new_last
+        v = parent[v]
+    # where the moved thread ended a chain, old_prev now ends it, unless
+    # the thread already followed v_in and so stayed in place
+    gone = new_last if old_prev == v_in else old_prev
+    v = v_out
+    while v != stop and last[v] == old_last:
+        last[v] = gone
+        v = parent[v]
+    for v, change in ((v_in, old_size), (v_out, -old_size)):
+        while v != apex:
+            size[v] += change
+            v = parent[v]

@@ -298,6 +298,26 @@ class TestKochBoundarySequence:
             assert d == pytest.approx(highs_flat_norm(b - a), rel=1e-7)
             assert d == pytest.approx(expected, rel=1e-3)
 
+    def test_level6_flat_distance_matches_highs_within_a_second(self):
+        # F(bd T_6 - bd T_5) on the 18426-triangle level-6 mesh: the network
+        # simplex certifies it, HiGHS agrees and the 4/9 contraction holds
+        import time
+
+        from highs_oracle import highs_flat_norm
+
+        from roughbody.flatnorm import flat_norm
+
+        gb = koch_generalized_body(6)
+        b4, b5, b6 = (b.chain.boundary() for b in gb.bodies[4:])
+        previous = flat_norm(b5 - b4).value
+        t0 = time.perf_counter()
+        dec = flat_norm(b6 - b5)
+        elapsed = time.perf_counter() - t0
+        assert dec.solver == "network-simplex"
+        assert dec.value == pytest.approx(highs_flat_norm(b6 - b5), rel=1e-7)
+        assert dec.value / previous <= 4.0 / 9.0 + 1e-3
+        assert elapsed < 1.0
+
 
 class TestBodies3D:
     def test_cube_stokes(self):

@@ -215,6 +215,20 @@ class TestInteriorProduct:
         T = random_chain(grid44, 1, rng)
         assert chain_as_current(T).mass() == pytest.approx(T.mass(), abs=1e-12)
 
+    @pytest.mark.parametrize("make", [lambda: grid_mesh(4, 4), lambda: cube_mesh(2, 2, 2)], ids=["grid4x4", "cube2x2x2"])
+    def test_chain_current_equals_constant_form_contraction(self, make, rng):
+        # the constant form on only the tops holding T gives the densities
+        # of the constant form on every top, bit for bit, in every degree
+        cx = make()
+        for k in range(cx.top_degree + 1):
+            T = random_chain(cx, k, rng)
+            got = chain_as_current(T).entries
+            want = interior_product(constant_form(cx, 0, [1.0]), T).entries
+            assert len(got) == len(want) > 0
+            for a, b in zip(got, want):
+                assert (a.carrier_degree, a.carrier_index) == (b.carrier_degree, b.carrier_index)
+                assert repr([p.terms for p in a.density]) == repr([p.terms for p in b.density])
+
     def test_adaptive_mass_bracket(self, square, square_chain):
         # rotating density (rank 2): adaptive integral against dense sampling
         X = Cochain(
