@@ -268,7 +268,7 @@ def _boundary_halfspaces(body: Body) -> list[HalfSpace]:
     mesh diameter agree to 1e-9.
     """
     cx = body.complex
-    C = cx.all_coords(cx.dim - 1)[sorted(body.chain.boundary().coeffs)]
+    C = cx.all_coords(cx.dim - 1)[list(body.chain.boundary().coeffs)]
     nu = _unit_normals(C)
     # canonical sign: first component above 1e-12 in magnitude positive
     lead = nu[np.arange(len(nu)), np.argmax(np.abs(nu) > 1e-12, axis=1)]

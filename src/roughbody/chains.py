@@ -5,7 +5,8 @@ one degree on one complex; a cochain (forms.Cochain) stores coefficients the
 same way.  Both are _Coefficients: the linear structure, the dense vector
 over all k-simplices and one scatter-add, from_terms, through which every
 linear map between coefficient vectors goes (the boundary, sums,
-refinement carries, pushforwards and materialized currents).
+refinement carries, pushforwards and materialized currents).  Keys are
+kept in ascending index order, so A + B and B + A agree bitwise.
 Cross-complex arithmetic is rejected; build an explicit common refinement
 first (rough-bodies provides one).
 """
@@ -23,7 +24,7 @@ ZERO_DROP = 0.0  # exact-zero coefficients are never stored
 
 
 class _Coefficients:
-    """Sparse finite coefficients on the k-simplices of one complex: index -> value, zeros dropped."""
+    """Sparse finite coefficients on the k-simplices of one complex: index -> value, zeros dropped, keys ascending."""
 
     __slots__ = ("complex", "degree", "coeffs")
 
@@ -32,7 +33,7 @@ class _Coefficients:
             raise DegreeMismatch(f"degree {degree} not carried by the complex")
         self.complex = cx
         self.degree = degree
-        self.coeffs = {int(i): float(a) for i, a in (coeffs or {}).items() if a != ZERO_DROP}
+        self.coeffs = {int(i): float(a) for i, a in sorted((coeffs or {}).items()) if a != ZERO_DROP}
         nmax = cx.n_simplices(degree)
         if any(i < 0 or i >= nmax for i in self.coeffs):
             raise AmbientTooSmall(f"{type(self).__name__.lower()} references simplices outside its complex")
@@ -44,35 +45,17 @@ class _Coefficients:
     def from_terms(cls, cx: Complex, k: int, keys, values):
         """The sum of the terms values[j] on the simplices keys[j].
 
-        Each key's terms are added in the order given, starting from 0.0,
-        and exact-zero sums are dropped.  Keys come in the order of the term
-        that last brought their running sum away from 0.0, as in a dict that
-        pops a key whenever its running sum reaches 0.0.
+        Each key's terms are added in the order given, starting from 0.0
+        (np.bincount), and exact-zero sums are dropped.
         """
         keys = np.asarray(keys, dtype=np.intp).ravel()
-        values = np.asarray(values, dtype=float).ravel()
-        order = np.argsort(keys, kind="stable")  # each key's terms together, in the order given
-        sorted_keys = keys[order]
-        run_starts = np.ones(len(keys) + 1, dtype=bool)  # where each key's run of terms starts, then the end
-        run_starts[1:-1] = sorted_keys[1:] != sorted_keys[:-1]
-        edges = np.flatnonzero(run_starts)
-        starts, counts = edges[:-1], edges[1:] - edges[:-1]
-        by_count = np.argsort(-counts, kind="stable")
-        sums = np.zeros(len(starts))
-        placed = np.empty(len(starts), dtype=np.intp)
-        # step j adds every key's j-th term, so each key sums in the order given
-        for j in range(counts.max(initial=0)):
-            rows = by_count[: np.count_nonzero(counts > j)]
-            terms = order[starts[rows] + j]
-            back = sums[rows] == 0.0
-            placed[rows[back]] = terms[back]
-            sums[rows] += values[terms]
-        live = np.flatnonzero(sums)
-        live = live[np.argsort(placed[live])]
-        return cls(cx, k, dict(zip(sorted_keys[starts[live]].tolist(), sums[live].tolist())))
+        unique, which = np.unique(keys, return_inverse=True)
+        sums = np.bincount(which, weights=np.asarray(values, dtype=float).ravel(), minlength=len(unique))
+        live = sums != 0.0
+        return cls(cx, k, dict(zip(unique[live].tolist(), sums[live].tolist())))
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and values as arrays, in the order of the dict."""
+        """Keys (ascending) and values as arrays."""
         n = len(self.coeffs)
         return np.fromiter(self.coeffs, np.intp, n), np.fromiter(self.coeffs.values(), float, n)
 

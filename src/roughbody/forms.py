@@ -250,8 +250,11 @@ class EvaluableCurrent:
             raise DegreeMismatch("form degree does not match current degree")
         cx = self.complex
         total = 0.0
-        for e in self.entries:
-            top = cx.containing_top(e.carrier_degree, e.carrier_index)
+        degrees = np.array([e.carrier_degree for e in self.entries], dtype=np.intp)
+        tops = np.array([e.carrier_index for e in self.entries], dtype=np.intp)  # then each carrier's top
+        for k in np.unique(degrees).tolist():
+            tops[degrees == k] = cx.containing_tops(k, tops[degrees == k])
+        for e, top in zip(self.entries, tops.tolist()):
             polys = omega.comps.get(top)
             if polys is None:
                 continue
@@ -329,11 +332,14 @@ class EvaluableCurrent:
             size *= growth
             levels += 1
         ref = barycentric_refine(cx, levels)
+        parent = ref.parent[q]
+        by_parent = np.argsort(parent, kind="stable")  # each carrier's pieces together, ascending
+        starts = np.searchsorted(parent, np.arange(cx.n_simplices(q) + 1), sorter=by_parent).tolist()
         keys, values = [], []
         err = 0.0
         for e in self.entries:
             xi = tangents[e.carrier_index]
-            for piece in ref.carry[q][e.carrier_index]:
+            for piece in by_parent[starts[e.carrier_index] : starts[e.carrier_index + 1]].tolist():
                 pc = ref.complex.coords(q, piece)
                 bary = pc.mean(axis=0)
                 s = float(np.dot([p(bary) for p in e.density], xi))
@@ -448,8 +454,8 @@ def interior_product(omega: FormField, T: Chain) -> EvaluableCurrent:
     tangents = cx.unit_tangents(r)
     table = multivec.wedge_table(n, k, q)  # e_I ^ e_J = s e_o; each J sums over I in order
     entries = []
-    for idx, a in T.coeffs.items():
-        polys = omega.comps.get(cx.containing_top(r, idx))
+    for (idx, a), top in zip(T.coeffs.items(), cx.containing_tops(r, list(T.coeffs)).tolist()):
+        polys = omega.comps.get(top)
         if polys is None:
             continue
         xi = tangents[idx]
@@ -473,5 +479,5 @@ def chain_as_current(T: Chain) -> EvaluableCurrent:
     """
     cx = T.complex
     one = Poly.constant(cx.dim, 1.0)
-    tops = {cx.containing_top(T.degree, i) for i in T.coeffs}
+    tops = set(cx.containing_tops(T.degree, list(T.coeffs)).tolist())
     return interior_product(FormField(cx, 0, {i: [one] for i in tops}), T)

@@ -198,7 +198,7 @@ class BalanceEstimate:
 
 def _carrier_region(chain: Chain) -> list[int]:
     cx = chain.complex
-    return sorted({cx.containing_top(chain.degree, i) for i in chain.coeffs})
+    return np.unique(cx.containing_tops(chain.degree, list(chain.coeffs))).tolist()
 
 
 def _max_ratio(flux: CauchyFlux, chains: list[Chain], velocities, of_boundary: bool) -> tuple[float, tuple | None]:
@@ -212,7 +212,7 @@ def _max_ratio(flux: CauchyFlux, chains: list[Chain], velocities, of_boundary: b
     for ti, T in enumerate(chains):
         if T.is_zero():
             continue
-        S, region = (T.boundary(), sorted(T.coeffs)) if of_boundary else (T, _carrier_region(T))
+        S, region = (T.boundary(), list(T.coeffs)) if of_boundary else (T, _carrier_region(T))
         mass = T.mass()
         for vi, v in enumerate(velocities):
             for i in range(len(flux.components)):
@@ -316,7 +316,7 @@ def stress_report(
     n = config.source.dim
     if config.map.target_dim != n:
         raise OrientationReversal("material frame needs equal source and target dimensions")
-    for idx in sorted(T.coeffs):
+    for idx in T.coeffs:
         if config.jacobian_det(idx) <= 0.0:
             raise OrientationReversal(f"simplex {idx} has non-positive Jacobian")
 

@@ -28,12 +28,14 @@ pulling triangulation (every face coned from its smallest vertex or
 crossing id), which makes the piece triangulations of shared faces agree
 between neighbouring simplices.  The triangulation depends only on the
 sign pattern and the order of the ids, and is computed once per pattern.
+A Refinement records, per degree, the source simplex each refined simplex
+tiles (its parent array); composing refinements is one gather.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import factorial
@@ -59,6 +61,10 @@ class HalfSpace:
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
+        if not np.isfinite(lam).all():
+            raise ValueError(f"half-space functional lam is not finite: {tuple(lam.tolist())}")
+        if not np.isfinite(self.s):
+            raise ValueError(f"half-space offset s is not finite: {self.s}")
         if not np.any(lam != 0.0):
             raise ValueError("half-space functional must be nonzero")
         object.__setattr__(self, "lam", tuple(float(v) for v in lam))
@@ -257,15 +263,22 @@ class Complex:
         g = P[:, :, :-1] / h
         return np.concatenate([g, (P[:, :, -1] - np.einsum("mij,mj->mi", g, c0[:, 0]))[:, :, None]], axis=2)
 
-    def containing_top(self, k: int, idx: int) -> int:
-        """Index of a top-degree simplex having (k, idx) as an iterated face."""
-        cur_k, cur = k, idx
-        while cur_k < self.top_degree:
-            parent = int(self.face_parent[cur_k][cur])
-            if parent < 0:
-                raise ValueError(f"simplex ({k},{idx}) is not a face of any top simplex")
-            cur_k, cur = cur_k + 1, parent
-        return cur
+    @cached_property
+    def _tops(self) -> dict[int, np.ndarray]:
+        """Per degree, the face_parent arrays composed up to the top degree (-1: no top coface)."""
+        K = self.top_degree
+        tops = {K: np.arange(self.n_simplices(K))}
+        for k in range(K - 1, -1, -1):
+            up = self.face_parent[k]
+            tops[k] = np.where(up >= 0, tops[k + 1][up], -1)
+        return tops
+
+    def containing_tops(self, k: int, idx) -> np.ndarray:
+        """Index of a top-degree simplex having (k, i) as an iterated face, for each i in idx."""
+        tops = self._tops[k][idx]
+        if (tops < 0).any():
+            raise ValueError(f"simplex ({k},{np.extract(tops < 0, idx)[0]}) is not a face of any top simplex")
+        return tops
 
     def diameter(self) -> float:
         lo = self.vertices.min(axis=0)
@@ -586,35 +599,30 @@ def _orient_pieces(pieces: np.ndarray, parent_coords: np.ndarray, vertices: np.n
 
 
 def _splice(S: np.ndarray, cut: np.ndarray, pieces: np.ndarray, parents: np.ndarray):
-    """S with each cut row replaced by its pieces, and the carry map of every row.
+    """S with each cut row replaced by its pieces, and the row each output row comes from.
 
     `pieces` lists the pieces of the rows `cut` (ascending) in order;
     parents[i] is the row of piece i.
     """
-    counts = np.ones(len(S), dtype=np.intp)
-    counts[cut] = np.bincount(parents, minlength=len(S))[cut]
     in_cut = np.zeros(len(S), dtype=bool)
     in_cut[cut] = True
-    from_cut = np.repeat(in_cut, counts)
-    out = np.empty((len(from_cut), S.shape[1]), dtype=np.intp)
-    out[~from_cut] = S[~in_cut]
-    out[from_cut] = pieces
-    ends = np.cumsum(counts).tolist()
-    positions = list(range(len(out)))
-    return out, [positions[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    rows = np.concatenate([np.flatnonzero(~in_cut), parents])
+    order = np.argsort(rows, kind="stable")
+    return np.concatenate([S[~in_cut], pieces])[order], rows[order]
 
 
 @dataclass
 class Refinement:
-    """A refined complex together with per-simplex carry maps.
+    """A refined complex and, per degree, the source simplex each refined simplex tiles.
 
-    carry[k][old_index] lists the indices of the sub-simplices (oriented
-    like the parent) that tile the old simplex in the refined complex.
+    parent[k][j] is the k-simplex of the source that k-simplex j of the
+    refined complex tiles (oriented like it), or -1 when it tiles none: a
+    new vertex, a face on a cut plane, a face inside a subdivided simplex.
     """
 
     complex: Complex
     source: Complex
-    carry: dict[int, list[list[int]]] = field(default_factory=dict)
+    parent: dict[int, np.ndarray]
 
     def carry_chain(self, chain):
         from .chains import Chain
@@ -623,10 +631,16 @@ class Refinement:
             from .errors import ComplexMismatch
 
             raise ComplexMismatch("chain does not live on the refinement source")
-        cmap = self.carry[chain.degree]
-        keys = [j for i in chain.coeffs for j in cmap[i]]
-        values = [a for i, a in chain.coeffs.items() for _ in cmap[i]]
-        return Chain.from_terms(self.complex, chain.degree, keys, values)
+        parent = self.parent[chain.degree]
+        tiles = np.flatnonzero(parent >= 0)
+        return Chain.from_terms(self.complex, chain.degree, tiles, chain.vector()[parent[tiles]])
+
+
+def _refinement(vertices: np.ndarray, new: dict[int, np.ndarray], source: Complex, parents) -> Refinement:
+    """The complex on the rows new[k], each tiling source simplex parents[k][j]; derived faces tile none."""
+    cx = build_complex(vertices, new, check_overlap=False)
+    pad = {k: cx.n_simplices(k) - len(p) for k, p in parents.items()}
+    return Refinement(cx, source, {k: np.pad(p, (0, pad[k]), constant_values=-1) for k, p in parents.items()})
 
 
 def refine_by_halfspace(cx: Complex, hs: HalfSpace) -> Refinement:
@@ -643,7 +657,7 @@ def refine_by_halfspace(cx: Complex, hs: HalfSpace) -> Refinement:
     side = np.sign(d)
     values = d.tolist()
     new: dict[int, np.ndarray] = {0: cx.arrays[0]}
-    carry = {0: [[i] for i in range(len(cx.arrays[0]))]}
+    parent = {0: np.arange(len(cx.arrays[0]))}
     for k in range(1, max(cx.arrays) + 1):
         S = cx.arrays[k]
         cut = np.flatnonzero((side[S] > 0).any(axis=1) & (side[S] < 0).any(axis=1))
@@ -655,8 +669,8 @@ def refine_by_halfspace(cx: Complex, hs: HalfSpace) -> Refinement:
         parents = np.array(parents, dtype=np.intp)
         pieces = np.array(pieces, dtype=np.intp).reshape(-1, k + 1)
         pieces, keep = _orient_pieces(pieces, cx.all_coords(k)[parents], vertices)
-        new[k], carry[k] = _splice(S, cut, pieces, parents[keep])
-    return Refinement(build_complex(vertices, new, check_overlap=False), cx, carry)
+        new[k], parent[k] = _splice(S, cut, pieces, parents[keep])
+    return _refinement(vertices, new, cx, parent)
 
 
 def side_of_simplices(cx: Complex, k: int, hs: HalfSpace) -> np.ndarray:
@@ -670,10 +684,10 @@ def side_of_simplices(cx: Complex, k: int, hs: HalfSpace) -> np.ndarray:
 
 
 def barycentric_refine(cx: Complex, levels: int) -> Refinement:
-    """Iterated barycentric subdivision with carry maps back to cx."""
+    """Iterated barycentric subdivision with parent arrays back to cx."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    ref = Refinement(cx, cx, {k: [[i] for i in range(cx.n_simplices(k))] for k in cx.simplices})
+    ref = Refinement(cx, cx, {k: np.arange(cx.n_simplices(k)) for k in cx.arrays})
     for _ in range(levels):
         step = _barycentric_once(ref.complex)
         ref = _compose(ref, step)
@@ -681,10 +695,8 @@ def barycentric_refine(cx: Complex, levels: int) -> Refinement:
 
 
 def _compose(first: Refinement, second: Refinement) -> Refinement:
-    carry: dict[int, list[list[int]]] = {}
-    for k, rows in first.carry.items():
-        carry[k] = [[j for mid in row for j in second.carry[k][mid]] for row in rows]
-    return Refinement(second.complex, first.source, carry)
+    parent = {k: np.where(mid >= 0, first.parent[k][mid], -1) for k, mid in second.parent.items()}
+    return Refinement(second.complex, first.source, parent)
 
 
 def _barycentric_once(cx: Complex) -> Refinement:
@@ -707,7 +719,6 @@ def _barycentric_once(cx: Complex) -> Refinement:
         offset[k] = offset[k - 1] + len(centers[-1])
         centers.append(total / (k + 1))
     new: dict[int, np.ndarray] = {0: cx.arrays[0]}
-    carry = {0: [[i] for i in range(len(cx.arrays[0]))]}
     for k in range(1, top + 1):
         flags = list(permutations(range(k + 1)))
         levels = []
@@ -718,6 +729,5 @@ def _barycentric_once(cx: Complex) -> Refinement:
         odd = sort_parity(np.array(flags)) < 0
         pieces[:, odd, :2] = pieces[:, odd, 1::-1]
         new[k] = pieces.reshape(-1, k + 1)
-        positions = list(range(len(new[k])))
-        carry[k] = [positions[i : i + len(flags)] for i in range(0, len(positions), len(flags))]
-    return Refinement(build_complex(np.concatenate(centers), new, check_overlap=False), cx, carry)
+    parent = {k: np.repeat(np.arange(len(S)), factorial(k + 1)) for k, S in cx.arrays.items()}
+    return _refinement(np.concatenate(centers), new, cx, parent)

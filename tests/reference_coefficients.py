@@ -3,9 +3,11 @@
 These are the loops the library ran before every such map went through
 Chain.from_terms: the boundary, the sum of two chains and the pushforward
 add each term to a dict and pop a key whose running sum reaches exactly
-0.0; the refinement carry adds without popping.  Each returns the
-coefficient dict and the number of keys brought back after a pop (such a
-key moves to the end of the dict).
+0.0; the refinement carry walks the refined simplices and adds the
+coefficient of each one's parent.  Each returns the coefficient dict, in
+the order the loop leaves it, and the number of keys brought back after a
+pop (such a key moves to the end of the dict).  The library keeps keys in
+ascending order, so tests compare against the sorted items.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def pushforward(F, T):
 
 def carry_chain(ref, T):
     out: dict[int, float] = {}
-    for idx, a in T.coeffs.items():
-        for new_idx in ref.carry[T.degree][idx]:
-            out[new_idx] = out.get(new_idx, 0.0) + a
+    for new_idx, idx in enumerate(ref.parent[T.degree].tolist()):
+        if idx >= 0 and idx in T.coeffs:
+            out[new_idx] = out.get(new_idx, 0.0) + T.coeffs[idx]
     return {i: a for i, a in out.items() if a != 0.0}, 0

@@ -8,8 +8,8 @@ Gram-determinant volume, and faces are derived through frozenset-keyed
 dictionaries with incidence signs from pairwise inversion counts.  The
 splitter that triangulates each side of a cut simplex (`mesh._split_ids`)
 is shared.  The tests require the array code to
-reproduce these vertex arrays bitwise, and the simplex tables, carry maps,
-incidence and face parents exactly.
+reproduce these vertex arrays bitwise, and the simplex tables, refinement
+parents, incidence and face parents exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class RefTables:
     index: dict[int, dict[frozenset, int]]
     incidence: dict[int, list[list[tuple[int, int]]]]
     face_parent: dict[int, list[int]]
-    carry: dict[int, list[list[int]]] | None = None
+    parent: dict[int, list[int]] | None = None  # per degree, the source simplex each simplex tiles, or -1
 
 
 def perm_parity(a, b) -> int:
@@ -128,20 +128,17 @@ def _orient_like(piece, parent_pinv, pool):
 
 
 def _split_complex(cx, piece_fn, pool) -> RefTables:
-    new_simplices, carry = {}, {}
+    new_simplices, parent = {}, {}
     for k in sorted(cx.simplices):
-        new_simplices[k], carry[k], positions = [], [], {}
-        for vids in cx.simplices[k]:
-            dest = []
+        new_simplices[k], parent[k], seen = [], [], set()
+        for idx, vids in enumerate(cx.simplices[k]):
             for piece in piece_fn(k, vids, pool) if k else [vids]:
-                pos = positions.get(piece)
-                if pos is None:
-                    pos = positions[piece] = len(new_simplices[k])
+                if piece not in seen:
+                    seen.add(piece)
                     new_simplices[k].append(piece)
-                dest.append(pos)
-            carry[k].append(dest)
+                    parent[k].append(idx)
     out = reference_build(np.asarray(pool.coords), new_simplices)
-    out.carry = carry
+    out.parent = {k: p + [-1] * (len(out.simplices[k]) - len(p)) for k, p in parent.items()}
     return out
 
 

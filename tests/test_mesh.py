@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from roughbody.bodies import _koch_build, koch_prefractal
 from roughbody.chains import Chain
 from roughbody.errors import DegenerateSimplex, NonManifoldOverlap
+from roughbody.forms import CurrentEntry, EvaluableCurrent, chain_as_current, constant_form
 from roughbody.generate import cube_mesh, grid_mesh, segment_mesh
 from roughbody.mesh import (
     HalfSpace,
@@ -154,6 +155,31 @@ class TestClipping:
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "lam, s, name",
+    [((1.0, float("nan")), 0.5, "lam"), ((1.0, 0.0), float("nan"), "s"), ((float("inf"), 0.0), 0.5, "lam")],
+)
+def test_non_finite_halfspace_is_rejected(lam, s, name):
+    with pytest.raises(ValueError, match=rf"half-space \w+ {name} is not finite"):
+        HalfSpace(lam, s)
+
+
+def test_edge_off_every_triangle_has_no_containing_top():
+    cx = build_complex([[0, 0], [1, 0], [0, 1], [2, 2], [3, 2]], {1: [(3, 4)], 2: [(0, 1, 2)]})
+    assert cx.simplices[1][0] == (3, 4)  # explicit edges come first
+    assert cx.containing_tops(1, [1, 2, 3]).tolist() == [0, 0, 0]
+    with pytest.raises(ValueError, match=r"simplex \(1,0\) is not a face of any top simplex"):
+        cx.containing_tops(1, [2, 0])
+    with pytest.raises(ValueError, match=r"simplex \(0,3\) is not a face of any top simplex"):
+        cx.containing_tops(0, 3)
+    with pytest.raises(ValueError, match="not a face of any top simplex"):
+        chain_as_current(Chain(cx, 1, {0: 1.0}))
+    one = constant_form(cx, 0, [1.0]).comps[0]
+    loose = EvaluableCurrent(cx, 1, [CurrentEntry(1, 1, one * 2), CurrentEntry(1, 0, one * 2)])
+    with pytest.raises(ValueError, match=r"simplex \(1,0\) is not a face of any top simplex"):
+        loose.evaluate(constant_form(cx, 1, [1.0, 0.0]))
+
+
 class TestHalfspaceRefinement:
     def test_carry_commutes_with_boundary(self, grid44, rng):
         for _ in range(5):
@@ -193,7 +219,7 @@ class TestBarycentric:
         ref = barycentric_refine(square, 1)
         for k in (1, 2):
             for idx in range(square.n_simplices(k)):
-                pieces = ref.carry[k][idx]
+                pieces = np.flatnonzero(ref.parent[k] == idx)
                 got = sum(ref.complex.volume(k, j) for j in pieces)
                 assert got == pytest.approx(square.volume(k, idx), abs=1e-10)
 

@@ -67,20 +67,20 @@ def test_halfspace_refinement_matches_reference(name):
         got = refine_by_halfspace(cx, hs)
         want = reference_refine_by_halfspace(cx, hs)
         assert_same_tables(got.complex, want)
-        assert got.carry == want.carry
+        assert {k: p.tolist() for k, p in got.parent.items()} == want.parent
 
 
 @pytest.mark.parametrize("make", [lambda: grid_mesh(3, 3), lambda: cube_mesh(1, 1, 1)])
 def test_barycentric_refinement_matches_reference(make):
     cx = make()
-    carry = {k: [[i] for i in range(cx.n_simplices(k))] for k in cx.simplices}
+    parent = {k: list(range(cx.n_simplices(k))) for k in cx.simplices}
     level = cx
     for levels in (1, 2):
         step = reference_barycentric_once(level)
-        carry = {k: [[j for mid in row for j in step.carry[k][mid]] for row in rows] for k, rows in carry.items()}
+        parent = {k: [parent[k][mid] if mid >= 0 else -1 for mid in step.parent[k]] for k in parent}
         got = barycentric_refine(cx, levels)
         assert_same_tables(got.complex, step)
-        assert got.carry == carry
+        assert {k: p.tolist() for k, p in got.parent.items()} == parent
         level = got.complex
 
 
@@ -205,9 +205,37 @@ def test_thin_triangle_above_the_floor_is_built_and_subdivided_whole():
     # area / (longest edge)^2 = 3e-12, above DEGENERACY_TOL = 1e-12
     tri = build_complex([[0.0, 0.0], [1.0, 0.0], [0.5, 6e-12]], {2: [(0, 1, 2)]})
     ref = barycentric_refine(tri, 1)
-    assert len(ref.carry[2][0]) == 6
-    area = Chain(ref.complex, 2, {j: 1.0 for j in ref.carry[2][0]}).mass()
+    pieces = np.flatnonzero(ref.parent[2] == 0)
+    assert len(pieces) == 6
+    area = Chain(ref.complex, 2, {j: 1.0 for j in pieces}).mass()
     assert abs(area - 3e-12) <= 1e-12 * 3e-12
+
+
+def _assert_parents_tile(ref):
+    """Each parent array spans the refined degree, points into the source, and its pieces tile the source."""
+    cx, src = ref.complex, ref.source
+    assert sorted(ref.parent) == sorted(src.arrays)
+    for k, parent in ref.parent.items():
+        assert len(parent) == cx.n_simplices(k)
+        assert parent.min() >= -1 and parent.max() < src.n_simplices(k)
+        tiles = parent >= 0
+        if k == 0:
+            assert parent[: src.n_simplices(0)].tolist() == list(range(src.n_simplices(0)))
+            assert not tiles[src.n_simplices(0) :].any()
+            continue
+        vols = np.bincount(parent[tiles], weights=cx.volumes(k)[tiles], minlength=src.n_simplices(k))
+        assert np.allclose(vols, src.volumes(k), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_parent_arrays_tile_the_source(name):
+    cx = MESHES[name]()
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        _assert_parents_tile(refine_by_halfspace(cx, random_halfspace(rng, cx)))
+    _assert_parents_tile(barycentric_refine(cx, 1))
+    if name != "koch4":
+        _assert_parents_tile(barycentric_refine(cx, 2))
 
 
 def test_mass_is_conserved_through_a_near_vertex_cut():
@@ -264,7 +292,7 @@ def test_boundary_and_coboundary_match_the_incidence_lists(make):
                         want.pop(fidx, None)
                     else:
                         want[fidx] = v
-            assert list(T.boundary().coeffs.items()) == list(want.items())
+            assert list(T.boundary().coeffs.items()) == sorted(want.items())
         X = random_cochain(cx, k - 1, rng)
         want = {}
         for idx, row in enumerate(incidence):
@@ -274,4 +302,4 @@ def test_boundary_and_coboundary_match_the_incidence_lists(make):
                     acc += sgn * X.coeffs[fidx]
             if acc != 0.0:
                 want[idx] = acc
-        assert list(coboundary(X).coeffs.items()) == list(want.items())
+        assert list(coboundary(X).coeffs.items()) == sorted(want.items())
