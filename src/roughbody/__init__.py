@@ -16,11 +16,8 @@ from .bodies import (
 )
 from .chains import (
     Chain,
-    boundary,
     defect_integral,
     elementary,
-    mass,
-    normal_norm,
     restrict,
     restriction_defect,
 )

@@ -36,9 +36,8 @@ class Body:
         cx = self.chain.complex
         if self.chain.degree != cx.dim or self.chain.degree != cx.top_degree:
             raise WrongDegree("a body is a top-degree chain of full dimension")
-        for i, a in self.chain.coeffs.items():
-            if abs(a - 1.0) > 1e-12:
-                raise ValueError("body coefficients must be 1")
+        if (np.abs(self.chain.val - 1.0) > 1e-12).any():
+            raise ValueError("body coefficients must be 1")
 
     @property
     def complex(self) -> Complex:
@@ -66,7 +65,12 @@ def body_from_simplices(cx: Complex, indices) -> Body:
     bad = idx[kvectors(cx.all_coords(cx.dim)[idx])[:, 0] <= 0.0]
     if bad.size:
         raise ValueError(f"simplex {bad[0]} is negatively oriented; flip its vertex order")
-    return Body(Chain(cx, cx.dim, dict.fromkeys(idx.tolist(), 1.0)))
+    return _indicator(cx, np.unique(idx))
+
+
+def _indicator(cx: Complex, idx: np.ndarray) -> Body:
+    """The body on the top simplices idx (ascending, no repeats)."""
+    return Body(Chain.from_terms(cx, cx.dim, idx, np.ones(len(idx))))
 
 
 @dataclass
@@ -94,12 +98,12 @@ def geometric_boundary_surface(body: Body) -> Surface:
     """
     cx = body.complex
     n = cx.dim
-    if not body.chain.coeffs:
+    if body.chain.is_zero():
         raise WrongDegree("empty body has no boundary surface")
     bnd = body.chain.boundary()
-    facets = np.fromiter(bnd.coeffs, dtype=np.intp)
+    facets = bnd.idx
     # each boundary facet's owning body simplex and, opposite it there, the owner's vertex
-    tops = np.fromiter(body.chain.coeffs, dtype=np.intp)
+    tops = body.chain.idx
     flat = cx.incidence_arrays(n)[0][tops].ravel()
     order = np.argsort(flat, kind="stable")
     at = order[np.searchsorted(flat[order], facets)]
@@ -111,22 +115,18 @@ def geometric_boundary_surface(body: Body) -> Surface:
     vol_vec[0] = 1.0  # e_1 ^ ... ^ e_n
     star = np.array([multivec.contract(e, 1, vol_vec, n, n) for e in np.eye(n)])
     sign = np.einsum("ij,ij->i", nu @ star, cx.unit_tangents(n - 1)[facets])
-    chain = Chain(cx, n - 1, dict(zip(facets.tolist(), np.where(sign > 0, 1.0, -1.0).tolist())))
-    return Surface(chain, body, frozenset(bnd.coeffs))
+    chain = Chain.from_terms(cx, n - 1, facets, np.where(sign > 0, 1.0, -1.0))
+    return Surface(chain, body, frozenset(facets.tolist()))
 
 
 def surface_from_facets(body: Body, facet_indices) -> Surface:
     """Material surface: the body's boundary restricted to selected facets."""
     bnd = body.chain.boundary()
-    sel = {int(i) for i in facet_indices}
-    missing = sel - set(bnd.coeffs)
-    if missing:
-        raise WrongDegree(f"facets {sorted(missing)} are not boundary facets of the body")
-    return Surface(
-        Chain(body.complex, body.complex.dim - 1, {i: bnd.coeffs[i] for i in sel}),
-        body,
-        frozenset(sel),
-    )
+    sel = np.unique(np.array([int(i) for i in facet_indices], dtype=np.intp))
+    missing = sel[~np.isin(sel, bnd.idx)]
+    if missing.size:
+        raise WrongDegree(f"facets {missing.tolist()} are not boundary facets of the body")
+    return Surface(bnd.select(np.isin(bnd.idx, sel)), body, frozenset(sel.tolist()))
 
 
 # -- Koch prefractals -------------------------------------------------------
@@ -210,7 +210,7 @@ def koch_prefractal(level: int) -> Body:
         raise ValueError("level must be >= 0")
     points, tris, _ = _koch_build(level)
     cx = build_complex(points, {2: tris}, check_overlap=False)
-    return Body(Chain(cx, 2, {i: 1.0 for i in range(len(tris))}))
+    return _indicator(cx, np.arange(len(tris)))
 
 
 @dataclass
@@ -239,7 +239,7 @@ def koch_generalized_body(levels: int, eps: float = 1e-2, method: str = "mass") 
     born = np.asarray(born)
     bodies = []
     for k in range(levels + 1):
-        body = Body(Chain(finest, 2, dict.fromkeys(np.flatnonzero(born <= k).tolist(), 1.0)))
+        body = _indicator(finest, np.flatnonzero(born <= k))
         area = _koch_area(k)
         if abs(body.mass() - area) > 1e-9 * area:
             raise OverlayFailure(f"level-{k} body has area {body.mass()}, not {area}")
@@ -268,7 +268,7 @@ def _boundary_halfspaces(body: Body) -> list[HalfSpace]:
     mesh diameter agree to 1e-9.
     """
     cx = body.complex
-    C = cx.all_coords(cx.dim - 1)[list(body.chain.boundary().coeffs)]
+    C = cx.all_coords(cx.dim - 1)[body.chain.boundary().idx]
     nu = _unit_normals(C)
     # canonical sign: first component above 1e-12 in magnitude positive
     lead = nu[np.arange(len(nu)), np.argmax(np.abs(nu) > 1e-12, axis=1)]
@@ -294,7 +294,7 @@ def _inside(body: Body, X: np.ndarray) -> np.ndarray:
     cx = body.complex
     n = cx.dim
     hit = np.zeros(len(X), dtype=bool)
-    for i in body.chain.coeffs:
+    for i in body.chain.idx.tolist():
         G = cx.barygrads[i]
         hit |= np.all(X @ G[:, :n].T + G[:, n] >= -1e-9, axis=1)
     return hit
@@ -320,10 +320,7 @@ def common_refinement(a: Body, b: Body) -> tuple[Complex, Body, Body]:
     for hs in _boundary_halfspaces(a) + _boundary_halfspaces(b):
         cx = refine_by_halfspace(cx, hs).complex
     barys = cx.barycenters(cx.top_degree)
-    body_a, body_b = (
-        Body(Chain(cx, cx.dim, dict.fromkeys(np.flatnonzero(_inside(body, barys)).tolist(), 1.0)))
-        for body in (a, b)
-    )
+    body_a, body_b = (_indicator(cx, np.flatnonzero(_inside(body, barys))) for body in (a, b))
     for orig, new in ((a, body_a), (b, body_b)):
         if abs(orig.mass() - new.mass()) > 1e-10 * orig.mass():
             raise OverlayFailure(
@@ -363,19 +360,13 @@ def trace(part: Body, generator: Body) -> tuple[Chain, Complex]:
     tol = 1e-9 * max(part.complex.diameter(), generator.complex.diameter())
     bnd_p = part.chain.boundary()
     bnd_m = generator.chain.boundary()
-    for ia in bnd_p.coeffs:
-        for ib in bnd_m.coeffs:
+    for ia in bnd_p.idx.tolist():
+        for ib in bnd_m.idx.tolist():
             if _coplanar_overlap(part.complex, ia, generator.complex, ib, tol):
-                raise GeneratorOverlap(
-                    f"facet {ia} of the body lies inside facet {ib} of the generator"
-                )
+                raise GeneratorOverlap(f"facet {ia} of the body lies inside facet {ib} of the generator")
     cx, bp, bm = common_refinement(part, generator)
-    inter = Chain(
-        cx, cx.dim, {i: 1.0 for i in set(bp.chain.coeffs) & set(bm.chain.coeffs)}
-    )
-    first = inter.boundary()
+    both = np.intersect1d(bp.chain.idx, bm.chain.idx, assume_unique=True)
+    first = _indicator(cx, both).chain.boundary()
     bm_bnd = bm.chain.boundary()
-    facets = np.array(list(bm_bnd.coeffs), dtype=np.intp)
-    inside = facets[_inside(part, cx.barycenters(cx.dim - 1)[facets])]
-    second = Chain(cx, cx.dim - 1, {i: bm_bnd.coeffs[i] for i in inside.tolist()})
+    second = bm_bnd.select(_inside(part, cx.barycenters(cx.dim - 1)[bm_bnd.idx]))
     return first - second, cx

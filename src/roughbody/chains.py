@@ -2,44 +2,77 @@
 
 A chain is a sparse real-coefficient combination of oriented simplices of
 one degree on one complex; a cochain (forms.Cochain) stores coefficients the
-same way.  Both are _Coefficients: the linear structure, the dense vector
-over all k-simplices and one scatter-add, from_terms, through which every
-linear map between coefficient vectors goes (the boundary, sums,
-refinement carries, pushforwards and materialized currents).  Keys are
-kept in ascending index order, so A + B and B + A agree bitwise.
-Cross-complex arithmetic is rejected; build an explicit common refinement
-first (rough-bodies provides one).
+same way.  Both are _Coefficients: two read-only arrays, idx (the simplex
+indices, strictly ascending, so A + B and B + A agree bitwise) and val
+(finite, nonzero), and one scatter-add, from_terms, through which every
+linear map between coefficient vectors goes (the boundary, sums, refinement
+carries, pushforwards and materialized currents).  A carry gathers only the
+pieces of the chain's own simplices, so its cost follows the support.  The
+`coeffs` property is a fresh {index: value} dict, a read-only view kept for
+callers outside the library.  Cross-complex arithmetic is rejected; build
+an explicit common refinement first (rough-bodies provides one).
 """
 
 from __future__ import annotations
 
-from math import isfinite
+import operator
 
 import numpy as np
 
 from .errors import AmbientTooSmall, ComplexMismatch, DegreeMismatch, DegreeZero
 from .mesh import Complex, HalfSpace, Refinement, refine_by_halfspace, side_of_simplices
 
-ZERO_DROP = 0.0  # exact-zero coefficients are never stored
+
+def running_sum(terms: np.ndarray) -> float:
+    """The terms added left to right from 0.0, the order of Python's sum, on any thread count."""
+    return float(np.concatenate(([0.0], terms)).cumsum()[-1])
+
+
+def _summed(keys, values) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and their nonzero sums (see from_terms).
+
+    Strictly ascending keys have one value each and skip the sort.
+    """
+    keys, sums = np.asarray(keys, dtype=np.intp).ravel(), np.asarray(values, dtype=float).ravel()
+    if (keys[1:] <= keys[:-1]).any():
+        keys, which = np.unique(keys, return_inverse=True)
+        sums = np.bincount(which, weights=sums, minlength=len(keys))
+    live = sums != 0.0
+    keys = keys[live]
+    return keys, sums[live]
 
 
 class _Coefficients:
-    """Sparse finite coefficients on the k-simplices of one complex: index -> value, zeros dropped, keys ascending."""
+    """Sparse finite coefficients on the k-simplices of one complex: idx ascending, val nonzero, both read-only."""
 
-    __slots__ = ("complex", "degree", "coeffs")
+    __slots__ = ("complex", "degree", "idx", "val")
 
     def __init__(self, cx: Complex, degree: int, coeffs: dict[int, float] | None = None):
+        """From an {index: value} dict with integer keys (Python or numpy); zero values are dropped."""
+        coeffs = coeffs or {}
+        try:
+            keys = np.fromiter(map(operator.index, coeffs), np.intp, len(coeffs))
+        except TypeError:
+            bad = next(i for i in coeffs if not hasattr(i, "__index__"))
+            raise ValueError(f"simplex index {bad!r} is not an integer") from None
+        self._set(cx, degree, *_summed(keys, np.fromiter(coeffs.values(), float, len(coeffs))))
+
+    def _set(self, cx: Complex, degree: int, idx: np.ndarray, val: np.ndarray):
+        """Store idx (strictly ascending) and val (nonzero) once the degree, range and values check out."""
         if degree < 0 or degree > cx.top_degree:
             raise DegreeMismatch(f"degree {degree} not carried by the complex")
-        self.complex = cx
-        self.degree = degree
-        self.coeffs = {int(i): float(a) for i, a in sorted((coeffs or {}).items()) if a != ZERO_DROP}
-        nmax = cx.n_simplices(degree)
-        if any(i < 0 or i >= nmax for i in self.coeffs):
+        if len(idx) and (idx[0] < 0 or idx[-1] >= cx.n_simplices(degree)):
             raise AmbientTooSmall(f"{type(self).__name__.lower()} references simplices outside its complex")
-        if not all(map(isfinite, self.coeffs.values())):
-            i = next(i for i, a in self.coeffs.items() if not isfinite(a))
-            raise ValueError(f"coefficient of simplex {i} is not finite: {self.coeffs[i]}")
+        if not np.isfinite(val).all():
+            j = np.flatnonzero(~np.isfinite(val))[0]
+            raise ValueError(f"coefficient of simplex {idx[j]} is not finite: {val[j]}")
+        idx.flags.writeable = val.flags.writeable = False
+        self.complex, self.degree, self.idx, self.val = cx, degree, idx, val
+        return self
+
+    @classmethod
+    def _of(cls, cx: Complex, degree: int, idx: np.ndarray, val: np.ndarray):
+        return cls.__new__(cls)._set(cx, degree, idx, val)
 
     @classmethod
     def from_terms(cls, cx: Complex, k: int, keys, values):
@@ -48,23 +81,22 @@ class _Coefficients:
         Each key's terms are added in the order given, starting from 0.0
         (np.bincount), and exact-zero sums are dropped.
         """
-        keys = np.asarray(keys, dtype=np.intp).ravel()
-        unique, which = np.unique(keys, return_inverse=True)
-        sums = np.bincount(which, weights=np.asarray(values, dtype=float).ravel(), minlength=len(unique))
-        live = sums != 0.0
-        return cls(cx, k, dict(zip(unique[live].tolist(), sums[live].tolist())))
+        return cls._of(cx, k, *_summed(keys, values))
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Keys (ascending) and values as arrays."""
-        n = len(self.coeffs)
-        return np.fromiter(self.coeffs, np.intp, n), np.fromiter(self.coeffs.values(), float, n)
+    @property
+    def coeffs(self) -> dict[int, float]:
+        """A fresh {index: value} dict in ascending index order, for callers outside the library."""
+        return dict(zip(self.idx.tolist(), self.val.tolist()))
 
     def vector(self) -> np.ndarray:
         """Dense coefficients over all k-simplices of the complex."""
         v = np.zeros(self.complex.n_simplices(self.degree))
-        idx, vals = self._arrays()
-        v[idx] = vals
+        v[self.idx] = self.val
         return v
+
+    def select(self, keep: np.ndarray):
+        """The coefficients at the entries where the mask keep (one per stored index) holds."""
+        return self._of(self.complex, self.degree, self.idx[keep], self.val[keep])
 
     # -- linear structure ------------------------------------------------
 
@@ -76,14 +108,16 @@ class _Coefficients:
 
     def __add__(self, other):
         self._check_compatible(other)
-        keys, values = zip(self._arrays(), other._arrays())
-        return self.from_terms(self.complex, self.degree, np.concatenate(keys), np.concatenate(values))
+        keys, values = np.concatenate([self.idx, other.idx]), np.concatenate([self.val, other.val])
+        return self.from_terms(self.complex, self.degree, keys, values)
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, a: float):
-        return type(self)(self.complex, self.degree, {i: a * v for i, v in self.coeffs.items()})
+        val = self.val * float(a)
+        live = val != 0.0
+        return self._of(self.complex, self.degree, self.idx if live.all() else self.idx[live], val[live])
 
     def __mul__(self, a: float):
         return self.scale(a)
@@ -94,16 +128,15 @@ class _Coefficients:
         return self.scale(-1.0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self.idx)
 
     def max_coefficient_diff(self, other) -> float:
         self._check_compatible(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max((abs(self.coeffs.get(i, 0.0) - other.coeffs.get(i, 0.0)) for i in keys), default=0.0)
+        return float(np.abs(self.vector() - other.vector()).max(initial=0.0))
 
 
 class Chain(_Coefficients):
-    """Sparse chain: simplex index -> real coefficient, zeros dropped."""
+    """Sparse chain: real coefficients on ascending simplex indices, zeros dropped."""
 
     __slots__ = ()
 
@@ -111,12 +144,11 @@ class Chain(_Coefficients):
         if self.degree == 0:
             raise DegreeZero("0-chains have no boundary")
         faces, signs = self.complex.incidence_arrays(self.degree)
-        idx, vals = self._arrays()
-        return Chain.from_terms(self.complex, self.degree - 1, faces[idx], signs[idx] * vals[:, None])
+        terms = signs[self.idx] * self.val[:, None]
+        return Chain.from_terms(self.complex, self.degree - 1, faces[self.idx], terms)
 
     def mass(self) -> float:
-        vols = self.complex.volumes(self.degree)
-        return float(sum(abs(a) * vols[i] for i, a in self.coeffs.items()))
+        return running_sum(np.abs(self.val) * self.complex.volumes(self.degree)[self.idx])
 
     def normal_norm(self) -> float:
         if self.degree == 0:
@@ -128,32 +160,11 @@ def elementary(cx: Complex, degree: int, idx: int, coeff: float = 1.0) -> Chain:
     return Chain(cx, degree, {idx: coeff})
 
 
-def add(a: Chain, b: Chain) -> Chain:
-    return a + b
-
-
-def scale(a: float, chain: Chain) -> Chain:
-    return chain.scale(a)
-
-
-def boundary(chain: Chain) -> Chain:
-    return chain.boundary()
-
-
-def mass(chain: Chain) -> float:
-    return chain.mass()
-
-
-def normal_norm(chain: Chain) -> float:
-    return chain.normal_norm()
-
-
 def _one_side(ref: Refinement, chain: Chain, hs: HalfSpace, complement: bool = False) -> Chain:
     """The chain carried to the refinement, keeping only the pieces on one side of hs."""
     carried = ref.carry_chain(chain)
     sides = side_of_simplices(ref.complex, chain.degree, hs)
-    want = -1 if complement else 1
-    return Chain(ref.complex, chain.degree, {i: a for i, a in carried.coeffs.items() if sides[i] == want})
+    return carried.select(sides[carried.idx] == (-1 if complement else 1))
 
 
 def restrict(chain: Chain, hs: HalfSpace, complement: bool = False) -> Chain:

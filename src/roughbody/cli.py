@@ -139,7 +139,7 @@ def cmd_flux_roundtrip(args) -> int:
     original = io.load_flux(args.flux)
     rec = cochains_from_flux(flux_from_cochains(original))
     max_err = max((X.max_coefficient_diff(Y) for X, Y in zip(original, rec.cochains)), default=0.0)
-    scale = max((abs(a) for X in original for a in X.coeffs.values()), default=0.0)
+    scale = max((float(np.abs(X.val).max(initial=0.0)) for X in original), default=0.0)
     ok = max_err <= 1e-9 * scale and rec.bound_ok
     report = {
         "max_coefficient_error": max_err,
@@ -190,7 +190,7 @@ def cmd_verify_stokes(args) -> int:
         body = random_body(cx, rng)
         surface = geometric_boundary_surface(body)
         dev = surface.chain.max_coefficient_diff(body.chain.boundary())
-        return {"simplices": len(body.chain.coeffs), "deviation": dev}
+        return {"simplices": len(body.chain.idx), "deviation": dev}
 
     return _campaign(args, "stokes", trial, _within_tolerance(args, "max_deviation", "deviation"))
 
@@ -202,7 +202,8 @@ def cmd_verify_product_rule(args) -> int:
     def trial(rng):
         phi = random_sharp_field(cx, rng)
         A = random_chain(cx, k, rng)
-        omega = whitney_realize(Cochain(cx, k - 1, random_chain(cx, k - 1, rng).coeffs))
+        T = random_chain(cx, k - 1, rng)
+        omega = whitney_realize(Cochain.from_terms(cx, k - 1, T.idx, T.val))
         dev = abs(multiply(phi, A).boundary_evaluate(omega) - boundary_product(phi, A).evaluate(omega))
         return {"identity_residual": dev, "bounds_ok": check_product_bounds(phi, A).passed}
 
@@ -226,10 +227,8 @@ def cmd_verify_virtual_power(args) -> int:
     def trial(rng):
         config = Configuration(random_embedding_map(cx, rng))
         icx = config.image_complex
-        cochains = tuple(
-            Cochain(icx, cx.dim - 1, random_chain(icx, cx.dim - 1, rng).coeffs)
-            for _ in range(cx.dim)
-        )
+        chains = [random_chain(icx, cx.dim - 1, rng) for _ in range(cx.dim)]
+        cochains = tuple(Cochain.from_terms(icx, cx.dim - 1, T.idx, T.val) for T in chains)
         body = random_body(cx, rng)
         v = VirtualVelocity([random_sharp_field(icx, rng) for _ in range(cx.dim)])
         return {"residual": virtual_power_report(cochains, config, body.chain, v).residual}
@@ -280,11 +279,10 @@ def _rekey_cochain(X: Cochain, target) -> Cochain:
     h = DEGEN_TOL * target.diameter() or 1.0
     where = {p: v for v, p in enumerate(map(tuple, np.round(target.vertices / h).tolist()))}
     vmap = [where.get(p) for p in map(tuple, np.round(src.vertices / h).tolist())]
-    lookup = {frozenset(s): j for j, s in enumerate(target.simplices[k])}
     out: dict[int, float] = {}
-    for i, a in X.coeffs.items():
+    for i, a in zip(X.idx.tolist(), X.val.tolist()):
         img = [vmap[v] for v in src.simplices[k][i]]
-        j = lookup.get(frozenset(img))
+        j = target.index[k].get(frozenset(img))
         if j is None:
             raise SchemaViolation("flux mesh does not match the configuration's image mesh")
         stored = target.simplices[k][j]

@@ -87,7 +87,8 @@ def flat_norm(T: Chain) -> FlatDecomposition:
 
 def _certified(T, tau, nu, solver, s, phi, iterations) -> FlatDecomposition:
     """Scale a normalised solution back and certify it."""
-    S = Chain(T.complex, T.degree + 1, {j: tau * s[j] for j in np.nonzero(np.abs(s) > S_DROP)[0]})
+    j = np.flatnonzero(np.abs(s) > S_DROP)
+    S = Chain.from_terms(T.complex, T.degree + 1, j, tau * s[j])
     return certify(T, S, nu * phi, solver, iterations)
 
 
@@ -317,12 +318,7 @@ def certify_cauchy(
         raise TooFewChains(f"need at least two chains, got {len(chains)}")
     for ch in chains[1:]:
         ch._check_compatible(chains[0])
-    dist = []
-    for a, b in zip(chains, chains[1:]):
-        if method == "mass":
-            dist.append((b - a).mass())
-        else:
-            dist.append(flat_distance(b, a))
+    dist = [(b - a).mass() if method == "mass" else flat_distance(b, a) for a, b in zip(chains, chains[1:])]
     ratios = []
     passed = dist[-1] <= eps
     for d0, d1 in zip(dist, dist[1:]):

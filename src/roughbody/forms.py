@@ -27,7 +27,7 @@ from math import factorial, hypot
 import numpy as np
 
 from . import multivec
-from .chains import Chain, _Coefficients
+from .chains import Chain, _Coefficients, running_sum
 from .errors import (
     ComplexMismatch,
     DegreeMismatch,
@@ -42,7 +42,7 @@ MASS_PIECE_BUDGET = 1 << 16  # adaptive mass pieces per carrier
 
 
 class Cochain(_Coefficients):
-    """Sparse k-cochain: simplex index -> coefficient (Whitney duality)."""
+    """Sparse k-cochain: coefficients on ascending simplex indices (Whitney duality)."""
 
     __slots__ = ()
 
@@ -56,7 +56,8 @@ def evaluate(X: Cochain, T: Chain) -> float:
         raise ComplexMismatch("cochain and chain live on different complexes")
     if X.degree != T.degree:
         raise DegreeMismatch("cochain and chain degrees differ")
-    return float(sum(a * X.coeffs.get(i, 0.0) for i, a in T.coeffs.items()))
+    _, i, j = np.intersect1d(T.idx, X.idx, assume_unique=True, return_indices=True)
+    return running_sum(T.val[i] * X.val[j])
 
 
 def coboundary(X: Cochain) -> Cochain:
@@ -96,10 +97,7 @@ class FormField:
             raise ComplexMismatch("form fields are incompatible")
         out = {i: list(p) for i, p in self.comps.items()}
         for i, polys in other.comps.items():
-            if i in out:
-                out[i] = [a + b for a, b in zip(out[i], polys)]
-            else:
-                out[i] = list(polys)
+            out[i] = [a + b for a, b in zip(out[i], polys)] if i in out else list(polys)
         return FormField(self.complex, self.degree, out)
 
     def scale(self, a: float) -> "FormField":
@@ -177,7 +175,7 @@ def whitney_realize(X: Cochain) -> FormField:
     k = X.degree
     K = cx.top_degree
     comps: dict[int, list[Poly]] = {}
-    if not X.coeffs:
+    if X.is_zero():
         return FormField(cx, k, comps)
     G = cx.barygrads  # row i of a top: (grad lambda_i, const)
     S = cx.arrays[K]
@@ -189,10 +187,9 @@ def whitney_realize(X: Cochain) -> FormField:
     rows = G[np.arange(m)[:, None, None, None], others, :n]
     W = row_wedges(rows.reshape(m * nf * (k + 1), k, n)).reshape(m, nf, k + 1, -1)
     ncomp = W.shape[-1]
-    for top, face_ids in enumerate(faces.tolist()):
+    for top, coeffs in enumerate(X.vector()[faces].tolist()):
         res = None
-        for slot, fidx in enumerate(face_ids):
-            coeff = X.coeffs.get(fidx)
+        for slot, coeff in enumerate(coeffs):
             if not coeff:
                 continue
             if res is None:
@@ -332,14 +329,12 @@ class EvaluableCurrent:
             size *= growth
             levels += 1
         ref = barycentric_refine(cx, levels)
-        parent = ref.parent[q]
-        by_parent = np.argsort(parent, kind="stable")  # each carrier's pieces together, ascending
-        starts = np.searchsorted(parent, np.arange(cx.n_simplices(q) + 1), sorter=by_parent).tolist()
+        pieces, counts = ref.pieces(q, np.array([e.carrier_index for e in self.entries], dtype=np.intp))
         keys, values = [], []
         err = 0.0
-        for e in self.entries:
+        for e, group in zip(self.entries, np.split(pieces, np.cumsum(counts)[:-1])):
             xi = tangents[e.carrier_index]
-            for piece in by_parent[starts[e.carrier_index] : starts[e.carrier_index + 1]].tolist():
+            for piece in group.tolist():
                 pc = ref.complex.coords(q, piece)
                 bary = pc.mean(axis=0)
                 s = float(np.dot([p(bary) for p in e.density], xi))
@@ -454,7 +449,7 @@ def interior_product(omega: FormField, T: Chain) -> EvaluableCurrent:
     tangents = cx.unit_tangents(r)
     table = multivec.wedge_table(n, k, q)  # e_I ^ e_J = s e_o; each J sums over I in order
     entries = []
-    for (idx, a), top in zip(T.coeffs.items(), cx.containing_tops(r, list(T.coeffs)).tolist()):
+    for idx, a, top in zip(T.idx.tolist(), T.val.tolist(), cx.containing_tops(r, T.idx).tolist()):
         polys = omega.comps.get(top)
         if polys is None:
             continue
@@ -479,5 +474,5 @@ def chain_as_current(T: Chain) -> EvaluableCurrent:
     """
     cx = T.complex
     one = Poly.constant(cx.dim, 1.0)
-    tops = set(cx.containing_tops(T.degree, list(T.coeffs)).tolist())
+    tops = set(cx.containing_tops(T.degree, T.idx).tolist())
     return interior_product(FormField(cx, 0, {i: [one] for i in tops}), T)

@@ -85,7 +85,7 @@ def random_body(cx: Complex, rng: np.random.Generator, fill: float = 0.5) -> Bod
 
 
 def random_cochain(cx: Complex, k: int, rng: np.random.Generator, scale: float = 1.0) -> Cochain:
-    return Cochain(cx, k, {i: float(rng.normal() * scale) for i in range(cx.n_simplices(k))})
+    return Cochain.from_terms(cx, k, np.arange(cx.n_simplices(k)), rng.normal(size=cx.n_simplices(k)) * scale)
 
 
 def random_sharp_field(cx: Complex, rng: np.random.Generator, scale: float = 1.0) -> SharpField:

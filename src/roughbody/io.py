@@ -139,7 +139,7 @@ def _load_coefficients(path, mesh, cache, cls):
 
 def coefficient_list(T: Chain | Cochain) -> list[list]:
     """[[index, value]] of a chain or cochain, by index."""
-    return [[i, a] for i, a in T.coeffs.items()]
+    return [[i, a] for i, a in zip(T.idx.tolist(), T.val.tolist())]
 
 
 def load_chain(path, mesh: Complex | None = None, cache: dict | None = None) -> Chain:

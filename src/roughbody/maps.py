@@ -247,10 +247,9 @@ def pushforward(F: PAMap, T: Chain) -> Chain:
     img = F.image()
     if T.degree > img.complex.top_degree:
         raise NonSimplexImage("every image simplex of the chain degree is degenerate")
-    idx, vals = T._arrays()
-    pos, sign = img.simplex_image[T.degree][idx], img.simplex_sign[T.degree][idx]
+    pos, sign = img.simplex_image[T.degree][T.idx], img.simplex_sign[T.degree][T.idx]
     keep = pos >= 0
-    return Chain.from_terms(img.complex, T.degree, pos[keep], (sign * vals)[keep])
+    return Chain.from_terms(img.complex, T.degree, pos[keep], (sign * T.val)[keep])
 
 
 def pullback_cochain(F: PAMap, X: Cochain) -> Cochain:

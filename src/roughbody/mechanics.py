@@ -144,8 +144,7 @@ class CochainRecovery:
 def _hat_extension(cx: Complex, facet_idx: int) -> SharpField:
     """PL field equal to 1 on a facet's vertices and 0 elsewhere."""
     values = np.zeros(cx.vertices.shape[0])
-    for v in cx.simplices[cx.top_degree - 1][facet_idx]:
-        values[v] = 1.0
+    values[cx.arrays[cx.top_degree - 1][facet_idx]] = 1.0
     return SharpField(cx, values)
 
 
@@ -168,7 +167,7 @@ def cochains_from_flux(flux: CauchyFlux, cx: Complex | None = None) -> CochainRe
     max_dev = 0.0
     vols = cx.volumes(k)
     for i in range(n):
-        coeffs: dict[int, float] = {}
+        values = []
         for idx in range(cx.n_simplices(k)):
             elem = Chain(cx, k, {idx: 1.0})
             a = flux.component(i, elem, ones)
@@ -179,9 +178,8 @@ def cochains_from_flux(flux: CauchyFlux, cx: Complex | None = None) -> CochainRe
                 raise ExtensionDependence(
                     f"component {i}, facet {idx}: extensions give {a} and {alt}"
                 )
-            if a != 0.0:
-                coeffs[idx] = a
-        cochains.append(Cochain(cx, k, coeffs))
+            values.append(a)
+        cochains.append(Cochain.from_terms(cx, k, np.arange(len(values)), values))
     norms = [cochain_flat_norm(X) for X in cochains]
     bound = max(flux.s, flux.b)
     ok = all(f <= bound * (1.0 + 1e-9) for f in norms)
@@ -198,7 +196,7 @@ class BalanceEstimate:
 
 def _carrier_region(chain: Chain) -> list[int]:
     cx = chain.complex
-    return np.unique(cx.containing_tops(chain.degree, list(chain.coeffs))).tolist()
+    return np.unique(cx.containing_tops(chain.degree, chain.idx)).tolist()
 
 
 def _max_ratio(flux: CauchyFlux, chains: list[Chain], velocities, of_boundary: bool) -> tuple[float, tuple | None]:
@@ -212,7 +210,7 @@ def _max_ratio(flux: CauchyFlux, chains: list[Chain], velocities, of_boundary: b
     for ti, T in enumerate(chains):
         if T.is_zero():
             continue
-        S, region = (T.boundary(), list(T.coeffs)) if of_boundary else (T, _carrier_region(T))
+        S, region = (T.boundary(), T.idx.tolist()) if of_boundary else (T, _carrier_region(T))
         mass = T.mass()
         for vi, v in enumerate(velocities):
             for i in range(len(flux.components)):
@@ -316,7 +314,7 @@ def stress_report(
     n = config.source.dim
     if config.map.target_dim != n:
         raise OrientationReversal("material frame needs equal source and target dimensions")
-    for idx in T.coeffs:
+    for idx in T.idx.tolist():
         if config.jacobian_det(idx) <= 0.0:
             raise OrientationReversal(f"simplex {idx} has non-positive Jacobian")
 

@@ -35,7 +35,7 @@ tiles (its parent array); composing refinements is one gather.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import factorial
@@ -43,7 +43,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateSimplex, NonManifoldOverlap
+from .errors import ComplexMismatch, DegenerateSimplex, NonManifoldOverlap
 from .multivec import basis_tuples
 from .simplex_lp import certainly_disjoint, facet_signs, float_image, simplex_interiors_intersect
 
@@ -618,22 +618,35 @@ class Refinement:
     parent[k][j] is the k-simplex of the source that k-simplex j of the
     refined complex tiles (oriented like it), or -1 when it tiles none: a
     new vertex, a face on a cut plane, a face inside a subdivided simplex.
+    A carry gathers only the pieces of the chain's own simplices (`pieces`).
     """
 
     complex: Complex
     source: Complex
     parent: dict[int, np.ndarray]
+    _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def pieces(self, k: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The refined k-simplices tiling each source simplex of idx, in that order, and how many tile each.
+
+        The refined simplices are grouped by parent once per degree, on first use.
+        """
+        if k not in self._groups:  # source simplex i's pieces: order[starts[i]:starts[i + 1]], ascending
+            order = np.argsort(self.parent[k], kind="stable")
+            ids = np.arange(self.source.n_simplices(k) + 1)
+            self._groups[k] = order, np.searchsorted(self.parent[k], ids, sorter=order)
+        order, starts = self._groups[k]
+        counts = starts[idx + 1] - starts[idx]
+        rank = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # place within its group
+        return order[np.repeat(starts[idx], counts) + rank], counts
 
     def carry_chain(self, chain):
         from .chains import Chain
 
         if chain.complex is not self.source:
-            from .errors import ComplexMismatch
-
             raise ComplexMismatch("chain does not live on the refinement source")
-        parent = self.parent[chain.degree]
-        tiles = np.flatnonzero(parent >= 0)
-        return Chain.from_terms(self.complex, chain.degree, tiles, chain.vector()[parent[tiles]])
+        pieces, counts = self.pieces(chain.degree, chain.idx)
+        return Chain.from_terms(self.complex, chain.degree, pieces, np.repeat(chain.val, counts))
 
 
 def _refinement(vertices: np.ndarray, new: dict[int, np.ndarray], source: Complex, parents) -> Refinement:

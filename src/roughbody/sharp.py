@@ -54,7 +54,7 @@ class SharpField:
 
     def as_cochain(self) -> Cochain:
         """The flat 0-cochain induced by the field (vertex values)."""
-        return Cochain(self.complex, 0, {i: float(v) for i, v in enumerate(self.values)})
+        return Cochain.from_terms(self.complex, 0, np.arange(len(self.values)), self.values)
 
     def sup(self, region=None) -> float:
         """Max |value| over all vertices, or over the vertices of the region's top simplices (EmptyRegion if none)."""

@@ -7,9 +7,11 @@ running sum cancels to exactly 0.0 and a later term revives the key; the
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_coefficients as ref_coeffs
-from roughbody.chains import Chain
+from roughbody.chains import Chain, elementary
 from roughbody.errors import DegreeMismatch
 from roughbody.forms import Cochain
 from roughbody.generate import cube_mesh, grid_mesh, random_chain, random_cochain, random_halfspace
@@ -36,6 +38,7 @@ def _chains(cx, rng):
         for density in (1.0, 0.5):
             yield _unit_chain(cx, k, rng, density)
         yield random_chain(cx, k, rng)
+        yield elementary(cx, k, cx.n_simplices(k) // 2, -1.5)
 
 
 def _folded_strip(n: int) -> PAMap:
@@ -116,7 +119,7 @@ def test_unsorted_dict_iterates_in_ascending_order(cls):
     cx = grid_mesh(2, 2)
     got = cls(cx, 1, {7: 1.0, 2: -3.0, 5: 0.0, 0: 0.25, 11: 2.0})
     assert list(got.coeffs) == [0, 2, 7, 11]
-    idx, _ = got._arrays()
+    idx = got.idx
     assert idx.tolist() == [0, 2, 7, 11]
 
 
@@ -155,3 +158,58 @@ def test_non_finite_coefficient_is_rejected(cls, bad):
     cx = grid_mesh(2, 2)
     with pytest.raises(ValueError, match="simplex 3"):
         cls(cx, 1, {0: 1.0, 3: bad, 5: bad})
+
+
+@pytest.mark.parametrize("cls", [Chain, Cochain])
+def test_fractional_key_is_rejected(cls):
+    cx = grid_mesh(2, 2)
+    with pytest.raises(ValueError, match="0.7"):
+        cls(cx, 1, {0.7: 1.0, 2.9: 3.0})
+    for bad in ("a", None):
+        with pytest.raises(ValueError, match=repr(bad)):
+            cls(cx, 1, {1: 1.0, bad: 2.0})
+    got = cls(cx, 1, {np.int64(7): 1.0, 2: -3.0, np.int32(4): 0.5, np.uint8(5): 2.0})
+    assert got.coeffs == {2: -3.0, 4: 0.5, 5: 2.0, 7: 1.0}
+
+
+def _assert_canonical(T) -> None:
+    assert T.idx.dtype == np.intp and T.val.dtype == np.float64
+    assert T.idx.shape == T.val.shape == (len(T.idx),)
+    assert (np.diff(T.idx) > 0).all()
+    assert (T.val != 0.0).all() and np.isfinite(T.val).all()
+    assert not T.idx.flags.writeable and not T.val.flags.writeable
+
+
+_FOLD = _folded_strip(4)
+_CUT = random_halfspace(np.random.default_rng(17), _FOLD.source)
+_CARRIES = (barycentric_refine(_FOLD.source, 1), refine_by_halfspace(_FOLD.source, _CUT))
+_VALUES = st.one_of(
+    st.floats(-1e100, 1e100, allow_nan=False), st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324])
+)
+
+
+@st.composite
+def _two_term_lists(draw):
+    k = draw(st.integers(0, _FOLD.source.top_degree))
+    terms = st.lists(st.tuples(st.integers(0, _FOLD.source.n_simplices(k) - 1), _VALUES), max_size=30)
+    return k, draw(terms), draw(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_two_term_lists(), st.floats(-1e100, 1e100, allow_nan=False))
+def test_every_operation_keeps_two_canonical_arrays(terms, factor):
+    cx = _FOLD.source
+    k, a, b = terms
+    A = Chain.from_terms(cx, k, [i for i, _ in a], [v for _, v in a])
+    B, X = Chain(cx, k, dict(b)), Cochain(cx, k, dict(a))
+    gone = A.scale(1e-300).scale(1e-300)  # every |value| <= 3e101 underflows to 0
+    results = [A, B, X, A + B, A - B, X - X, -B, A.scale(factor), gone, pushforward(_FOLD, B)]
+    results += [ref.carry_chain(T) for ref in _CARRIES for T in (A, B)]
+    if k:
+        results += [A.boundary(), (A + B).boundary()]
+    for T in results:
+        _assert_canonical(T)
+    assert gone.is_zero() and (A - A).is_zero()
+    if not A.is_zero():
+        with pytest.raises(ValueError):
+            A.scale(float("nan"))
