@@ -12,8 +12,10 @@ Every lazy current is built by one contraction, `interior_product(W, T)`:
 the densities W -| T of a form field W on the carriers of a chain T.  The
 current of a chain is 1 -| T (chain_as_current), a sharp product phi A is
 phi's PL interpolant contracted with A (sharp.multiply), and a cochain X
-acts as whitney_realize(X).  A form field is paired with a current by
-EvaluableCurrent.evaluate: a chain T integrates w as
+acts as whitney_realize(X): one batched accumulation over all tops, in the
+term order of the per-top Poly loop that survives only as the test
+reference tests/reference_whitney.py.  A form field is paired with a
+current by EvaluableCurrent.evaluate: a chain T integrates w as
 chain_as_current(T).evaluate(w).  The signs of the exterior derivative and
 the interior product are the rows of multivec.wedge_table.
 """
@@ -168,41 +170,38 @@ def whitney_realize(X: Cochain) -> FormField:
     A k-face whose stored vertices sit at positions r_0 .. r_k of a top
     simplex adds k! X(face) sum_i (-1)^i lambda_(r_i) dlambda_(r_0) ^ ...
     (r_i omitted) ... ^ dlambda_(r_k) there.  The wedges of gradient rows
-    are taken by mesh.row_wedges for every top at once.
+    are taken by mesh.row_wedges for every top at once, and one batched pass
+    adds all terms in the order, and to the dict key order, of the per-top
+    Poly loop it replaced, now only the test reference_whitney.py.
     """
     cx = X.complex
     n = cx.dim
     k = X.degree
-    K = cx.top_degree
     comps: dict[int, list[Poly]] = {}
     if X.is_zero():
         return FormField(cx, k, comps)
     G = cx.barygrads  # row i of a top: (grad lambda_i, const)
-    S = cx.arrays[K]
-    faces = cx.face_table(K, k)
+    faces = cx.face_table(cx.top_degree, k)
     m, nf = faces.shape
     # positions in each top of each face's stored vertices, (m, nf, k + 1)
-    pos = np.argmax(cx.arrays[k][faces][..., None] == S[:, None, None, :], axis=-1)
+    pos = np.argmax(cx.arrays[k][faces][..., None] == cx.arrays[cx.top_degree][:, None, None, :], axis=-1)
     others = pos[..., [[j for j in range(k + 1) if j != i] for i in range(k + 1)]]
     rows = G[np.arange(m)[:, None, None, None], others, :n]
     W = row_wedges(rows.reshape(m * nf * (k + 1), k, n)).reshape(m, nf, k + 1, -1)
-    ncomp = W.shape[-1]
-    for top, coeffs in enumerate(X.vector()[faces].tolist()):
-        res = None
-        for slot, coeff in enumerate(coeffs):
-            if not coeff:
-                continue
-            if res is None:
-                res = [Poly.zero(n) for _ in range(ncomp)]
-            fact = factorial(k) * coeff
-            for i, (r, wcomps) in enumerate(zip(pos[top, slot].tolist(), W[top, slot].tolist())):
-                lam = Poly.affine(n, G[top, r, :n], G[top, r, n])
-                sign = fact * (1.0 if i % 2 == 0 else -1.0)
-                for c_idx, w in enumerate(wcomps):
-                    if w != 0.0:
-                        res[c_idx] = res[c_idx] + lam.scale(sign * w)
-        if res is not None:
-            comps[top] = res
+    lam = G[np.arange(m)[:, None, None], pos][..., [n, *range(n)]]  # lambda_(r_i) as (const, lin)
+    coeffs = factorial(k) * X.vector()[faces]
+    acc = np.zeros((m, W.shape[-1], n + 1))
+    born = np.zeros(acc.shape, dtype=np.intp)  # the term that last brought each sum away from 0.0
+    for t, (slot, i) in enumerate(np.ndindex(nf, k + 1)):
+        term = ((-1) ** i * coeffs[:, slot, None] * W[:, slot, i])[..., None] * lam[:, slot, i, None]
+        born[(acc == 0.0) & (term != 0.0)] = t
+        acc += term
+    # a Poly lists its monomials as the loop's dict did: by that term, then constant, x_0, x_1, ...
+    order = np.argsort(born, axis=-1, kind="stable")
+    monos = [(0,) * n] + [tuple(int(e == d) for e in range(n)) for d in range(n)]
+    live = np.flatnonzero(coeffs.any(axis=1))
+    for top, sums, orders in zip(live.tolist(), acc[live].tolist(), order[live].tolist()):
+        comps[top] = [Poly(n, {monos[j]: c[j] for j in o}) for c, o in zip(sums, orders)]
     return FormField(cx, k, comps)
 
 

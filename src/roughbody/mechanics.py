@@ -169,7 +169,7 @@ def cochains_from_flux(flux: CauchyFlux, cx: Complex | None = None) -> CochainRe
     for i in range(n):
         values = []
         for idx in range(cx.n_simplices(k)):
-            elem = Chain(cx, k, {idx: 1.0})
+            elem = Chain.from_terms(cx, k, [idx], [1.0])
             a = flux.component(i, elem, ones)
             alt = flux.component(i, elem, _hat_extension(cx, idx))
             dev = abs(a - alt)

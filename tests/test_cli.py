@@ -7,7 +7,7 @@ import pytest
 from roughbody import io
 from roughbody.cli import main
 from roughbody.errors import SchemaViolation
-from roughbody.generate import grid_mesh
+from roughbody.generate import cube_mesh, grid_mesh
 
 
 @pytest.fixture
@@ -216,6 +216,21 @@ class TestCLI:
         main(["verify", "stokes", "--mesh", str(mesh_path), "--trials", "3", "--seed", "2", "--out", str(out2)])
         # env var wins over the flag, so both runs are byte-identical
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "check,mesh", [("product-rule", "grid3"), ("product-rule", "cube1"), ("virtual-power", "grid3")]
+    )
+    def test_campaign_output_is_deterministic(self, check, mesh, tmp_path):
+        # the campaigns whose values go through Whitney realization and sharp products
+        mesh_path = tmp_path / f"{mesh}.json"
+        io.save_mesh(grid_mesh(3, 3) if mesh == "grid3" else cube_mesh(1, 1, 1), mesh_path)
+        runs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{check}-{run}.json"
+            main(["verify", check, "--mesh", str(mesh_path), "--trials", "3", "--seed", "5", "--out", str(out)])
+            runs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][0])["trials"] == 3 and runs[0][1].count(b"\n") == 4
 
     def test_stress_report_cli(self, square_files, tmp_path, capsys):
         tmp, mesh_path, body_path, cx = square_files

@@ -1,8 +1,11 @@
+import functools
 import time
 
 import numpy as np
 import pytest
 
+import reference_whitney
+from roughbody.bodies import koch_prefractal
 from roughbody.chains import elementary
 from roughbody import forms
 from roughbody.errors import AmbientTooSmall, DegreeMismatch, MassBudgetExceeded, TopDegree
@@ -17,6 +20,7 @@ from roughbody.forms import (
 )
 from roughbody.generate import cube_mesh, grid_mesh, random_chain, random_cochain, random_pa_map
 from roughbody.maps import pullback_form
+from roughbody.mesh import build_complex
 
 
 def dx_cochain(cx):
@@ -125,6 +129,54 @@ class TestWhitneyRealize:
         for top in range(grid44.n_simplices(2)):
             x = grid44.coords(2, top).mean(axis=0)
             assert np.allclose(a.value(top, x), b.value(top, x), atol=1e-10)
+
+
+@functools.cache
+def _realization_mesh(name):
+    if name == "grid3":
+        return grid_mesh(3, 3)
+    if name == "grid6-jittered":
+        cx = grid_mesh(6, 6)
+        V = cx.vertices + np.random.default_rng(6).uniform(-0.1, 0.1, cx.vertices.shape) / 6
+        return build_complex(V, {2: cx.arrays[2]})
+    if name == "cube2":
+        return cube_mesh(2, 2, 2)
+    if name == "koch2":
+        return koch_prefractal(2).chain.complex
+    # two triangles bent out of the plane: a surface in R^3
+    return build_complex([[0, 0, 0], [1, 0, 0], [1, 1, 0.5], [0, 1, 0.2]], {2: [(0, 1, 2), (0, 2, 3)]})
+
+
+def _realization_cases():
+    for name, top in [("grid3", 2), ("grid6-jittered", 2), ("cube2", 3), ("koch2", 2), ("surface3d", 2)]:
+        for k in range(top + 1):
+            for kind in ("dense", "single", "zero"):
+                yield pytest.param(name, k, kind, id=f"{name}-k{k}-{kind}")
+
+
+class TestBatchedRealization:
+    """whitney_realize against the per-top Poly loop it replaced (tests/reference_whitney.py)."""
+
+    @pytest.mark.parametrize("name,k,kind", list(_realization_cases()))
+    def test_matches_per_top_loop(self, name, k, kind):
+        cx = _realization_mesh(name)
+        rng = np.random.default_rng(1000 * k + len(name))
+        if kind == "dense":
+            X = random_cochain(cx, k, rng)
+        elif kind == "single":
+            X = Cochain(cx, k, {cx.n_simplices(k) // 2: 1.7})
+        else:
+            X = Cochain(cx, k, {})
+        got, want = whitney_realize(X), reference_whitney.whitney_realize(X)
+        assert list(got.comps) == list(want.comps)
+        for top, polys in want.comps.items():
+            assert len(got.comps[top]) == len(polys)
+            for p, q in zip(got.comps[top], polys):
+                assert [(m, c.hex()) for m, c in p.terms.items()] == [(m, c.hex()) for m, c in q.terms.items()]
+        T = random_chain(cx, k, rng)
+        a = chain_as_current(T).evaluate(got)
+        b = chain_as_current(T).evaluate(want)
+        assert abs(a - b) <= 1e-13 * max(abs(a), abs(b))
 
 
 class TestWedge:
