@@ -8,27 +8,34 @@ field with those simplex integrals; the realization is tangentially
 continuous, so weak exterior derivatives have no face terms and all
 pairings reduce to exact polynomial integrals.
 
-Every lazy current is built by one contraction, `interior_product(W, T)`:
-the densities W -| T of a form field W on the carriers of a chain T.  The
-current of a chain is 1 -| T (chain_as_current), a sharp product phi A is
-phi's PL interpolant contracted with A (sharp.multiply), and a cochain X
-acts as whitney_realize(X): one batched accumulation over all tops, in the
-term order of the per-top Poly loop that survives only as the test
-reference tests/reference_whitney.py.  A form field is paired with a
-current by EvaluableCurrent.evaluate: a chain T integrates w as
-chain_as_current(T).evaluate(w).  The signs of the exterior derivative and
-the interior product are the rows of multivec.wedge_table.
+A form field is one coefficient array, coef[top, component, monomial],
+over an ascending array of top simplices, with the monomials of
+poly.monomials(n, FORM_DEGREE); a current's densities have the same layout
+over its carrier simplices.  Every operation is a gather and a contraction
+with a fixed table: d, wedge and interior_product with
+multivec.wedge_tensor and poly's derivative and product tables, the
+pullback (maps.pullback_form) with poly.substitution.  Every lazy current
+is built by one contraction, `interior_product(W, T)`: the densities
+W -| T of a form field W on the carriers of a chain T.  The current of a
+chain is 1 -| T (chain_as_current), a sharp product phi A is phi's PL
+interpolant contracted with A (sharp.multiply), and a cochain X acts as
+whitney_realize(X): one batched accumulation over all tops, in the term
+order of the per-top loop that survives only as the test reference
+tests/reference_whitney.py.  A form field is paired with a current by
+EvaluableCurrent.evaluate, one moment contraction per carrier degree
+(poly.integrate_over_simplex): a chain T integrates w as
+chain_as_current(T).evaluate(w).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, hypot
 
 import numpy as np
 
-from . import multivec
+from . import multivec, poly
 from .chains import Chain, _Coefficients, running_sum
 from .errors import (
     ComplexMismatch,
@@ -36,9 +43,10 @@ from .errors import (
     DegreeOverflow,
     MassBudgetExceeded,
     TopDegree,
+    WrongDegree,
 )
 from .mesh import Complex, _cut_vertices, _split_ids, barycentric_refine, row_wedges, simplex_volumes
-from .poly import Poly, integrate_over_simplex
+from .poly import FORM_DEGREE, integrate_over_simplex
 
 MASS_PIECE_BUDGET = 1 << 16  # adaptive mass pieces per carrier
 
@@ -76,92 +84,99 @@ def coboundary(X: Cochain) -> Cochain:
 
 
 class FormField:
-    """Per-top-simplex polynomial k-form (degree <= 2 coefficients)."""
+    """Polynomial k-form on listed top simplices: coef[t, component, monomial] over ascending tops.
 
-    __slots__ = ("complex", "degree", "comps")
+    Monomials are poly.monomials(n, FORM_DEGREE) and components the basis
+    of Lambda_k R^n; a top that is not listed carries the zero form.
+    """
 
-    def __init__(self, cx: Complex, degree: int, comps: dict[int, list[Poly]] | None = None):
+    __slots__ = ("complex", "degree", "tops", "coef")
+
+    def __init__(self, cx: Complex, degree: int, tops=(), coef=None):
+        n = cx.dim
+        tops = np.asarray(tops, dtype=np.intp).reshape(-1)
+        shape = (len(tops), multivec.dim(n, degree), poly.size(n, FORM_DEGREE))
+        coef = np.zeros(shape) if coef is None else np.asarray(coef, dtype=float)
+        if coef.shape != shape:
+            kind = WrongDegree if coef.ndim != 3 or coef.shape[1] != shape[1] else ValueError
+            raise kind(f"a {degree}-form on R^{n} over {len(tops)} tops has coefficients of shape {shape}, not {coef.shape}")
+        if (tops[1:] <= tops[:-1]).any():
+            raise ValueError("form field tops must be strictly ascending")
+        if not np.isfinite(coef).all():
+            bad = np.flatnonzero(~np.isfinite(coef).all(axis=(1, 2)))[0]
+            raise ValueError(f"form coefficient on top {tops[bad]} is not finite: {coef[bad].tolist()}")
         self.complex = cx
         self.degree = degree
-        self.comps = comps or {}
+        self.tops = tops
+        self.coef = coef
 
-    def _dim(self) -> int:
-        return multivec.dim(self.complex.dim, self.degree)
+    def locate(self, tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, found): the rows of the listed ones among `tops`, and which of `tops` are listed."""
+        pos = np.searchsorted(self.tops, tops)
+        found = pos < len(self.tops)
+        found[found] = self.tops[pos[found]] == tops[found]
+        return pos[found], found
 
     def value(self, top_idx: int, x: np.ndarray) -> np.ndarray:
-        polys = self.comps.get(top_idx)
-        if polys is None:
-            return np.zeros(self._dim())
-        return np.array([p(x) for p in polys])
+        rows, _ = self.locate(np.array([top_idx]))
+        coef = self.coef[rows[0]] if rows.size else np.zeros(self.coef.shape[1:])
+        return coef @ poly.powers(np.asarray(x, dtype=float), FORM_DEGREE)
 
     def __add__(self, other: "FormField") -> "FormField":
         if self.complex is not other.complex or self.degree != other.degree:
             raise ComplexMismatch("form fields are incompatible")
-        out = {i: list(p) for i, p in self.comps.items()}
-        for i, polys in other.comps.items():
-            out[i] = [a + b for a, b in zip(out[i], polys)] if i in out else list(polys)
-        return FormField(self.complex, self.degree, out)
+        tops = np.union1d(self.tops, other.tops)
+        coef = np.zeros((len(tops),) + self.coef.shape[1:])
+        coef[np.searchsorted(tops, self.tops)] += self.coef
+        coef[np.searchsorted(tops, other.tops)] += other.coef
+        return FormField(self.complex, self.degree, tops, coef)
 
     def scale(self, a: float) -> "FormField":
-        return FormField(
-            self.complex, self.degree, {i: [p.scale(a) for p in polys] for i, polys in self.comps.items()}
-        )
+        return FormField(self.complex, self.degree, self.tops, a * self.coef)
 
     def __sub__(self, other: "FormField") -> "FormField":
         return self + other.scale(-1.0)
 
     def d(self) -> "FormField":
         """Piecewise exterior derivative (no face terms for Whitney-realized fields)."""
-        cx = self.complex
-        n = cx.dim
-        k = self.degree
-        sign = -1 if k % 2 else 1  # dx_a ^ dx_I = (-1)^k dx_I ^ dx_a
-        table = multivec.wedge_table(n, k, 1)
-        out: dict[int, list[Poly]] = {}
-        for top, polys in self.comps.items():
-            res = [Poly.zero(n) for _ in range(multivec.dim(n, k + 1))]
-            for i, dax, o, s in table:
-                dp = polys[i].diff(dax)
-                if not dp.is_zero():
-                    res[o] = res[o] + dp.scale(sign * s)
-            out[top] = res
-        return FormField(cx, k + 1, out)
+        n, k = self.complex.dim, self.degree
+        return FormField(self.complex, k + 1, self.tops, np.einsum("tia,ioab->tob", self.coef, _d_tensor(n, k)))
 
     def wedge(self, other: "FormField") -> "FormField":
+        """Pointwise wedge on the tops both fields list; DegreeOverflow past the stored degree."""
         if self.complex is not other.complex:
             raise ComplexMismatch("form fields on different complexes")
-        n = self.complex.dim
-        if self.degree + other.degree > n:
+        n, k, r = self.complex.dim, self.degree, other.degree
+        if k + r > n:
             raise DegreeOverflow("wedge exceeds ambient dimension")
-        table = multivec.wedge_table(n, self.degree, other.degree)
-        out: dict[int, list[Poly]] = {}
-        for top in set(self.comps) & set(other.comps):
-            res = [Poly.zero(n) for _ in multivec.basis_tuples(n, self.degree + other.degree)]
-            a, b = self.comps[top], other.comps[top]
-            for i, j, o, s in table:
-                prod = a[i] * b[j]
-                if not prod.is_zero():
-                    res[o] = res[o] + prod.scale(s)
-            out[top] = res
-        return FormField(self.complex, self.degree + other.degree, out)
+        tops, i, j = np.intersect1d(self.tops, other.tops, assume_unique=True, return_indices=True)
+        a, b = poly.trim(self.coef[i], n), poly.trim(other.coef[j], n)
+        prod = poly.multiply(a[:, :, None], b[:, None, :], n)  # (t, i, j, monomial)
+        coef = np.einsum("tijm,ijo->tom", prod, multivec.wedge_tensor(n, k, r))
+        return FormField(self.complex, k + r, tops, poly.fit(coef, n))
 
     def vertex_comass_max(self) -> float:
         """Max Euclidean component norm over supported simplices' vertices."""
         cx = self.complex
-        best = 0.0
-        for top, polys in self.comps.items():
-            for x in cx.coords(cx.top_degree, top):
-                v = np.array([p(x) for p in polys])
-                best = max(best, float(np.linalg.norm(v)))
-        return best
+        X = cx.vertices[cx.arrays[cx.top_degree][self.tops]]
+        vals = np.einsum("tcm,tvm->tvc", self.coef, poly.powers(X, FORM_DEGREE))
+        return float(np.linalg.norm(vals, axis=2).max(initial=0.0))
+
+
+@lru_cache(maxsize=None)
+def _d_tensor(n: int, k: int) -> np.ndarray:
+    """(dim(n, k), dim(n, k + 1), size, size): d of component i's monomial a into component o's b."""
+    sign = -1.0 if k % 2 else 1.0  # dx_a ^ dx_I = (-1)^k dx_I ^ dx_a
+    return np.einsum("ixo,xab->ioab", sign * multivec.wedge_tensor(n, k, 1), poly.derivative_tensor(n, FORM_DEGREE))
 
 
 def constant_form(cx: Complex, degree: int, comps) -> FormField:
     """Form field with the same constant covector on every top simplex."""
-    comps = np.asarray(comps, dtype=float)
-    n = cx.dim
-    polys = [Poly.constant(n, c) for c in comps]
-    return FormField(cx, degree, {i: list(polys) for i in range(cx.n_simplices(cx.top_degree))})
+    comps = np.asarray(comps, dtype=float).reshape(-1)
+    m = cx.n_simplices(cx.top_degree)
+    coef = np.zeros((m, len(comps), poly.size(cx.dim, FORM_DEGREE)))
+    coef[:, :, 0] = comps
+    return FormField(cx, degree, np.arange(m), coef)
 
 
 def whitney_realize(X: Cochain) -> FormField:
@@ -170,16 +185,18 @@ def whitney_realize(X: Cochain) -> FormField:
     A k-face whose stored vertices sit at positions r_0 .. r_k of a top
     simplex adds k! X(face) sum_i (-1)^i lambda_(r_i) dlambda_(r_0) ^ ...
     (r_i omitted) ... ^ dlambda_(r_k) there.  The wedges of gradient rows
-    are taken by mesh.row_wedges for every top at once, and one batched pass
-    adds all terms in the order, and to the dict key order, of the per-top
-    Poly loop it replaced, now only the test reference_whitney.py.
+    are taken by mesh.row_wedges for every top at once, and one pass adds
+    the affine terms of all tops into the coefficient array, face slot by
+    face slot and position by position, the order of the per-top loop it
+    replaced (now only the test reference_whitney.py), so every
+    coefficient is that loop's sum.  A top is listed when one of its faces
+    has a nonzero coefficient.
     """
     cx = X.complex
     n = cx.dim
     k = X.degree
-    comps: dict[int, list[Poly]] = {}
     if X.is_zero():
-        return FormField(cx, k, comps)
+        return FormField(cx, k)
     G = cx.barygrads  # row i of a top: (grad lambda_i, const)
     faces = cx.face_table(cx.top_degree, k)
     m, nf = faces.shape
@@ -188,81 +205,77 @@ def whitney_realize(X: Cochain) -> FormField:
     others = pos[..., [[j for j in range(k + 1) if j != i] for i in range(k + 1)]]
     rows = G[np.arange(m)[:, None, None, None], others, :n]
     W = row_wedges(rows.reshape(m * nf * (k + 1), k, n)).reshape(m, nf, k + 1, -1)
-    lam = G[np.arange(m)[:, None, None], pos][..., [n, *range(n)]]  # lambda_(r_i) as (const, lin)
+    lam = G[np.arange(m)[:, None, None], pos][..., [n, *range(n)]]  # lambda_(r_i) as coefficients of 1, x_0, ...
     coeffs = factorial(k) * X.vector()[faces]
-    acc = np.zeros((m, W.shape[-1], n + 1))
-    born = np.zeros(acc.shape, dtype=np.intp)  # the term that last brought each sum away from 0.0
-    for t, (slot, i) in enumerate(np.ndindex(nf, k + 1)):
-        term = ((-1) ** i * coeffs[:, slot, None] * W[:, slot, i])[..., None] * lam[:, slot, i, None]
-        born[(acc == 0.0) & (term != 0.0)] = t
-        acc += term
-    # a Poly lists its monomials as the loop's dict did: by that term, then constant, x_0, x_1, ...
-    order = np.argsort(born, axis=-1, kind="stable")
-    monos = [(0,) * n] + [tuple(int(e == d) for e in range(n)) for d in range(n)]
+    sign = (-1.0) ** np.arange(k + 1)
+    terms = ((sign * coeffs[:, :, None])[..., None] * W)[..., None] * lam[:, :, :, None]
+    terms = terms.reshape(m, nf * (k + 1), W.shape[-1], n + 1)  # in (face slot, position) order
+    acc = np.zeros((m, W.shape[-1], poly.size(n, FORM_DEGREE)))
+    for t in range(terms.shape[1]):
+        acc[..., : n + 1] += terms[:, t]
     live = np.flatnonzero(coeffs.any(axis=1))
-    for top, sums, orders in zip(live.tolist(), acc[live].tolist(), order[live].tolist()):
-        comps[top] = [Poly(n, {monos[j]: c[j] for j in o}) for c, o in zip(sums, orders)]
-    return FormField(cx, k, comps)
-
-
-@dataclass
-class CurrentEntry:
-    carrier_degree: int
-    carrier_index: int
-    density: list[Poly]  # one polynomial per Lambda_q component
+    return FormField(cx, k, live, acc[live])
 
 
 class EvaluableCurrent:
     """Lazily represented current: polynomial q-vector densities on carrier simplices.
 
-    Pairing with a form field integrates <omega(x), density(x)> over each
-    carrier simplex with exact polynomial quadrature.
+    Carrier c is the simplex (carrier_degree[c], carrier_index[c]) with the
+    density coefficients density[c, component, monomial], laid out as a
+    FormField's.  Pairing with a form field integrates <omega(x), density(x)>
+    over each carrier simplex exactly (poly.integrate_over_simplex).
     """
 
-    def __init__(self, cx: Complex, degree: int, entries: list[CurrentEntry] | None = None):
+    def __init__(self, cx: Complex, degree: int, carrier_degree, carrier_index, density):
         self.complex = cx
         self.degree = degree
-        self.entries = entries or []
+        self.carrier_degree = np.asarray(carrier_degree, dtype=np.intp).reshape(-1)
+        self.carrier_index = np.asarray(carrier_index, dtype=np.intp).reshape(-1)
+        self.density = np.asarray(density, dtype=float)
+        shape = (len(self.carrier_index), multivec.dim(cx.dim, degree), poly.size(cx.dim, FORM_DEGREE))
+        if self.density.shape != shape or len(self.carrier_degree) != shape[0]:
+            raise ValueError(f"need {shape[0]} carrier degrees and densities of shape {shape}")
 
     def __add__(self, other: "EvaluableCurrent") -> "EvaluableCurrent":
         if self.complex is not other.complex or self.degree != other.degree:
             raise ComplexMismatch("currents are incompatible")
-        return EvaluableCurrent(self.complex, self.degree, self.entries + other.entries)
+        degrees = np.concatenate([self.carrier_degree, other.carrier_degree])
+        index = np.concatenate([self.carrier_index, other.carrier_index])
+        return EvaluableCurrent(self.complex, self.degree, degrees, index, np.concatenate([self.density, other.density]))
 
     def scale(self, a: float) -> "EvaluableCurrent":
-        out = [
-            CurrentEntry(e.carrier_degree, e.carrier_index, [p.scale(a) for p in e.density])
-            for e in self.entries
-        ]
-        return EvaluableCurrent(self.complex, self.degree, out)
+        return EvaluableCurrent(self.complex, self.degree, self.carrier_degree, self.carrier_index, a * self.density)
 
     def __sub__(self, other: "EvaluableCurrent") -> "EvaluableCurrent":
         return self + other.scale(-1.0)
 
+    def _by_degree(self):
+        """(carrier degree, carrier rows, their simplex indices), one per degree present."""
+        for k in np.unique(self.carrier_degree).tolist():
+            rows = np.flatnonzero(self.carrier_degree == k)
+            yield k, rows, self.carrier_index[rows]
+
     def evaluate(self, omega: FormField) -> float:
+        """sum over carriers of the integral of <omega, density>, added in carrier order.
+
+        Per carrier degree, omega's coefficients on the containing tops are
+        multiplied with the densities and integrated in one contraction;
+        carriers whose top omega does not list add nothing.
+        """
         if omega.complex is not self.complex:
             raise ComplexMismatch("form field on a different complex")
         if omega.degree != self.degree:
             raise DegreeMismatch("form degree does not match current degree")
         cx = self.complex
-        total = 0.0
-        degrees = np.array([e.carrier_degree for e in self.entries], dtype=np.intp)
-        tops = np.array([e.carrier_index for e in self.entries], dtype=np.intp)  # then each carrier's top
-        for k in np.unique(degrees).tolist():
-            tops[degrees == k] = cx.containing_tops(k, tops[degrees == k])
-        for e, top in zip(self.entries, tops.tolist()):
-            polys = omega.comps.get(top)
-            if polys is None:
-                continue
-            scalar = Poly.zero(cx.dim)
-            for p_omega, p_rho in zip(polys, e.density):
-                if not p_omega.is_zero() and not p_rho.is_zero():
-                    scalar = scalar + p_omega * p_rho
-            if scalar.is_zero():
-                continue
-            coords = cx.coords(e.carrier_degree, e.carrier_index)
-            total += integrate_over_simplex(scalar, coords, cx.volume(e.carrier_degree, e.carrier_index))
-        return total
+        n = cx.dim
+        terms = np.zeros(len(self.carrier_index))
+        for k, rows, idx in self._by_degree():
+            at, found = omega.locate(cx.containing_tops(k, idx))
+            rows, idx = rows[found], idx[found]
+            w, rho = poly.trim(omega.coef[at], n), poly.trim(self.density[rows], n)
+            scalar = poly.multiply(w, rho, n).sum(axis=1)
+            terms[rows] = integrate_over_simplex(scalar, cx.vertices[cx.arrays[k][idx]], cx.volumes(k)[idx])
+        return running_sum(terms)
 
     def boundary_evaluate(self, omega: FormField) -> float:
         """Pairing of the boundary current with omega, via (bd T)(w) = T(dw)."""
@@ -277,23 +290,25 @@ class EvaluableCurrent:
         plus/minus-affine scalar and the carrier is split along its zero
         set); otherwise adaptively refined with convexity brackets to tol,
         raising MassBudgetExceeded where a carrier needs more than
-        MASS_PIECE_BUDGET pieces.
+        MASS_PIECE_BUDGET pieces.  The density's vertex values come from
+        one contraction per carrier degree; the carriers' masses are added
+        in carrier order.
         """
         cx = self.complex
-        total = 0.0
-        for e in self.entries:
-            coords = cx.coords(e.carrier_degree, e.carrier_index)
-            vol = cx.volume(e.carrier_degree, e.carrier_index)
-            vals = np.array([[p(x) for p in e.density] for x in coords])
-            scale = np.abs(vals).max(initial=0.0)
-            if scale == 0.0:
-                continue
-            _, svals, Vt = np.linalg.svd(vals, full_matrices=False)
-            if svals.size == 1 or svals[1] <= 1e-12 * svals[0]:
-                total += _integral_abs_affine(coords, vals @ Vt[0], vol)
-            else:
-                total += _adaptive_norm_integral(coords, vals, vol, tol, (e.carrier_degree, e.carrier_index))
-        return total
+        terms = np.zeros(len(self.carrier_index))
+        for k, rows, idx in self._by_degree():
+            X = cx.vertices[cx.arrays[k][idx]]
+            V = np.einsum("cjm,cvm->cvj", self.density[rows], poly.powers(X, FORM_DEGREE))
+            for row, i, coords, vals in zip(rows.tolist(), idx.tolist(), X, V):
+                if not vals.any():
+                    continue
+                vol = cx.volume(k, i)
+                _, svals, Vt = np.linalg.svd(vals, full_matrices=False)
+                if svals.size == 1 or svals[1] <= 1e-12 * svals[0]:
+                    terms[row] = _integral_abs_affine(coords, vals @ Vt[0], vol)
+                else:
+                    terms[row] = _adaptive_norm_integral(coords, vals, vol, tol, (k, i))
+        return running_sum(terms)
 
     def materialize(self, tol: float = 1e-3, size_budget: int = 600):
         """Simplicial chain approximating a same-dimension current.
@@ -306,17 +321,13 @@ class EvaluableCurrent:
         """
         cx = self.complex
         q = self.degree
-        if any(e.carrier_degree != q for e in self.entries):
+        if (self.carrier_degree != q).any():
             raise DegreeMismatch("only same-dimension currents materialize to chains")
-        tangents = cx.unit_tangents(q)
-        osc0 = 0.0
-        scale = 0.0
-        for e in self.entries:
-            coords = cx.coords(q, e.carrier_index)
-            xi = tangents[e.carrier_index]
-            s_vals = np.array([np.dot([p(x) for p in e.density], xi) for x in coords])
-            osc0 = max(osc0, float(s_vals.max() - s_vals.min()))
-            scale = max(scale, float(np.abs(s_vals).max()))
+        xi = cx.unit_tangents(q)[self.carrier_index]
+        s_poly = np.einsum("cjm,cj->cm", self.density, xi)  # the scalar density <density, xi> per carrier
+        s_vals = np.einsum("cvm,cm->cv", poly.powers(cx.vertices[cx.arrays[q][self.carrier_index]], FORM_DEGREE), s_poly)
+        osc0 = float(np.ptp(s_vals, axis=1).max(initial=0.0))
+        scale = float(np.abs(s_vals).max(initial=0.0))
         K = cx.top_degree
         shrink = K / (K + 1.0)
         growth = factorial(K + 1)
@@ -328,20 +339,17 @@ class EvaluableCurrent:
             size *= growth
             levels += 1
         ref = barycentric_refine(cx, levels)
-        pieces, counts = ref.pieces(q, np.array([e.carrier_index for e in self.entries], dtype=np.intp))
+        pieces, counts = ref.pieces(q, self.carrier_index)
         keys, values = [], []
         err = 0.0
-        for e, group in zip(self.entries, np.split(pieces, np.cumsum(counts)[:-1])):
-            xi = tangents[e.carrier_index]
+        for s_c, group in zip(s_poly, np.split(pieces, np.cumsum(counts)[:-1])):
             for piece in group.tolist():
                 pc = ref.complex.coords(q, piece)
-                bary = pc.mean(axis=0)
-                s = float(np.dot([p(bary) for p in e.density], xi))
-                if s != 0.0:
+                s_bary, *s_verts = (poly.powers(np.vstack([pc.mean(axis=0), pc]), FORM_DEGREE) @ s_c).tolist()
+                if s_bary != 0.0:
                     keys.append(piece)
-                    values.append(s)
-                s_verts = [float(np.dot([p(x) for p in e.density], xi)) for x in pc]
-                dev = max(abs(v - s) for v in s_verts)
+                    values.append(s_bary)
+                dev = max(abs(v - s_bary) for v in s_verts)
                 err += dev * ref.complex.volume(q, piece)
         return Chain.from_terms(ref.complex, q, keys, values), ref, err
 
@@ -432,10 +440,11 @@ def _adaptive_norm_integral(
 def interior_product(omega: FormField, T: Chain) -> EvaluableCurrent:
     """The (r-k)-current omega -| T with (omega -| T)(w) = (omega ^ w)(T).
 
-    On each simplex of T the density is omega's polynomials on its
+    On each simplex of T the density is omega's coefficients on its
     containing top simplex contracted with T's coefficient times the unit
-    tangent.  Every current's densities are built here; EvaluableCurrent
-    only rescales and concatenates them.
+    tangent, through multivec.wedge_tensor.  Every current's densities are
+    built here; EvaluableCurrent only rescales and concatenates them.
+    Simplices whose density vanishes carry nothing.
     """
     if omega.complex is not T.complex:
         raise ComplexMismatch("form field and chain live on different complexes")
@@ -443,26 +452,13 @@ def interior_product(omega: FormField, T: Chain) -> EvaluableCurrent:
     if k > r:
         raise DegreeMismatch("contraction degree exceeds chain degree")
     cx = T.complex
-    n = cx.dim
-    q = r - k
-    tangents = cx.unit_tangents(r)
-    table = multivec.wedge_table(n, k, q)  # e_I ^ e_J = s e_o; each J sums over I in order
-    entries = []
-    for idx, a, top in zip(T.idx.tolist(), T.val.tolist(), cx.containing_tops(r, T.idx).tolist()):
-        polys = omega.comps.get(top)
-        if polys is None:
-            continue
-        xi = tangents[idx]
-        density = [Poly.zero(n) for _ in range(multivec.dim(n, q))]
-        for i, j, o, s in table:
-            if polys[i].is_zero():
-                continue
-            factor = s * xi[o] * a
-            if factor != 0.0:
-                density[j] = density[j] + polys[i].scale(factor)
-        if any(not p.is_zero() for p in density):
-            entries.append(CurrentEntry(r, idx, density))
-    return EvaluableCurrent(cx, q, entries)
+    at, found = omega.locate(cx.containing_tops(r, T.idx))
+    idx = T.idx[found]
+    xi = cx.unit_tangents(r)[idx] * T.val[found, None]
+    factor = np.einsum("co,ijo->cij", xi, multivec.wedge_tensor(cx.dim, k, r - k))  # e_I ^ e_J = s e_o
+    density = np.einsum("cij,cia->cja", factor, omega.coef[at])
+    keep = density.any(axis=(1, 2))
+    return EvaluableCurrent(cx, r - k, np.full(keep.sum(), r), idx[keep], density[keep])
 
 
 def chain_as_current(T: Chain) -> EvaluableCurrent:
@@ -472,6 +468,7 @@ def chain_as_current(T: Chain) -> EvaluableCurrent:
     the ones the contraction reads, so the cost follows T, not the mesh.
     """
     cx = T.complex
-    one = Poly.constant(cx.dim, 1.0)
-    tops = set(cx.containing_tops(T.degree, T.idx).tolist())
-    return interior_product(FormField(cx, 0, {i: [one] for i in tops}), T)
+    tops = np.unique(cx.containing_tops(T.degree, T.idx))
+    one = np.zeros((len(tops), 1, poly.size(cx.dim, FORM_DEGREE)))
+    one[:, :, 0] = 1.0
+    return interior_product(FormField(cx, 0, tops, one), T)

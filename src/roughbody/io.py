@@ -241,5 +241,49 @@ def _dump(data, path) -> None:
 
 
 def dumps_report(data) -> str:
-    """Deterministic JSON for reports (sorted keys, repr floats)."""
-    return json.dumps(_plain(data), sort_keys=True, indent=1) + "\n"
+    """Deterministic JSON for reports (sorted keys, repr floats).
+
+    The bytes of json.dumps(_plain(data), sort_keys=True, indent=1) plus a
+    newline, joined from strings: with an indent, json.dumps runs its
+    pure-Python encoder, which takes several times as long.
+    """
+    return _encode(data, "\n") + "\n"
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SCALARS = {  # by exact type; json.dumps writes other scalars (subclasses) and raises on the rest
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    np.int64: lambda x: int.__repr__(int(x)),
+    float: lambda x: _FLOAT_WORDS.get((text := float.__repr__(x)), text),
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+_SCALARS.update({np.float64: _SCALARS[float], np.bool_: _SCALARS[bool]})
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, (str, int, float, type(None))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return key if isinstance(key, str) else json.dumps(key)
+
+
+def _encode(obj, pad: str) -> str:
+    """obj as json.dumps(_plain(obj), sort_keys=True, indent=1) writes it, its lines indented by pad."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            raise TypeError("iteration over a 0-d array")
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if not obj or not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)
+    inner = pad + " "
+    if isinstance(obj, dict):
+        parts = [_SCALARS[str](_key_text(k)) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    parts = [f(v) if (f := _SCALARS.get(type(v))) else _encode(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(parts) + pad + "]"

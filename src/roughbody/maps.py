@@ -39,7 +39,7 @@ from .mesh import (
     sort_parity,
 )
 from .multivec import basis_tuples
-from .poly import Poly
+from .poly import FORM_DEGREE, substitution
 
 DEGEN_TOL = 1e-12
 
@@ -100,11 +100,11 @@ class PAMap:
             raise NonSimplexImage("determinant requires equal dimensions")
         return row_wedges(J.transpose(0, 2, 1))[:, 0]
 
-    def affine_on(self, top_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """(M, c) with F(x) = c + M x on the top simplex."""
+    def affine_on(self, top_idx) -> tuple[np.ndarray, np.ndarray]:
+        """(M, c) with F(x) = c + M x on the top simplex top_idx, stacked for an index array."""
         v0 = self.source.arrays[self.source.top_degree][top_idx, 0]
         M = self.jacobians[top_idx]
-        return M, self.images[v0] - M @ self.source.vertices[v0]
+        return M, self.images[v0] - np.einsum("...ij,...j->...i", M, self.source.vertices[v0])
 
     # -- image complex -------------------------------------------------------
 
@@ -263,29 +263,21 @@ def pullback_cochain(F: PAMap, X: Cochain) -> Cochain:
 
 
 def pullback_form(F: PAMap, omega: FormField) -> FormField:
-    """Pointwise pullback (F^# w)(x)(v_1^...^v_r) = w(F x)(DF v_1 ^...^ DF v_r)."""
+    """Pointwise pullback (F^# w)(x)(v_1^...^v_r) = w(F x)(DF v_1 ^...^ DF v_r).
+
+    On every source top whose image top omega lists, omega's coefficients
+    are carried through the affine substitution x = F(y) (poly.substitution)
+    and contracted with the Jacobian minors det DF[J, I].
+    """
     img = F.image()
     if omega.complex is not img.complex:
         raise ComplexMismatch("form does not live on the image complex")
     src = F.source
-    n = src.dim
-    r = omega.degree
-    K = src.top_degree
-    out_tuples = basis_tuples(n, r)
-    # Jacobian minors det M[J, I]: per output axes I, the r-vector of the columns M[:, I]
-    J = F.jacobians
-    minors = np.stack([row_wedges(J[:, :, list(I)].transpose(0, 2, 1)) for I in out_tuples], axis=2).tolist()
-    out: dict[int, list[Poly]] = {}
-    for top, image_top in enumerate(img.simplex_image[K].tolist()):
-        polys = omega.comps.get(image_top)  # None where the image is degenerate (-1)
-        if polys is None:
-            continue
-        M, ccst = F.affine_on(top)
-        composed = [p.compose_affine(M, ccst) if not p.is_zero() else Poly.zero(n) for p in polys]
-        res = [Poly.zero(n) for _ in out_tuples]
-        for ji, row in enumerate(minors[top]):
-            for oi, minor in enumerate(row):
-                if minor != 0.0 and not composed[ji].is_zero():
-                    res[oi] = res[oi] + composed[ji].scale(minor)
-        out[top] = res
-    return FormField(src, r, out)
+    at, found = omega.locate(img.simplex_image[src.top_degree])  # the image top, -1 where degenerate
+    tops = np.flatnonzero(found)
+    J, shift = F.affine_on(tops)
+    S = substitution(np.concatenate([shift[:, :, None], J], axis=2), FORM_DEGREE)
+    composed = np.einsum("tja,tab->tjb", omega.coef[at], S)
+    # minors det J[J, I]: per source axes I, the r-vector of the columns J[:, I]
+    minors = np.stack([row_wedges(J[:, :, list(I)].transpose(0, 2, 1)) for I in basis_tuples(src.dim, omega.degree)], axis=2)
+    return FormField(src, omega.degree, tops, np.einsum("tjo,tjb->tob", minors, composed))

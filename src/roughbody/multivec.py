@@ -4,8 +4,9 @@ k-vectors and k-covectors are plain coefficient arrays over the standard
 basis of Lambda_k R^n, indexed by sorted k-tuples of axes; this module
 holds that indexing and the wedge, pairing and contraction of such
 arrays.  Every sign of e_I ^ e_J comes from one cached table,
-wedge_table(n, k, r): the wedge and the contraction here, and the
-exterior derivative and interior product of forms, all walk its rows.
+wedge_table(n, k, r), and the wedge and contraction here, like the
+exterior derivative, wedge and interior product of form fields, are
+contractions against its dense form, wedge_tensor.
 The k-vectors of simplices are computed a whole degree at a time by
 mesh.kvectors.  For n <= 3 every k-vector is simple, so the mass norm
 of a k-vector and the comass of a k-covector both reduce to the Euclidean
@@ -70,12 +71,19 @@ def wedge_table(n: int, k: int, r: int):
     return table
 
 
+@lru_cache(maxsize=None)
+def wedge_tensor(n: int, k: int, r: int) -> np.ndarray:
+    """wedge_table(n, k, r) as a read-only (dim(n, k), dim(n, r), dim(n, k + r)) array of signs."""
+    T = np.zeros((dim(n, k), dim(n, r), dim(n, k + r)))
+    for i, j, o, s in wedge_table(n, k, r):
+        T[i, j, o] = s
+    T.flags.writeable = False
+    return T
+
+
 def wedge(a: np.ndarray, k: int, b: np.ndarray, r: int, n: int) -> np.ndarray:
     """Coefficients of the wedge of a k-(co)vector with an r-(co)vector."""
-    out = np.zeros(dim(n, k + r))
-    for i, j, o, s in wedge_table(n, k, r):
-        out[o] += s * a[i] * b[j]
-    return out
+    return np.einsum("i,j,ijo->o", a, b, wedge_tensor(n, k, r))
 
 
 def pairing(cov: np.ndarray, vec: np.ndarray) -> float:
@@ -87,7 +95,4 @@ def contract(cov: np.ndarray, k: int, vec: np.ndarray, r: int, n: int) -> np.nda
     """Interior product phi -| xi: the (r-k)-vector with <psi, phi-|xi> = <phi^psi, xi>."""
     if k > r:
         raise ValueError("contraction degree exceeds vector degree")
-    out = np.zeros(dim(n, r - k))
-    for i, j, o, s in wedge_table(n, k, r - k):  # each out[j] sums over i in order
-        out[j] += s * cov[i] * vec[o]
-    return out
+    return np.einsum("i,o,ijo->j", cov, vec, wedge_tensor(n, k, r - k))

@@ -6,8 +6,9 @@ face slot and each vertex position, it adds the barycentric coordinate
 lambda_r, as a `Poly`, scaled by k! X(face), the alternating sign and the
 wedge component, to the top's component polynomials term by term.  The
 face positions and gradient wedges are the same array-built ones the
-library uses.  The tests require the library to reproduce this loop's
-components with the same monomials and bitwise-equal coefficients.
+library uses.  It returns the realized tops' components as {top: [Poly]};
+the tests require the library's coefficient array to hold, per top,
+component and monomial, a bitwise-equal coefficient.
 """
 
 from __future__ import annotations
@@ -16,19 +17,18 @@ from math import factorial
 
 import numpy as np
 
-from roughbody.forms import FormField
+from reference_poly import Poly
 from roughbody.mesh import row_wedges
-from roughbody.poly import Poly
 
 
-def whitney_realize(X) -> FormField:
+def whitney_realize(X) -> dict[int, list[Poly]]:
     cx = X.complex
     n = cx.dim
     k = X.degree
     K = cx.top_degree
     comps: dict[int, list[Poly]] = {}
     if X.is_zero():
-        return FormField(cx, k, comps)
+        return comps
     G = cx.barygrads  # row i of a top: (grad lambda_i, const)
     S = cx.arrays[K]
     faces = cx.face_table(K, k)
@@ -55,4 +55,4 @@ def whitney_realize(X) -> FormField:
                         res[c_idx] = res[c_idx] + lam.scale(sign * w)
         if res is not None:
             comps[top] = res
-    return FormField(cx, k, comps)
+    return comps

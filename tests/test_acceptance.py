@@ -225,7 +225,7 @@ def test_criterion_7_virtual_power():
     body = random_body(cx, rng)
     rigid = VirtualVelocity.constant(config.image_complex, [3.0, -2.0])
     eps = strain(config, body.chain, rigid)
-    assert all(not e.entries for e in eps)  # exactly zero, no entries at all
+    assert all(not e.carrier_index.size for e in eps)  # exactly zero, no carriers at all
     _report(7, "virtual-power", f"100 samples, max residual {worst:.2e}, rigid strain exactly 0")
 
 

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughbody import io
 from roughbody.cli import main
@@ -24,6 +26,47 @@ def square_files(tmp_path):
     body_path = tmp_path / "body.json"
     body_path.write_text(json.dumps(body))
     return tmp_path, mesh_path, body_path, cx
+
+
+_REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=5),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.booleans().map(np.bool_),
+    st.floats().map(np.array),  # 0-d: json.dumps(_plain(...)) raises TypeError
+    st.lists(st.floats(), max_size=4).map(np.array),  # 1-D, empty included
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda s: st.lists(st.floats(), min_size=s[0] * s[1], max_size=s[0] * s[1]).map(
+            lambda v: np.array(v, dtype=float).reshape(s)
+        )
+    ),
+)
+_REPORTS = st.recursive(
+    _REPORT_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4) | st.integers(-3, 3), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_REPORTS)
+def test_dumps_report_writes_the_bytes_of_json_dumps(data):
+    try:
+        want = json.dumps(io._plain(data), sort_keys=True, indent=1) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            io.dumps_report(data)
+        return
+    assert io.dumps_report(data) == want
 
 
 class TestIO:
@@ -231,6 +274,36 @@ class TestCLI:
             runs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
         assert runs[0] == runs[1]
         assert json.loads(runs[0][0])["trials"] == 3 and runs[0][1].count(b"\n") == 4
+
+    def test_stress_report_is_deterministic(self, tmp_path, capsys):
+        # the material powers pair pulled-back Whitney forms with the body, one contraction per carrier degree
+        from roughbody.generate import random_body, random_cochain, random_embedding_map
+        from roughbody.mesh import build_complex
+
+        rng = np.random.default_rng(23)
+        cx = grid_mesh(3, 3)
+        io.save_mesh(cx, tmp_path / "grid3.json")
+        images = random_embedding_map(cx, rng).images
+        (tmp_path / "map.json").write_text(json.dumps({"mesh": "grid3.json", "images": images.tolist()}))
+        io.save_mesh(build_complex(images, {2: cx.arrays[2]}, check_overlap=False), tmp_path / "image.json")
+        icx = io.load_mesh(tmp_path / "image.json", check_overlap=False)
+        cochains = []
+        for i in range(2):
+            io.save_cochain(random_cochain(icx, 1, rng), tmp_path / f"x{i}.json", "image.json")
+            cochains += ["--cochain", str(tmp_path / f"x{i}.json")]
+        assert main(["flux", "build", *cochains, "--out", str(tmp_path / "flux.json")]) == 0
+        io.save_chain(random_body(cx, rng).chain, tmp_path / "body.json", "grid3.json")
+        velocity = {"mesh": "image.json", "components": rng.normal(size=(2, len(images))).tolist()}
+        (tmp_path / "velocity.json").write_text(json.dumps(velocity))
+        argv = ["stress", "report", "--flux", str(tmp_path / "flux.json"), "--map", str(tmp_path / "map.json"),
+                "--body", str(tmp_path / "body.json"), "--velocity", str(tmp_path / "velocity.json")]
+        capsys.readouterr()
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append(capsys.readouterr().out.encode())
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0])["passed"]
 
     def test_stress_report_cli(self, square_files, tmp_path, capsys):
         tmp, mesh_path, body_path, cx = square_files

@@ -3,14 +3,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_forms
 import reference_whitney
 from roughbody.bodies import koch_prefractal
 from roughbody.chains import elementary
 from roughbody import forms
-from roughbody.errors import AmbientTooSmall, DegreeMismatch, MassBudgetExceeded, TopDegree
+from roughbody.errors import AmbientTooSmall, DegreeMismatch, MassBudgetExceeded, TopDegree, WrongDegree
 from roughbody.forms import (
     Cochain,
+    FormField,
     chain_as_current,
     coboundary,
     constant_form,
@@ -21,6 +25,8 @@ from roughbody.forms import (
 from roughbody.generate import cube_mesh, grid_mesh, random_chain, random_cochain, random_pa_map
 from roughbody.maps import pullback_form
 from roughbody.mesh import build_complex
+from roughbody.poly import FORM_DEGREE, monomials, powers
+from roughbody.sharp import SharpField, multiply
 
 
 def dx_cochain(cx):
@@ -113,7 +119,7 @@ class TestWhitneyRealize:
 
     def test_zero_cochain_gives_zero_field(self, square):
         w = whitney_realize(Cochain(square, 1, {}))
-        assert not w.comps
+        assert not w.tops.size
 
     def test_simplicial_pairing_matches_integration(self, grid44, rng):
         X = random_cochain(grid44, 1, rng)
@@ -155,7 +161,11 @@ def _realization_cases():
 
 
 class TestBatchedRealization:
-    """whitney_realize against the per-top Poly loop it replaced (tests/reference_whitney.py)."""
+    """whitney_realize against the per-top Poly loop it replaced (tests/reference_whitney.py).
+
+    Each realized top's coefficient array must hold, per component and
+    monomial, the loop's coefficient bit for bit (0.0 where its Poly has no
+    term)."""
 
     @pytest.mark.parametrize("name,k,kind", list(_realization_cases()))
     def test_matches_per_top_loop(self, name, k, kind):
@@ -168,15 +178,119 @@ class TestBatchedRealization:
         else:
             X = Cochain(cx, k, {})
         got, want = whitney_realize(X), reference_whitney.whitney_realize(X)
-        assert list(got.comps) == list(want.comps)
-        for top, polys in want.comps.items():
-            assert len(got.comps[top]) == len(polys)
-            for p, q in zip(got.comps[top], polys):
-                assert [(m, c.hex()) for m, c in p.terms.items()] == [(m, c.hex()) for m, c in q.terms.items()]
+        assert got.tops.tolist() == sorted(want)
+        exps = [tuple(m.count(d) for d in range(cx.dim)) for m in monomials(cx.dim, FORM_DEGREE)]
+        for coef, polys in zip(got.coef, (want[top] for top in got.tops.tolist())):
+            assert len(coef) == len(polys)
+            for row, q in zip(coef.tolist(), polys):
+                assert set(q.terms) <= set(exps)
+                assert [c.hex() for c in row] == [q.terms.get(e, 0.0).hex() for e in exps]
         T = random_chain(cx, k, rng)
         a = chain_as_current(T).evaluate(got)
-        b = chain_as_current(T).evaluate(want)
+        b = chain_as_current(T).evaluate(reference_forms.field(cx, k, want))
         assert abs(a - b) <= 1e-13 * max(abs(a), abs(b))
+
+
+_MESHES = ["grid3", "grid6-jittered", "cube2", "koch2", "surface3d"]
+
+
+def _assert_close(got, want, scale, rtol=1e-12):
+    """A FormField against a reference {top: [Poly]}, coefficient by coefficient, within rtol of scale."""
+    cx = got.complex
+    assert got.tops.tolist() == sorted(want)
+    want, scale = reference_forms.field(cx, got.degree, want), reference_forms.field(cx, got.degree, scale)
+    assert (np.abs(got.coef - want.coef) <= rtol * scale.coef).all()
+
+
+class TestArrayPathMatchesDictPath:
+    """The coefficient-array forms layer against the dict-Poly path it replaced (tests/reference_forms.py).
+
+    The paths add the same terms in different orders, so each result is
+    compared within 1e-12 of the sum of the absolute values of its terms
+    (the reference path run with absolute=True); the exact-branch masses,
+    which add no cancelling terms, within 1e-12 of themselves.
+    """
+
+    @settings(max_examples=15, deadline=None)
+    @given(name=st.sampled_from(_MESHES), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dict_path(self, name, seed):
+        cx = _realization_mesh(name)
+        rng = np.random.default_rng(seed)
+        K, polys = cx.top_degree, reference_forms.polys
+        phi, psi = (whitney_realize(random_cochain(cx, j, rng)) for j in (0, 1))
+        for k in range(K + 1):
+            w = whitney_realize(random_cochain(cx, k, rng))
+            if k < cx.dim:
+                want = [reference_forms.d(cx, k, polys(w), absolute=a) for a in (False, True)]
+                _assert_close(w.d(), *want)
+                want = [reference_forms.wedge(cx, 1, polys(psi), k, polys(w), absolute=a) for a in (False, True)]
+                _assert_close(psi.wedge(w), *want)
+            want = [reference_forms.wedge(cx, 0, polys(phi), k, polys(w), absolute=a) for a in (False, True)]
+            _assert_close(phi.wedge(w), *want)
+            for r in range(k, K + 1):
+                T = random_chain(cx, r, rng)
+                omega = whitney_realize(random_cochain(cx, r - k, rng))
+                ents = reference_forms.interior_product(cx, k, polys(w), T)
+                got = interior_product(w, T).evaluate(omega)
+                want, scale = (reference_forms.evaluate(cx, ents, polys(omega), absolute=a) for a in (False, True))
+                assert abs(got - want) <= 1e-12 * scale
+                # densities of one direction per carrier: the exact branch of mass
+                for cur in (chain_as_current(T), multiply(SharpField(cx, rng.normal(size=len(cx.vertices))), T)):
+                    want = reference_forms.mass(cx, reference_forms.entries(cur))
+                    assert cur.mass() == pytest.approx(want, rel=1e-12, abs=0.0)
+        F = random_pa_map(cx, rng, amplitude=0.05)
+        icx = F.image_complex
+        for r in range(min(icx.top_degree, K) + 1):
+            omega = whitney_realize(random_cochain(icx, r, rng))
+            if r < icx.dim:  # quadratic coefficients: times a Whitney 0-form
+                omega = omega.wedge(whitney_realize(random_cochain(icx, 0, rng)))
+            want = [reference_forms.pullback_form(F, r, polys(omega), absolute=a) for a in (False, True)]
+            _assert_close(pullback_form(F, omega), *want)
+
+
+@pytest.mark.parametrize("exponent", range(-20, 21, 5))
+@pytest.mark.parametrize("name", _MESHES)
+def test_realized_pairing_is_scale_invariant(name, exponent):
+    # chain_as_current(T).evaluate(whitney_realize(X)) = X(T) at coordinate scale 2^exponent
+    base = _realization_mesh(name)
+    K = base.top_degree
+    cx = build_complex(base.vertices * 2.0**exponent, {K: base.arrays[K]})
+    rng = np.random.default_rng(exponent + 40)
+    for k in range(K + 1):
+        X, T = random_cochain(cx, k, rng), random_chain(cx, k, rng)
+        _, i, j = np.intersect1d(T.idx, X.idx, return_indices=True)
+        got = chain_as_current(T).evaluate(whitney_realize(X))
+        assert abs(got - evaluate(X, T)) <= 1e-12 * np.abs(T.val[i] * X.val[j]).sum()
+
+
+class TestMalformedFields:
+    def test_wrong_component_count_is_rejected(self):
+        cx = grid_mesh(2, 2)
+        # a 1-form in the plane has two components
+        with pytest.raises(WrongDegree, match=r"has coefficients of shape \(1, 2, 6\), not \(1, 1, 6\)"):
+            FormField(cx, 1, [0], np.ones((1, 1, len(monomials(2, FORM_DEGREE)))))
+        with pytest.raises(WrongDegree, match=r"has coefficients of shape \(8, 2, 6\), not \(8, 3, 6\)"):
+            constant_form(cx, 1, [1.0, 2.0, 3.0])
+
+    def test_product_past_the_stored_degree_raises(self):
+        from roughbody.errors import DegreeOverflow
+
+        cx = grid_mesh(2, 2)
+        f, g, h = (whitney_realize(random_cochain(cx, 0, np.random.default_rng(s))) for s in range(3))
+        quadratic = f.wedge(g)
+        assert quadratic.coef[:, :, 3:].any()
+        with pytest.raises(DegreeOverflow, match="degree 3 exceeds the stored degree 2"):
+            quadratic.wedge(h)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_names_its_top(self, bad):
+        cx = grid_mesh(2, 2)
+        coef = np.zeros((2, 2, len(monomials(2, FORM_DEGREE))))
+        coef[1, 0, 3] = bad
+        with pytest.raises(ValueError, match="on top 5 is not finite"):
+            FormField(cx, 1, [2, 5], coef)
+        with pytest.raises(ValueError, match="on top 0 is not finite"):
+            constant_form(cx, 1, [0.0, bad])
 
 
 class TestWedge:
@@ -188,7 +302,7 @@ class TestWedge:
     def test_wedge_with_zero(self, square):
         dy = constant_form(square, 1, [0.0, 1.0])
         w = whitney_realize(Cochain(square, 1, {})).wedge(dy)
-        assert not w.comps
+        assert not w.tops.size
 
     def test_leibniz_rule_pointwise(self, grid44, rng):
         # d(phi ^ w) = dphi ^ w - phi ^ dw for a 1-form phi (sign (-1)^1)
@@ -212,7 +326,7 @@ class TestWedge:
             prod = wx.wedge(wy)
             # sampled comass of the product (quadratic) versus the bound
             samples = 0.0
-            for top in prod.comps:
+            for top in prod.tops.tolist():
                 C = grid44.coords(2, top)
                 for lam in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1 / 3, 1 / 3, 1 / 3)):
                     x = lam[0] * C[0] + lam[1] * C[1] + lam[2] * C[2]
@@ -274,12 +388,12 @@ class TestInteriorProduct:
         cx = make()
         for k in range(cx.top_degree + 1):
             T = random_chain(cx, k, rng)
-            got = chain_as_current(T).entries
-            want = interior_product(constant_form(cx, 0, [1.0]), T).entries
-            assert len(got) == len(want) > 0
-            for a, b in zip(got, want):
-                assert (a.carrier_degree, a.carrier_index) == (b.carrier_degree, b.carrier_index)
-                assert repr([p.terms for p in a.density]) == repr([p.terms for p in b.density])
+            got = chain_as_current(T)
+            want = interior_product(constant_form(cx, 0, [1.0]), T)
+            assert len(got.carrier_index) == len(want.carrier_index) > 0
+            assert got.carrier_degree.tolist() == want.carrier_degree.tolist()
+            assert got.carrier_index.tolist() == want.carrier_index.tolist()
+            assert got.density.tobytes() == want.density.tobytes()
 
     def test_adaptive_mass_bracket(self, square, square_chain):
         # rotating density (rank 2): adaptive integral against dense sampling
@@ -296,13 +410,13 @@ class TestInteriorProduct:
         # oracle: |density| integrated by brute midpoint grid over both triangles
         total = 0.0
         N = 120
-        for e in cur.entries:
-            C = square.coords(2, e.carrier_index)
+        for carrier, rho in zip(cur.carrier_index.tolist(), cur.density):
+            C = square.coords(2, carrier)
             for i in range(N):
                 for j in range(N - i):
                     l1, l2 = (i + 1 / 3) / N, (j + 1 / 3) / N
                     x = C[0] + l1 * (C[1] - C[0]) + l2 * (C[2] - C[0])
-                    total += np.linalg.norm([p(x) for p in e.density]) / (N * N / 2) * 0.5
+                    total += np.linalg.norm(rho @ powers(x, FORM_DEGREE)) / (N * N / 2) * 0.5
         assert got == pytest.approx(total, rel=2e-2)
 
     def test_adaptive_mass_of_rank_two_density(self, square, square_chain, rng, monkeypatch):
@@ -318,16 +432,16 @@ class TestInteriorProduct:
         monkeypatch.setattr(forms, "_adaptive_norm_integral", counted)
         cur = interior_product(whitney_realize(random_cochain(square, 1, rng)), square_chain)
         got = cur.mass(tol=1e-3)
-        assert len(calls) == len(cur.entries) == 2
+        assert len(calls) == len(cur.carrier_index) == 2
         total = 0.0
         N = 120
-        for e in cur.entries:
-            C = square.coords(2, e.carrier_index)
+        for carrier, rho in zip(cur.carrier_index.tolist(), cur.density):
+            C = square.coords(2, carrier)
             for i in range(N):
                 for j in range(N - i):
                     l1, l2 = (i + 1 / 3) / N, (j + 1 / 3) / N
                     x = C[0] + l1 * (C[1] - C[0]) + l2 * (C[2] - C[0])
-                    total += np.linalg.norm([p(x) for p in e.density]) / (N * N / 2) * 0.5
+                    total += np.linalg.norm(rho @ powers(x, FORM_DEGREE)) / (N * N / 2) * 0.5
         assert got == pytest.approx(total, rel=2e-2)
 
     def test_default_tol_mass_stops_at_piece_budget(self):

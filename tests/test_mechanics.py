@@ -260,7 +260,7 @@ class TestStrainAndPower:
         icx = identity_config.image_complex
         v = VirtualVelocity.constant(icx, [2.0, -1.0])
         eps = strain(identity_config, body_chain, v)
-        assert all(not e.entries for e in eps)
+        assert all(not e.carrier_index.size for e in eps)
 
     def test_linear_velocity_strain_integral(self, identity_config, body_chain):
         # v = (x, 0): strain_1 paired with dy integrates dx ^ dy over the square

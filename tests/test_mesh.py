@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from roughbody.bodies import _koch_build, koch_prefractal
 from roughbody.chains import Chain
 from roughbody.errors import DegenerateSimplex, NonManifoldOverlap
-from roughbody.forms import CurrentEntry, EvaluableCurrent, chain_as_current, constant_form
+from roughbody.forms import EvaluableCurrent, chain_as_current, constant_form
 from roughbody.generate import cube_mesh, grid_mesh, segment_mesh
 from roughbody.mesh import (
     HalfSpace,
@@ -174,8 +174,8 @@ def test_edge_off_every_triangle_has_no_containing_top():
         cx.containing_tops(0, 3)
     with pytest.raises(ValueError, match="not a face of any top simplex"):
         chain_as_current(Chain(cx, 1, {0: 1.0}))
-    one = constant_form(cx, 0, [1.0]).comps[0]
-    loose = EvaluableCurrent(cx, 1, [CurrentEntry(1, 1, one * 2), CurrentEntry(1, 0, one * 2)])
+    one = constant_form(cx, 1, [1.0, 1.0]).coef[0]
+    loose = EvaluableCurrent(cx, 1, [1, 1], [1, 0], [one, one])
     with pytest.raises(ValueError, match=r"simplex \(1,0\) is not a face of any top simplex"):
         loose.evaluate(constant_form(cx, 1, [1.0, 0.0]))
 

@@ -79,7 +79,7 @@ class TestMultiply:
             for t in range(grid44.n_simplices(2))
             if 0 in grid44.simplices[2][t]
         }
-        carrying = {e.carrier_index for e in cur.entries if any(not p.is_zero() for p in e.density)}
+        carrying = set(cur.carrier_index[cur.density.any(axis=(1, 2))].tolist())
         # only simplices meeting the support of phi carry density
         for t in carrying:
             verts_vals = [phi.values[v] for v in grid44.simplices[2][t]]

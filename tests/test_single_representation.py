@@ -1,10 +1,14 @@
-"""Coefficients have one representation inside the library: the idx and val arrays.
+"""Coefficients and polynomials each have one representation inside the library.
 
-The `coeffs` dict view exists for callers outside the package; a module
-under roughbody that reads it, or that calls a private `_arrays()`
-accessor, brings back the second representation.
+Chain and cochain coefficients are the idx and val arrays.  The `coeffs`
+dict view exists for callers outside the package; a module under
+roughbody that reads it, or that calls a private `_arrays()` accessor,
+brings back the second representation.  Form fields and current densities
+are coefficient arrays over roughbody.poly's monomial tables; the dict
+`Poly` and its `compose_affine` live only in tests/reference_poly.py.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -21,3 +25,21 @@ def test_no_module_reads_the_dict_view():
         if _FORBIDDEN.search(line)
     ]
     assert not hits, "read the idx/val arrays instead:\n" + "\n".join(hits)
+
+
+def test_no_module_uses_the_dict_polynomial():
+    hits = []
+    for path in sorted(Path(roughbody.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "Poly":
+                hits.append(f"{path.name}:{node.lineno}: defines Poly")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.split(".")[-1] == "Poly" for alias in node.names
+            ):
+                hits.append(f"{path.name}:{node.lineno}: imports Poly")
+            elif isinstance(node, ast.Call) and "compose_affine" in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None),
+            ):
+                hits.append(f"{path.name}:{node.lineno}: calls compose_affine")
+    assert not hits, "use the coefficient arrays of roughbody.poly:\n" + "\n".join(hits)
