@@ -11,9 +11,9 @@ Indices are 0-based; simplex orientation is the listed vertex order.
 Chain, cochain and flux files share one coefficient reader: a degree that is
 not an integer, an entry other than [integer index, numeric value], an index
 out of range and an index listed twice in one coefficient list are schema
-errors.  A flux is the tuple of its n (n-1)-cochain components; any other
-degree or component count is a schema error.  Its recorded s and b are
-written for the reader and not read back.
+errors; a JSON boolean is not a number, nor a mesh dim.  A flux is the tuple
+of its n (n-1)-cochain components; any other degree or component count is a
+schema error.  Its recorded s and b are written for the reader and not read back.
 Mesh references are resolved relative to the referencing file.
 """
 
@@ -51,7 +51,7 @@ def load_mesh(path, check_overlap: bool = True) -> Complex:
     for key in ("dim", "vertices", "simplices"):
         if key not in data:
             _fail(path, f"missing field '{key}'")
-    if data["dim"] not in (1, 2, 3):
+    if isinstance(data["dim"], bool) or data["dim"] not in (1, 2, 3):
         _fail(path, f"field 'dim' must be 1, 2 or 3, got {data['dim']}")
     verts = np.asarray(data["vertices"], dtype=float)
     if verts.ndim != 2 or verts.shape[1] != data["dim"]:
@@ -90,8 +90,8 @@ def _resolve_mesh(data, path, cache: dict | None = None) -> Complex:
 
 
 def _integer(x) -> int:
-    """x as an int; ValueError unless it is an integral number (a string is not)."""
-    if isinstance(x, str) or int(x) != x:
+    """x as an int; ValueError unless it is an integral number (a string or a boolean is not)."""
+    if isinstance(x, (str, bool)) or int(x) != x:
         raise ValueError
     return int(x)
 
@@ -105,7 +105,7 @@ def _coefficients(entries, where, cx, degree) -> dict[int, float]:
         try:
             index, value = entry
             idx = index if type(index) is int else _integer(index)
-            if type(value) is not float and not isinstance(value, int):
+            if type(value) not in (float, int):
                 raise ValueError
             val = float(value)
         except (TypeError, ValueError, OverflowError):
@@ -142,8 +142,8 @@ def coefficient_list(T: Chain | Cochain) -> list[list]:
     return [[i, a] for i, a in zip(T.idx.tolist(), T.val.tolist())]
 
 
-def load_chain(path, mesh: Complex | None = None, cache: dict | None = None) -> Chain:
-    return _load_coefficients(path, mesh, cache, Chain)
+def load_chain(path, mesh: Complex | None = None) -> Chain:
+    return _load_coefficients(path, mesh, None, Chain)
 
 
 def save_chain(chain: Chain, path, mesh_path, role: str | None = None) -> None:
@@ -186,9 +186,9 @@ def mesh_reference(path) -> str:
     return data["mesh"]
 
 
-def load_pamap(path, mesh: Complex | None = None, cache: dict | None = None) -> PAMap:
+def load_pamap(path, mesh: Complex | None = None) -> PAMap:
     data = _load_json(path)
-    cx = mesh if mesh is not None else _resolve_mesh(data, path, cache)
+    cx = mesh if mesh is not None else _resolve_mesh(data, path)
     if "images" not in data:
         _fail(path, "missing field 'images'")
     images = np.asarray(data["images"], dtype=float)
@@ -197,10 +197,10 @@ def load_pamap(path, mesh: Complex | None = None, cache: dict | None = None) -> 
     return PAMap(cx, images)
 
 
-def load_sharp_field(path, mesh: Complex | None = None, cache: dict | None = None):
+def load_sharp_field(path, mesh: Complex | None = None):
     """A scalar field, or a list of fields when 'components' is present."""
     data = _load_json(path)
-    cx = mesh if mesh is not None else _resolve_mesh(data, path, cache)
+    cx = mesh if mesh is not None else _resolve_mesh(data, path)
     if "components" in data:
         comps = []
         for row in data["components"]:

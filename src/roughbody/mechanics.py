@@ -148,7 +148,7 @@ def _hat_extension(cx: Complex, facet_idx: int) -> SharpField:
     return SharpField(cx, values)
 
 
-def cochains_from_flux(flux: CauchyFlux, cx: Complex | None = None) -> CochainRecovery:
+def cochains_from_flux(flux: CauchyFlux) -> CochainRecovery:
     """Recover the flat (n-1)-cochain tuple of a balanced flux.
 
     For each facet, the coefficient is the flux of the elementary facet
@@ -159,7 +159,7 @@ def cochains_from_flux(flux: CauchyFlux, cx: Complex | None = None) -> CochainRe
     flux is not balanced).  The recovered flat norms must stay within 1e-9
     of max{s, b}, relative.
     """
-    cx = cx or flux.complex
+    cx = flux.complex
     n = cx.dim
     k = n - 1
     ones = SharpField(cx, np.ones(cx.vertices.shape[0]))

@@ -496,14 +496,14 @@ def first_overlapping_pair(vertices: np.ndarray, S: np.ndarray) -> tuple[int, in
 
 
 def _split_ids(vids, vals, crossing):
-    """Split simplex `vids` by the signs of its values `vals` (extra values are ignored).
+    """Split simplex `vids` by the signs of its vertex values `vals`, one per vertex.
 
     Returns (plus_pieces, minus_pieces) as vertex-id tuples (orientation
     unset).  `crossing(u, v)` returns the id of the cut vertex on edge
     (u, v).  Both sides are triangulated by the pulling rule on the vertex
     and crossing ids (see _pulled_pieces).
     """
-    signs = tuple(1 if v > 0 else -1 if v < 0 else 0 for _, v in zip(vids, vals))
+    signs = tuple(1 if v > 0 else -1 if v < 0 else 0 for v in vals)
     if -1 not in signs:
         return [tuple(vids)], []
     if 1 not in signs:

@@ -25,6 +25,8 @@ from .maps import _region
 from .mesh import Complex
 
 BOUND_SLACK = 1e-6
+MATERIALIZE_TOL = 1e-3
+MATERIALIZE_BUDGET = 150
 
 
 class SharpField:
@@ -108,31 +110,26 @@ class ProductBoundsReport:
         return self.n_ok and self.f_ok
 
 
-def check_product_bounds(
-    phi: SharpField,
-    A: Chain,
-    region=None,
-    materialize_tol: float = 1e-3,
-    materialize_budget: int = 150,
-) -> ProductBoundsReport:
+def check_product_bounds(phi: SharpField, A: Chain) -> ProductBoundsReport:
     """Verify N(phi A) <= (sup|phi| + r Lip) N(A) and the flat-norm analogue.
 
     The flat side is evaluated on a materialized subdivision; the check
     subtracts the documented materialization error bound so it can only
-    fail on a genuine violation.
+    fail on a genuine violation.  The product is materialized to relative
+    oscillation MATERIALIZE_TOL within MATERIALIZE_BUDGET top simplices.
     """
     if A.degree == 0:
         raise DegreeZero("product norm bounds need degree >= 1")
     r = A.degree
-    sup_phi = phi.sup(region)
-    lip_phi = phi.lipschitz_constant(region)
+    sup_phi = phi.sup()
+    lip_phi = phi.lipschitz_constant()
 
     prod = multiply(phi, A)
     n_lhs = prod.mass() + boundary_product(phi, A).mass()
     n_rhs = (sup_phi + r * lip_phi) * A.normal_norm()
     n_ok = n_lhs <= n_rhs + BOUND_SLACK * (1.0 + n_rhs)
 
-    mat, ref, err = prod.materialize(materialize_tol, size_budget=materialize_budget)
+    mat, ref, err = prod.materialize(MATERIALIZE_TOL, size_budget=MATERIALIZE_BUDGET)
     f_lhs = flat_norm(mat).value
     f_rhs = (sup_phi + (r + 1) * lip_phi) * flat_norm(ref.carry_chain(A)).value
     f_ok = f_lhs - err <= f_rhs + BOUND_SLACK * (1.0 + f_rhs)

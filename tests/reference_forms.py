@@ -6,7 +6,10 @@ mass and pullback the library ran while form fields stored one
 a current a list of (carrier degree, carrier index, [Poly]) entries.
 `polys` and `entries` read the library's coefficient arrays into these
 forms exactly, and `field` writes a {top: [Poly]} dict back as a
-FormField, so the two paths can be compared on the same inputs.
+FormField, so the two paths can be compared on the same inputs.  `mass`
+integrates a density of one direction by cutting its carrier at the zero
+set with mesh's half-space splitter (`_integral_abs_affine`), as the
+library did before its closed form.
 
 With absolute=True an operation runs on the absolute values of every
 coefficient, sign, factor and coordinate, which gives per result the sum
@@ -16,12 +19,14 @@ orders: the scale their rounding differences are measured against.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from reference_poly import Poly, integrate_over_simplex
 from roughbody import multivec
-from roughbody.forms import FormField, _adaptive_norm_integral, _integral_abs_affine
-from roughbody.mesh import row_wedges
+from roughbody.forms import FormField, _adaptive_norm_integral
+from roughbody.mesh import _cut_vertices, _split_ids, row_wedges, simplex_volumes
 from roughbody.poly import FORM_DEGREE, monomials
 
 
@@ -139,6 +144,36 @@ def mass(cx, ents, tol: float = 1e-9) -> float:
         else:
             total += _adaptive_norm_integral(coords, vals, vol, tol, (k, idx))
     return total
+
+
+def _integral_abs_affine(coords: np.ndarray, vertex_vals: np.ndarray, vol: float) -> float:
+    """Exact integral of |affine scalar| by splitting at its zero set."""
+    k = coords.shape[0] - 1
+    vmax = np.abs(vertex_vals).max()
+    if vmax == 0.0:
+        return 0.0
+    snap = 1e-14 * vmax
+    vals = np.where(np.abs(vertex_vals) <= snap, 0.0, vertex_vals)
+    if (vals >= 0).all() or (vals <= 0).all():
+        return vol * float(np.abs(vals).mean()) if k >= 0 else 0.0
+    pieces = _split_coords_by_values(coords, vals)
+    vols = simplex_volumes(np.stack([pc for pc, _ in pieces]))
+    total = 0.0
+    for pvol, (_, pv) in zip(vols, pieces):
+        total += pvol * float(np.abs(pv).mean())
+    return total
+
+
+_EDGES = {v: np.array(list(combinations(range(v), 2))) for v in (2, 3, 4)}
+
+
+def _split_coords_by_values(coords: np.ndarray, vals: np.ndarray):
+    """Split a simplex along the zero set of an affine scalar (vertex values)."""
+    ids = tuple(range(len(coords)))
+    pts, crossing = _cut_vertices(np.asarray(coords, dtype=float), vals, _EDGES[len(ids)])
+    plus, minus = _split_ids(ids, vals.tolist(), crossing)
+    vals = np.concatenate([vals, np.zeros(len(pts) - len(ids))])
+    return [(pts[list(piece)], vals[list(piece)]) for piece in plus + minus]
 
 
 def pullback_form(F, r: int, comps: dict, absolute: bool = False) -> dict[int, list[Poly]]:

@@ -506,14 +506,14 @@ class TestCoefficientSchema:
         self._expect_schema_error(argv, capsys, f"coefficient index {bad} out of range for degree 1")
 
     @pytest.mark.parametrize("command", ["flux roundtrip", "flux eval", "verify balance", "stress report"])
-    @pytest.mark.parametrize("entry", [[0], [0, 1.0, 2.0], 0, [None, 1.0], ["1", 1.0], [1.5, 1.0]])
+    @pytest.mark.parametrize("entry", [[0], [0, 1.0, 2.0], 0, [None, 1.0], ["1", 1.0], [1.5, 1.0], [True, 1.0]])
     def test_flux_entry_not_a_pair(self, command, entry, square_files, capsys):
         tmp, _, _, _ = square_files
         flux_path = _write_flux(tmp, [[[1, 1.0]], [entry]])
         argv = _flux_commands(flux_path, tmp)[command]
         self._expect_schema_error(argv, capsys, "is not [index, value]")
 
-    @pytest.mark.parametrize("entry", [[0, "5"], [0, None], [0, [1.0]]])
+    @pytest.mark.parametrize("entry", [[0, "5"], [0, None], [0, [1.0]], [0, True]])
     def test_value_not_a_number(self, entry, square_files, capsys):
         tmp, mesh_path, _, _ = square_files
         chain = {"mesh": "square.json", "degree": 2, "coefficients": [entry]}
@@ -521,7 +521,7 @@ class TestCoefficientSchema:
         argv = ["flatnorm", "--mesh", str(mesh_path), "--chain", str(tmp / "c.json")]
         self._expect_schema_error(argv, capsys, "is not [index, value]")
 
-    @pytest.mark.parametrize("degree", [1.5, "x", "1", None])
+    @pytest.mark.parametrize("degree", [1.5, "x", "1", None, True])
     def test_degree_not_an_integer(self, degree, square_files, capsys):
         tmp, mesh_path, _, _ = square_files
         chain = {"mesh": "square.json", "degree": degree, "coefficients": [[0, 1.0]]}
@@ -530,6 +530,11 @@ class TestCoefficientSchema:
         self._expect_schema_error(argv, capsys, "field 'degree' must be an integer")
         argv = ["flux", "roundtrip", "--flux", str(_write_flux(tmp, [[[0, 1.0]], [[1, 1.0]]], degree=degree))]
         self._expect_schema_error(argv, capsys, "field 'degree' must be an integer")
+
+    def test_mesh_dim_not_an_integer(self, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"dim": True, "vertices": [[0.0], [1.0]], "simplices": {"1": [[0, 1]]}}))
+        self._expect_schema_error(["mesh", "validate", "--mesh", str(bad)], capsys, "field 'dim' must be 1, 2 or 3")
 
     def test_flux_components_must_be_facet_cochains(self, square_files):
         tmp, _, _, _ = square_files

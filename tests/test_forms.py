@@ -1,5 +1,7 @@
 import functools
 import time
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from roughbody.errors import AmbientTooSmall, DegreeMismatch, MassBudgetExceeded
 from roughbody.forms import (
     Cochain,
     FormField,
+    _abs_affine_integrals,
     chain_as_current,
     coboundary,
     constant_form,
@@ -453,6 +456,82 @@ class TestInteriorProduct:
         with pytest.raises(MassBudgetExceeded, match=r"carrier 2-simplex \d+: mass bracket \[\S+, \S+\]"):
             cur.mass()
         assert time.perf_counter() - start < 2.0
+
+
+def _exact_abs_integral(s, vol) -> Fraction:
+    """Exact integral of |f| over a simplex of volume vol, f affine with vertex values s.
+
+    The mean of f+ is the divided difference of x+^(k+1) / (k+1) at the
+    values (Hermite-Genocchi), taken in rationals by the recurrence, with
+    the Taylor coefficient where all nodes coincide; |f| = 2 f+ - f.
+    """
+    k = len(s) - 1
+
+    def dd(nodes):
+        if nodes[0] == nodes[-1]:
+            m = len(nodes) - 1
+            return comb(k + 1, m) * nodes[0] ** (k + 1 - m) if nodes[0] > 0 else Fraction(0)
+        return (dd(nodes[1:]) - dd(nodes[:-1])) / (nodes[-1] - nodes[0])
+
+    s = sorted(Fraction(v) for v in s)
+    return Fraction(vol) * (2 * dd(s) - sum(s)) / (k + 1)
+
+
+def _affine_rows(k: int, kind: str, rng, m: int = 40) -> np.ndarray:
+    s = rng.normal(size=(m, k + 1))
+    if kind == "zeros":  # one or two exact zeros per row
+        s[:, 0] = 0.0
+        s[::2, -1] = 0.0
+    elif kind == "ties":
+        s[:, 1:] = s[:, :1]
+        s[::2, -1] = -s[::2, 0]
+    elif kind == "near ties":
+        s[:, 1:] = s[:, :1] * (1 + 1e-15)
+        s[::2, -1] = -s[::2, 0]
+    elif kind == "2|2":
+        s = np.abs(s) * [1, 1, -1, -1]
+        s[::3, 1] = s[::3, 0] * (1 + 1e-15)
+        s[1::3, 3] = 0.0
+    top = np.abs(s).max(axis=1, keepdims=True)
+    return s / np.where(top > 0, top, 1.0)  # largest |value| 1
+
+
+def _assert_exact(s, vol):
+    for row, v, got in zip(s.tolist(), vol.tolist(), _abs_affine_integrals(s, vol).tolist()):
+        want = _exact_abs_integral(row, v)
+        assert abs(Fraction(got) - want) <= Fraction(1e-14) * want, (row, got, float(want))
+
+
+_KINDS = ("generic", "zeros", "ties", "near ties", "2|2")
+
+
+class TestAbsAffineIntegrals:
+    """The closed form of the integral of |affine f| against exact rational integrals.
+
+    Rows of largest |value| near the largest float catch a missing
+    normalisation: a difference of two values overflows there.
+    """
+
+    @pytest.mark.parametrize(
+        "scale", [2.0**-500, 1.0, 2.0**500, 1.9375 * 2.0**1023], ids=["2^-500", "1", "2^500", "near-largest"]
+    )
+    @pytest.mark.parametrize(
+        "k, kind", [(0, "generic"), (0, "zeros"), (3, "2|2")] + [(k, kind) for k in (1, 2, 3) for kind in _KINDS[:4]]
+    )
+    def test_matches_exact_integrals(self, k, kind, scale):
+        rng = np.random.default_rng([k, _KINDS.index(kind)])
+        s = _affine_rows(k, kind, rng) * scale
+        vol = rng.uniform(0.1, 1.0, size=len(s))
+        _assert_exact(s, vol)
+
+    def test_rows_spanning_600_binary_orders(self):
+        # a quotient of powers, a^(k+1) / prod(a - s_j), underflows to 0 / 0 on these rows
+        _assert_exact(np.array([[2.0**-600, 0.0, 0.0, -1.0], [1.0, 2.0**-600, -(2.0**-600), -(2.0**-600)]]), np.ones(2))
+
+    def test_mass_of_a_zero_chain(self, grid44, rng):
+        T = random_chain(grid44, 0, rng)
+        want = sum(abs(Fraction(a)) for a in T.val.tolist())
+        assert abs(Fraction(chain_as_current(T).mass()) - want) <= Fraction(1e-14) * want
 
 
 class TestMaterialize:

@@ -17,7 +17,7 @@ from reference_refinement import (
 
 from roughbody.bodies import koch_prefractal
 from roughbody.chains import Chain, restrict
-from roughbody.forms import _integral_abs_affine, coboundary
+from roughbody.forms import _abs_affine_integrals, coboundary
 from roughbody.generate import cube_mesh, grid_mesh, random_chain, random_cochain, random_halfspace
 from roughbody.mesh import (
     HalfSpace,
@@ -196,7 +196,7 @@ def test_sliver_integral_of_abs_affine():
     a, h = 0.3, 3e-8
     C = np.array([[0.0, 0.0], [1.0, 0.0], [a, h]])
     vol = build_complex(C, {2: [(0, 1, 2)]}).volume(2, 0)
-    got = _integral_abs_affine(C, C[:, 0] - a, vol)
+    got = _abs_affine_integrals((C[:, 0] - a)[None], np.array([vol]))[0]
     want = h * (a**2 + (1 - a) ** 2) / 6
     assert abs(got - want) <= 1e-12 * want
 

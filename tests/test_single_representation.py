@@ -6,6 +6,8 @@ roughbody that reads it, or that calls a private `_arrays()` accessor,
 brings back the second representation.  Form fields and current densities
 are coefficient arrays over roughbody.poly's monomial tables; the dict
 `Poly` and its `compose_affine` live only in tests/reference_poly.py.
+There is one half-space splitter: mesh.py's `_cut_vertices` and
+`_split_ids`, which no other module of the library names.
 """
 
 import ast
@@ -43,3 +45,15 @@ def test_no_module_uses_the_dict_polynomial():
             ):
                 hits.append(f"{path.name}:{node.lineno}: calls compose_affine")
     assert not hits, "use the coefficient arrays of roughbody.poly:\n" + "\n".join(hits)
+
+
+def test_one_half_space_splitter():
+    names = re.compile(r"\b(_split_ids|_cut_vertices)\b")
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(Path(roughbody.__file__).parent.rglob("*.py"))
+        if path.name != "mesh.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if names.search(line)
+    ]
+    assert not hits, "cut through mesh.refine_by_halfspace instead:\n" + "\n".join(hits)
