@@ -9,7 +9,9 @@ The Koch approximants are carried by ancestry: all levels live on the
 finest mesh, and level k is the set of triangles born at level k or
 earlier.  Overlays cut a box only by the boundary-facet planes of both
 bodies, so every overlay cell lies wholly inside or outside each body and
-is classified by a barycentric test at its barycenter.
+is classified by a barycentric test at its barycenter.  A trace cuts only
+the part's complex, by the generator's planes, and classifies the pieces of
+the part's boundary the same way against the generator.
 """
 
 from __future__ import annotations
@@ -355,18 +357,20 @@ def trace(part: Body, generator: Body) -> tuple[Chain, Complex]:
     `part` is the body (a prefractal level of a generalized body or a
     polytopal body); `generator` is the finite-perimeter generator M.  The
     precondition H^{n-1}(boundary(P) cap boundary(M)) = 0 is enforced by
-    exact facet-coincidence testing.
+    exact facet-coincidence testing; under it the trace is boundary(P)
+    restricted to M, taken on (and returned with) the part's complex cut by
+    every boundary-facet plane of M, where no piece crosses boundary(M).
     """
+    if part.complex.dim != generator.complex.dim:
+        raise OverlayFailure("bodies live in different ambient dimensions")
     tol = 1e-9 * max(part.complex.diameter(), generator.complex.diameter())
-    bnd_p = part.chain.boundary()
+    bnd = part.chain.boundary()
     bnd_m = generator.chain.boundary()
-    for ia in bnd_p.idx.tolist():
+    for ia in bnd.idx.tolist():
         for ib in bnd_m.idx.tolist():
             if _coplanar_overlap(part.complex, ia, generator.complex, ib, tol):
                 raise GeneratorOverlap(f"facet {ia} of the body lies inside facet {ib} of the generator")
-    cx, bp, bm = common_refinement(part, generator)
-    both = np.intersect1d(bp.chain.idx, bm.chain.idx, assume_unique=True)
-    first = _indicator(cx, both).chain.boundary()
-    bm_bnd = bm.chain.boundary()
-    second = bm_bnd.select(_inside(part, cx.barycenters(cx.dim - 1)[bm_bnd.idx]))
-    return first - second, cx
+    for hs in _boundary_halfspaces(generator):
+        bnd = refine_by_halfspace(bnd.complex, hs).carry_chain(bnd)
+    cx = bnd.complex
+    return bnd.select(_inside(generator, cx.barycenters(cx.dim - 1)[bnd.idx])), cx

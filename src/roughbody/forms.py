@@ -185,24 +185,25 @@ def whitney_realize(X: Cochain) -> FormField:
 
     A k-face whose stored vertices sit at positions r_0 .. r_k of a top
     simplex adds k! X(face) sum_i (-1)^i lambda_(r_i) dlambda_(r_0) ^ ...
-    (r_i omitted) ... ^ dlambda_(r_k) there.  The wedges of gradient rows
-    are taken by mesh.row_wedges for every top at once, and one pass adds
-    the affine terms of all tops into the coefficient array, face slot by
-    face slot and position by position, the order of the per-top loop it
-    replaced (now only the test reference_whitney.py), so every
-    coefficient is that loop's sum.  A top is listed when one of its faces
-    has a nonzero coefficient.
+    (r_i omitted) ... ^ dlambda_(r_k) there.  A top is listed when one of
+    its faces has a nonzero coefficient, and only listed tops are computed.
+    The wedges of gradient rows are taken by mesh.row_wedges for all of
+    them at once, and one pass adds their affine terms into the
+    coefficient array, face slot by face slot and position by position,
+    the order of the per-top loop it replaced (now only the test
+    reference_whitney.py), so every coefficient is that loop's sum.
     """
     cx = X.complex
     n = cx.dim
     k = X.degree
-    if X.is_zero():
-        return FormField(cx, k)
-    G = cx.barygrads  # row i of a top: (grad lambda_i, const)
     faces = cx.face_table(cx.top_degree, k)
+    live = np.flatnonzero(X.vector()[faces].any(axis=1))
+    if not live.size:
+        return FormField(cx, k)
+    faces, G = faces[live], cx.barygrads[live]  # row i of a top: (grad lambda_i, const)
     m, nf = faces.shape
     # positions in each top of each face's stored vertices, (m, nf, k + 1)
-    pos = np.argmax(cx.arrays[k][faces][..., None] == cx.arrays[cx.top_degree][:, None, None, :], axis=-1)
+    pos = np.argmax(cx.arrays[k][faces][..., None] == cx.arrays[cx.top_degree][live, None, None, :], axis=-1)
     others = pos[..., [[j for j in range(k + 1) if j != i] for i in range(k + 1)]]
     rows = G[np.arange(m)[:, None, None, None], others, :n]
     W = row_wedges(rows.reshape(m * nf * (k + 1), k, n)).reshape(m, nf, k + 1, -1)
@@ -214,8 +215,7 @@ def whitney_realize(X: Cochain) -> FormField:
     acc = np.zeros((m, W.shape[-1], poly.size(n, FORM_DEGREE)))
     for t in range(terms.shape[1]):
         acc[..., : n + 1] += terms[:, t]
-    live = np.flatnonzero(coeffs.any(axis=1))
-    return FormField(cx, k, live, acc[live])
+    return FormField(cx, k, live, acc)
 
 
 class EvaluableCurrent:

@@ -11,9 +11,11 @@ Indices are 0-based; simplex orientation is the listed vertex order.
 Chain, cochain and flux files share one coefficient reader: a degree that is
 not an integer, an entry other than [integer index, numeric value], an index
 out of range and an index listed twice in one coefficient list are schema
-errors; a JSON boolean is not a number, nor a mesh dim.  A flux is the tuple
-of its n (n-1)-cochain components; any other degree or component count is a
-schema error.  Its recorded s and b are written for the reader and not read back.
+errors; a JSON boolean is not a number, nor a mesh dim or vertex id.  A
+file whose top level is not a JSON object is a schema error.  A flux is the
+tuple of its n (n-1)-cochain components; any other degree or component
+count is a schema error.  Its recorded s and b are written for the reader
+and not read back.
 Mesh references are resolved relative to the referencing file.
 """
 
@@ -36,14 +38,15 @@ def _fail(path, msg: str):
     raise SchemaViolation(f"{path}: {msg}")
 
 
-def _load_json(path):
+def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        _fail(path, "top-level JSON must be an object")
+    return data
 
 
 def load_mesh(path, check_overlap: bool = True) -> Complex:
@@ -64,7 +67,9 @@ def load_mesh(path, check_overlap: bool = True) -> Complex:
             k = int(key)
         except ValueError:
             _fail(path, f"simplex degree '{key}' is not an integer")
-        simplices[k] = [tuple(s) for s in lst]
+        if type(lst) is not list or not all(type(s) is list and all(type(v) is int for v in s) for s in lst):
+            _fail(path, f"degree-{k} simplices must be lists of integer vertex ids")  # a boolean is not one
+        simplices[k] = lst
     return build_complex(verts, simplices, check_overlap=check_overlap)
 
 
@@ -201,20 +206,20 @@ def load_sharp_field(path, mesh: Complex | None = None):
     """A scalar field, or a list of fields when 'components' is present."""
     data = _load_json(path)
     cx = mesh if mesh is not None else _resolve_mesh(data, path)
+
+    def field(values, what: str) -> SharpField:
+        arr = np.asarray(values, dtype=float)
+        if arr.shape != (cx.vertices.shape[0],):
+            _fail(path, f"{what} must list one value per vertex")
+        return SharpField(cx, arr)
+
     if "components" in data:
-        comps = []
-        for row in data["components"]:
-            arr = np.asarray(row, dtype=float)
-            if arr.shape != (cx.vertices.shape[0],):
-                _fail(path, "each component must list one value per vertex")
-            comps.append(SharpField(cx, arr))
-        return comps
+        if not isinstance(data["components"], list):
+            _fail(path, "field 'components' must list one value list per component")
+        return [field(row, "each component") for row in data["components"]]
     if "values" not in data:
         _fail(path, "missing field 'values' (or 'components')")
-    arr = np.asarray(data["values"], dtype=float)
-    if arr.shape != (cx.vertices.shape[0],):
-        _fail(path, "field 'values' must list one value per vertex")
-    return SharpField(cx, arr)
+    return field(data["values"], "field 'values'")
 
 
 def _plain(obj):

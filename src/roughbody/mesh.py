@@ -305,7 +305,7 @@ def _simplex_rows(entries, k: int) -> np.ndarray:
     """Degree-k simplices as an (m, k + 1) array of vertex ids."""
     try:
         S = np.asarray(entries, dtype=np.intp)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         S = None
     if S is None or S.ndim != 2 or S.shape[1] != k + 1:
         for s in entries:

@@ -2,11 +2,11 @@
 
 k-vectors and k-covectors are plain coefficient arrays over the standard
 basis of Lambda_k R^n, indexed by sorted k-tuples of axes; this module
-holds that indexing and the wedge, pairing and contraction of such
-arrays.  Every sign of e_I ^ e_J comes from one cached table,
-wedge_table(n, k, r), and the wedge and contraction here, like the
-exterior derivative, wedge and interior product of form fields, are
-contractions against its dense form, wedge_tensor.
+holds that indexing, the signs of their wedge and the contraction of
+such arrays.  Every sign of e_I ^ e_J comes from one cached table,
+wedge_table(n, k, r); the contraction here, like the exterior
+derivative, wedge and interior product of form fields, is a
+contraction against its dense form, wedge_tensor.
 The k-vectors of simplices are computed a whole degree at a time by
 mesh.kvectors.  For n <= 3 every k-vector is simple, so the mass norm
 of a k-vector and the comass of a k-covector both reduce to the Euclidean
@@ -79,16 +79,6 @@ def wedge_tensor(n: int, k: int, r: int) -> np.ndarray:
         T[i, j, o] = s
     T.flags.writeable = False
     return T
-
-
-def wedge(a: np.ndarray, k: int, b: np.ndarray, r: int, n: int) -> np.ndarray:
-    """Coefficients of the wedge of a k-(co)vector with an r-(co)vector."""
-    return np.einsum("i,j,ijo->o", a, b, wedge_tensor(n, k, r))
-
-
-def pairing(cov: np.ndarray, vec: np.ndarray) -> float:
-    """<phi, xi> in the orthonormal standard basis."""
-    return float(np.dot(cov, vec))
 
 
 def contract(cov: np.ndarray, k: int, vec: np.ndarray, r: int, n: int) -> np.ndarray:

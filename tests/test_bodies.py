@@ -14,7 +14,7 @@ from roughbody.bodies import (
     trace,
 )
 from roughbody.chains import Chain
-from roughbody.errors import GeneratorOverlap, TooFewChains, WrongDegree
+from roughbody.errors import GeneratorOverlap, OverlayFailure, TooFewChains, WrongDegree
 from roughbody.generate import grid_mesh, random_body
 from roughbody.mesh import build_complex
 
@@ -269,6 +269,40 @@ class TestOverlayAndTrace:
         assert (tr - expected).mass() <= 1e-10
 
 
+# trace masses against the generator [0.3, 2] x [-1, 1] as the two-body overlay gave them
+_KOCH_TRACE_MASSES = [2.1, 2.7333333333333334, 3.6222222222222213, 4.807407407407407, 6.412345679012368]
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_koch_trace_restricts_the_boundary(level):
+    # the trace refines only the part's complex, and only by the generator's planes
+    part = koch_prefractal(level)
+    tr, cx = trace(part, _square(1.0, (0.3, -1.0), (1.7, 2.0)))
+    assert tr.mass() == pytest.approx(_KOCH_TRACE_MASSES[level], rel=1e-12)
+    assert cx.n_simplices(2) <= 10 * part.complex.n_simplices(2)
+
+
+def test_trace_builds_no_overlay(monkeypatch):
+    # the trace never refines a box by both bodies' planes nor locates points in the part
+    import roughbody.bodies as bodies
+
+    part, generator = _square(1.0), _square(1.0, (0.5, -1.0), (1.5, 3.0))
+    located = []
+    inside = bodies._inside
+    monkeypatch.setattr(bodies, "common_refinement", lambda *args: pytest.fail("overlay built"))
+    monkeypatch.setattr(bodies, "_inside", lambda body, X: located.append(body) or inside(body, X))
+    tr, _ = trace(part, generator)
+    assert located == [generator]
+    assert tr.mass() == pytest.approx(2.0, rel=1e-12)
+
+
+def test_trace_rejects_mixed_dimensions():
+    with pytest.raises(OverlayFailure):
+        trace(_square(1.0), _offset_box(0.0))
+    with pytest.raises(OverlayFailure):
+        trace(_offset_box(0.0), _square(1.0))
+
+
 class TestKochBoundarySequence:
     def test_boundary_chains_certify_in_flat_norm(self):
         # the (n-1)-chain sequence is Cauchy: F(bd T_{k+1} - bd T_k) is at
@@ -412,8 +446,13 @@ def test_offset_cube_trace_is_exact(offset_cubes):
 
 
 def _assert_classified_like_reference(part, generator, overlay, traced):
-    """Overlay bodies and trace as the point-at-a-time locator classifies them."""
-    from reference_locator import RegionLocator
+    """Overlay bodies and trace as the point-at-a-time locator classifies them.
+
+    The trace is the part's boundary, carried onto the trace complex,
+    restricted to the generator; its mass is that of the overlay's
+    boundary(P cap M) - boundary(M) restricted to P.
+    """
+    from reference_locator import RegionLocator, carry_onto
 
     cx, bp, bm = overlay
     barys = cx.barycenters(cx.dim)
@@ -423,13 +462,17 @@ def _assert_classified_like_reference(part, generator, overlay, traced):
     if traced is None:
         return
     tr, tcx = traced
-    assert all(np.array_equal(cx.arrays[k], tcx.arrays[k]) for k in cx.arrays)
+    loc = RegionLocator(generator)
+    pieces = tcx.barycenters(tcx.dim - 1)
+    bnd = carry_onto(part, tcx).chain.boundary()
+    assert {i: a for i, a in bnd.coeffs.items() if loc.contains(pieces[i])} == tr.coeffs
     loc = RegionLocator(part)
     facets = cx.barycenters(cx.dim - 1)
     bm_bnd = bm.chain.boundary()
     inter = Chain(cx, cx.dim, {i: 1.0 for i in set(bp.chain.coeffs) & set(bm.chain.coeffs)})
     second = Chain(cx, cx.dim - 1, {i: a for i, a in bm_bnd.coeffs.items() if loc.contains(facets[i])})
-    assert (inter.boundary() - second).coeffs == tr.coeffs
+    overlay_mass = (inter.boundary() - second).mass()
+    assert abs(tr.mass() - overlay_mass) <= 1e-12 * overlay_mass
 
 
 # (offset, size) of the second rectangle against the unit square; the

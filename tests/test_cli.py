@@ -570,6 +570,50 @@ class TestCoefficientSchema:
         assert (data["mesh"], data["degree"], data["s"], data["b"]) == ("square.json", 1, 2.0, 6.0)
 
 
+class TestFileSchema:
+    """A malformed mesh, chain, flux or velocity file exits 2 as a SchemaViolation, never a traceback."""
+
+    def _expect_schema_error(self, argv, capsys, where):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "SchemaViolation" and where in err["error"], err
+
+    @pytest.mark.parametrize("command", ["mesh validate", "flatnorm", "flux roundtrip"])
+    def test_top_level_not_an_object(self, command, square_files, capsys):
+        tmp, mesh_path, _, _ = square_files
+        (tmp / "five.json").write_text("5")
+        argv = {
+            "mesh validate": ["mesh", "validate", "--mesh", str(tmp / "five.json")],
+            "flatnorm": ["flatnorm", "--mesh", str(mesh_path), "--chain", str(tmp / "five.json")],
+            "flux roundtrip": ["flux", "roundtrip", "--flux", str(tmp / "five.json")],
+        }[command]
+        self._expect_schema_error(argv, capsys, "top-level JSON must be an object")
+
+    def test_velocity_components_not_a_list(self, square_files, capsys):
+        tmp, _, body_path, cx = square_files
+        flux_path = _scaled_flux_file(tmp, cx, 0)
+        io.save_chain(io.load_chain(body_path, mesh=cx).boundary(), tmp / "surf.json", "square.json")
+        (tmp / "vel.json").write_text('{"mesh": "square.json", "components": 5}')
+        capsys.readouterr()
+        argv = ["flux", "eval", "--flux", str(flux_path), "--surface", str(tmp / "surf.json")]
+        self._expect_schema_error(argv + ["--velocity", str(tmp / "vel.json")], capsys, "field 'components'")
+
+    @pytest.mark.parametrize(
+        "rows", [[5], 5, [[0, 1, 2.5]], [["0", 1, 2]], [[0, 1, True]], [[0, 1, 2], "012"], {"0": [0, 1, 2]}]
+    )
+    def test_simplex_rows_of_integer_ids(self, rows, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "simplices": {"2": rows}}))
+        self._expect_schema_error(["mesh", "validate", "--mesh", str(bad)], capsys, "vertex id")
+
+    def test_vertex_id_beyond_any_index(self, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        rows = [[0, 1, 10**30]]
+        bad.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "simplices": {"2": rows}}))
+        assert main(["mesh", "validate", "--mesh", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValueError"
+
+
 # the CSV columns README documents for each campaign, and each report's keys
 CAMPAIGN_TABLES = {
     "stokes": (["trial", "simplices", "deviation"], {"max_deviation", "tolerance"}),

@@ -124,6 +124,14 @@ class TestWhitneyRealize:
         w = whitney_realize(Cochain(square, 1, {}))
         assert not w.tops.size
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_cochain_off_every_top_gives_zero_field(self, k):
+        # the edge (3, 4) and its vertices are faces of no triangle
+        cx = build_complex([[0, 0], [1, 0], [0, 1], [3, 3], [4, 3]], {2: [(0, 1, 2)], 1: [(3, 4)]})
+        idx = next(i for i, s in enumerate(cx.arrays[k].tolist()) if 3 in s)
+        w = whitney_realize(Cochain(cx, k, {idx: 2.0}))
+        assert not w.tops.size and w.coef.shape == (0, k + 1, 6)
+
     def test_simplicial_pairing_matches_integration(self, grid44, rng):
         X = random_cochain(grid44, 1, rng)
         T = random_chain(grid44, 1, rng)
