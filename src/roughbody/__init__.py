@@ -7,7 +7,6 @@ from .bodies import (
     GeneralizedBody,
     Surface,
     body_from_simplices,
-    common_refinement,
     geometric_boundary_surface,
     koch_generalized_body,
     koch_prefractal,

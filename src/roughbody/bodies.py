@@ -7,11 +7,10 @@ flat-norm Cauchy certificate; no limit object is ever materialized.
 
 The Koch approximants are carried by ancestry: all levels live on the
 finest mesh, and level k is the set of triangles born at level k or
-earlier.  Overlays cut a box only by the boundary-facet planes of both
-bodies, so every overlay cell lies wholly inside or outside each body and
-is classified by a barycentric test at its barycenter.  A trace cuts only
-the part's complex, by the generator's planes, and classifies the pieces of
-the part's boundary the same way against the generator.
+earlier.  A trace cuts only the part's complex, by the boundary-facet
+planes of the generator, so no piece of the part's boundary crosses the
+generator's boundary; each piece is classified by a barycentric test at its
+barycenter.  No two-body overlay is built.
 """
 
 from __future__ import annotations
@@ -250,7 +249,7 @@ def koch_generalized_body(levels: int, eps: float = 1e-2, method: str = "mass") 
     return GeneralizedBody(bodies, report)
 
 
-# -- overlays and traces ------------------------------------------------------
+# -- traces -----------------------------------------------------------------
 
 
 def _unit_normals(C: np.ndarray) -> np.ndarray:
@@ -302,53 +301,32 @@ def _inside(body: Body, X: np.ndarray) -> np.ndarray:
     return hit
 
 
-def common_refinement(a: Body, b: Body) -> tuple[Complex, Body, Body]:
-    """Overlay complex on which both bodies are simplicial, volumes preserved.
+def _shared_facet(part: Body, generator: Body) -> tuple[int, int] | None:
+    """The first (part facet, generator facet) pair of boundary facets sharing area, or None.
 
-    A padded bounding-box mesh is refined by the hyperplanes of the
-    boundary facets of both bodies.  No overlay cell then crosses either
-    boundary, so each cell lies wholly inside or outside each body and is
-    classified by its barycenter.
+    Pairs are met part facet first.  One array pass per generator facet keeps
+    the part facets whose hyperplane holds each of its vertices to within
+    1e-9 x the larger mesh diameter: no narrower than the cut's vertex
+    snapping and `_inside`'s slack, so a generator facet a hair off a part
+    facet is refused, not traced.  Only those pairs are projected, dropping
+    the coordinate of the largest normal component, and compared exactly.
     """
-    if a.complex.dim != b.complex.dim:
-        raise OverlayFailure("bodies live in different ambient dimensions")
-    from .generate import cube_mesh, grid_mesh, segment_mesh  # generate imports this module
-
-    points = np.vstack([a.complex.vertices, b.complex.vertices])
-    pad = 0.125 * float(np.ptp(points, axis=0).max())
-    lo, hi = points.min(axis=0) - pad, points.max(axis=0) + pad
-    n = len(lo)
-    cx = segment_mesh(1, lo[0], hi[0]) if n == 1 else grid_mesh(1, 1, lo, hi) if n == 2 else cube_mesh(1, 1, 1, lo, hi)
-    for hs in _boundary_halfspaces(a) + _boundary_halfspaces(b):
-        cx = refine_by_halfspace(cx, hs).complex
-    barys = cx.barycenters(cx.top_degree)
-    body_a, body_b = (_indicator(cx, np.flatnonzero(_inside(body, barys))) for body in (a, b))
-    for orig, new in ((a, body_a), (b, body_b)):
-        if abs(orig.mass() - new.mass()) > 1e-10 * orig.mass():
-            raise OverlayFailure(
-                f"volume drifted from {orig.mass()} to {new.mass()} in the overlay"
-            )
-    return cx, body_a, body_b
-
-
-def _coplanar_overlap(cx_a: Complex, ia: int, cx_b: Complex, ib: int, tol: float) -> bool:
-    """Positive (n-1)-measure overlap of two facets (same supporting plane).
-
-    B lies in A's hyperplane when its vertices are within tol of it.  Both
-    facets are then projected by dropping the coordinate along which the
-    hyperplane's normal is largest, an exact and injective map on that
-    hyperplane, and their interiors are compared in n - 1 dimensions.
-    """
-    A = cx_a.coords(cx_a.dim - 1, ia)
-    B = cx_b.coords(cx_b.dim - 1, ib)
-    n = cx_a.dim
-    normal = _unit_normals(A[None])[0]
-    if np.abs((B - A[0]) @ normal).max() > tol:
-        return False
-    if n == 1:
-        return True  # coincident points
-    keep = np.arange(n) != np.argmax(np.abs(normal))
-    return simplex_interiors_intersect(A[:, keep], B[:, keep])
+    n = part.complex.dim
+    tol = 1e-9 * max(part.complex.diameter(), generator.complex.diameter())
+    ia, ib = part.chain.boundary().idx, generator.chain.boundary().idx
+    A = part.complex.all_coords(n - 1)[ia]
+    B = generator.complex.all_coords(n - 1)[ib]
+    nu = _unit_normals(A)
+    near = sorted(
+        (a, j)
+        for j in range(len(B))
+        for a in np.flatnonzero((np.abs(np.einsum("ivk,ik->iv", B[j] - A[:, :1], nu)) <= tol).all(axis=1)).tolist()
+    )
+    for a, j in near:
+        keep = np.arange(n) != np.argmax(np.abs(nu[a]))
+        if n == 1 or simplex_interiors_intersect(A[a][:, keep], B[j][:, keep]):  # in 1-D: coincident points
+            return int(ia[a]), int(ib[j])
+    return None
 
 
 def trace(part: Body, generator: Body) -> tuple[Chain, Complex]:
@@ -356,20 +334,18 @@ def trace(part: Body, generator: Body) -> tuple[Chain, Complex]:
 
     `part` is the body (a prefractal level of a generalized body or a
     polytopal body); `generator` is the finite-perimeter generator M.  The
-    precondition H^{n-1}(boundary(P) cap boundary(M)) = 0 is enforced by
-    exact facet-coincidence testing; under it the trace is boundary(P)
-    restricted to M, taken on (and returned with) the part's complex cut by
-    every boundary-facet plane of M, where no piece crosses boundary(M).
+    precondition H^{n-1}(boundary(P) cap boundary(M)) = 0 is checked by
+    `_shared_facet`; a shared facet raises GeneratorOverlap.  Under it the
+    trace is boundary(P) restricted to M, taken on (and returned with) the
+    part's complex cut by every boundary-facet plane of M, where no piece
+    crosses boundary(M).
     """
     if part.complex.dim != generator.complex.dim:
         raise OverlayFailure("bodies live in different ambient dimensions")
-    tol = 1e-9 * max(part.complex.diameter(), generator.complex.diameter())
+    shared = _shared_facet(part, generator)
+    if shared is not None:
+        raise GeneratorOverlap("facet %d of the body lies inside facet %d of the generator" % shared)
     bnd = part.chain.boundary()
-    bnd_m = generator.chain.boundary()
-    for ia in bnd.idx.tolist():
-        for ib in bnd_m.idx.tolist():
-            if _coplanar_overlap(part.complex, ia, generator.complex, ib, tol):
-                raise GeneratorOverlap(f"facet {ia} of the body lies inside facet {ib} of the generator")
     for hs in _boundary_halfspaces(generator):
         bnd = refine_by_halfspace(bnd.complex, hs).carry_chain(bnd)
     cx = bnd.complex

@@ -66,7 +66,7 @@ class GeneratorOverlap(RoughBodyError):
 
 
 class OverlayFailure(RoughBodyError):
-    """Common refinement of two complexes failed a conservation check."""
+    """Two bodies cannot be traced against each other, or a prefractal level failed its area check."""
 
 
 class ExtensionDependence(RoughBodyError):

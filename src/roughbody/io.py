@@ -11,16 +11,18 @@ Indices are 0-based; simplex orientation is the listed vertex order.
 Chain, cochain and flux files share one coefficient reader: a degree that is
 not an integer, an entry other than [integer index, numeric value], an index
 out of range and an index listed twice in one coefficient list are schema
-errors; a JSON boolean is not a number, nor a mesh dim or vertex id.  A
-file whose top level is not a JSON object is a schema error.  A flux is the
-tuple of its n (n-1)-cochain components; any other degree or component
-count is a schema error.  Its recorded s and b are written for the reader
-and not read back.
+errors; a JSON boolean is not a number, nor a mesh dim or vertex id.
+Coordinates, map images and field values are JSON numbers: a boolean, a
+string or an object among them is a schema error.  A file whose top level
+is not a JSON object is a schema error.  A flux is the tuple of its n
+(n-1)-cochain components; any other degree or component count is a schema
+error.  Its recorded s and b are written for the reader and not read back.
 Mesh references are resolved relative to the referencing file.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -49,6 +51,23 @@ def _load_json(path) -> dict:
     return data
 
 
+def _floats(value, shape: tuple, path, msg: str) -> np.ndarray:
+    """value as a float array of the given shape (None: any length), or SchemaViolation(msg).
+
+    The entries must be JSON numbers in nested lists: a boolean, a string
+    or an object is not one.
+    """
+    rows = value if type(value) is list and set(map(type, value)) <= {list} else [value]
+    if type(value) is list and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        try:
+            arr = np.array(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged rows, or an integer beyond any float
+            _fail(path, msg)
+        if arr.ndim == len(shape) and all(want in (None, got) for want, got in zip(shape, arr.shape)):
+            return arr
+    _fail(path, msg)
+
+
 def load_mesh(path, check_overlap: bool = True) -> Complex:
     data = _load_json(path)
     for key in ("dim", "vertices", "simplices"):
@@ -56,9 +75,8 @@ def load_mesh(path, check_overlap: bool = True) -> Complex:
             _fail(path, f"missing field '{key}'")
     if isinstance(data["dim"], bool) or data["dim"] not in (1, 2, 3):
         _fail(path, f"field 'dim' must be 1, 2 or 3, got {data['dim']}")
-    verts = np.asarray(data["vertices"], dtype=float)
-    if verts.ndim != 2 or verts.shape[1] != data["dim"]:
-        _fail(path, "field 'vertices' must be a list of dim-length coordinate lists")
+    msg = "field 'vertices' must list dim-length lists of numbers"
+    verts = _floats(data["vertices"], (None, data["dim"]), path, msg)
     if not isinstance(data["simplices"], dict):
         _fail(path, "field 'simplices' must map degree strings to index lists")
     simplices = {}
@@ -196,30 +214,21 @@ def load_pamap(path, mesh: Complex | None = None) -> PAMap:
     cx = mesh if mesh is not None else _resolve_mesh(data, path)
     if "images" not in data:
         _fail(path, "missing field 'images'")
-    images = np.asarray(data["images"], dtype=float)
-    if images.ndim != 2 or images.shape[0] != cx.vertices.shape[0]:
-        _fail(path, "field 'images' must list one point per mesh vertex")
-    return PAMap(cx, images)
+    nv = cx.vertices.shape[0]
+    return PAMap(cx, _floats(data["images"], (nv, None), path, "field 'images' must list one point per mesh vertex"))
 
 
 def load_sharp_field(path, mesh: Complex | None = None):
     """A scalar field, or a list of fields when 'components' is present."""
     data = _load_json(path)
     cx = mesh if mesh is not None else _resolve_mesh(data, path)
-
-    def field(values, what: str) -> SharpField:
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (cx.vertices.shape[0],):
-            _fail(path, f"{what} must list one value per vertex")
-        return SharpField(cx, arr)
-
+    nv = cx.vertices.shape[0]
     if "components" in data:
-        if not isinstance(data["components"], list):
-            _fail(path, "field 'components' must list one value list per component")
-        return [field(row, "each component") for row in data["components"]]
+        rows = _floats(data["components"], (None, nv), path, "field 'components' must list one number per vertex each")
+        return [SharpField(cx, row) for row in rows]
     if "values" not in data:
         _fail(path, "missing field 'values' (or 'components')")
-    return field(data["values"], "field 'values'")
+    return SharpField(cx, _floats(data["values"], (nv,), path, "field 'values' must list one number per vertex"))
 
 
 def _plain(obj):

@@ -302,9 +302,11 @@ def _too_thin(C: np.ndarray, volumes: np.ndarray) -> np.ndarray:
 
 
 def _simplex_rows(entries, k: int) -> np.ndarray:
-    """Degree-k simplices as an (m, k + 1) array of vertex ids."""
+    """Degree-k simplices as an (m, k + 1) array of vertex ids; an id that is not an integer is a ValueError."""
     try:
-        S = np.asarray(entries, dtype=np.intp)
+        ids = np.asarray(entries)
+        with np.errstate(invalid="ignore"):  # NaN or a float beyond any index casts to garbage, refused below
+            S = ids.astype(np.intp, copy=False)
     except (TypeError, ValueError, OverflowError):
         S = None
     if S is None or S.ndim != 2 or S.shape[1] != k + 1:
@@ -312,6 +314,8 @@ def _simplex_rows(entries, k: int) -> np.ndarray:
             if len(s) != k + 1:
                 raise ValueError(f"degree-{k} simplex {tuple(s)} has {len(s)} vertices")
         raise ValueError(f"degree-{k} simplices must be rows of {k + 1} vertex indices")
+    if ids.dtype.kind not in "iuf" or not (S == ids).all():
+        raise ValueError(f"degree-{k} simplices must list integer vertex ids")
     return S
 
 

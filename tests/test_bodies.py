@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_overlay import common_refinement, shared_facet
 
 from roughbody.bodies import (
     Body,
+    _shared_facet,
     body_from_simplices,
-    common_refinement,
     geometric_boundary_surface,
     koch_generalized_body,
     koch_prefractal,
@@ -289,7 +290,6 @@ def test_trace_builds_no_overlay(monkeypatch):
     part, generator = _square(1.0), _square(1.0, (0.5, -1.0), (1.5, 3.0))
     located = []
     inside = bodies._inside
-    monkeypatch.setattr(bodies, "common_refinement", lambda *args: pytest.fail("overlay built"))
     monkeypatch.setattr(bodies, "_inside", lambda body, X: located.append(body) or inside(body, X))
     tr, _ = trace(part, generator)
     assert located == [generator]
@@ -501,3 +501,60 @@ def test_overlay_classified_like_reference_3d(offset_cubes):
     a = 2.0**-34
     slab = _overlay_and_trace(_offset_box(0.0, a=a), _offset_box(np.array([0.5, -1, -1]), np.array([1.5, 3, 3]), a))
     _assert_classified_like_reference(*slab)
+
+
+def _same_shared_facet(part, generator):
+    """The one-pass precondition finds the double loop's first shared facet pair, or its None."""
+    got = _shared_facet(part, generator)
+    assert got == shared_facet(part, generator)
+    return got
+
+
+@pytest.mark.parametrize("e", [-40, -20, 0, 20])
+@pytest.mark.parametrize("pair", sorted(_PAIRS_2D))
+def test_shared_facet_like_reference_2d(pair, e):
+    a = 2.0**e
+    got = _same_shared_facet(_square(a), _square(a, *_PAIRS_2D[pair]))
+    assert (got is None) == (pair not in ("identical", "strip"))
+
+
+def test_shared_facet_meets_part_facets_first():
+    # the unit square cut along its other diagonal shares every facet with
+    # the square, under other facet numbers; the pair found is at the part's
+    # lowest facet, not at the generator's
+    corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+    generator = body_from_simplices(build_complex(corners, {2: [(0, 1, 3), (1, 2, 3)]}), [0, 1])
+    part = _square(1.0)
+    first = _same_shared_facet(part, generator)
+    assert first[0] == part.chain.boundary().idx[0]
+    assert first[1] != generator.chain.boundary().idx[0]
+
+
+def test_shared_facet_like_reference_3d(offset_cubes):
+    part, generator, _, _ = offset_cubes
+    assert _same_shared_facet(part, generator) is None
+    a = 2.0**-34
+    slab = _offset_box(np.array([0.5, -1, -1]), np.array([1.5, 3, 3]), a)
+    assert _same_shared_facet(_offset_box(0.0, a=a), slab) is None
+    assert _same_shared_facet(_offset_box(0.0, a=a), _offset_box(np.array([1.0, 0, 0]), a=a)) is not None
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_shared_facet_like_reference_koch(level):
+    # the square of the trace tests meets no facet; the one below shares the base line y = 0
+    part = koch_prefractal(level)
+    assert _same_shared_facet(part, _square(1.0, (0.3, -1.0), (1.7, 2.0))) is None
+    assert _same_shared_facet(part, _square(1.0, (-1.0, -1.0), (3.0, 1.0))) is not None
+
+
+@pytest.mark.parametrize("e", [-40, -20, 0, 20])
+@pytest.mark.parametrize("gap", [2.0**-40, 2.0**-33, 3e-10])
+def test_near_coincident_generator_refused(gap, e):
+    # a generator edge this close to the square's right edge is within the
+    # cut's vertex snapping and _inside's slack: traced, the right edge would
+    # count as inside the generator, where the true trace is empty
+    a = 2.0**e
+    part, generator = _square(a), _square(a, (1.0 + gap, -1.0), (2.0, 3.0))
+    assert _same_shared_facet(part, generator) is not None
+    with pytest.raises(GeneratorOverlap):
+        trace(part, generator)

@@ -606,6 +606,30 @@ class TestFileSchema:
         bad.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "simplices": {"2": rows}}))
         self._expect_schema_error(["mesh", "validate", "--mesh", str(bad)], capsys, "vertex id")
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [5, [["0.5", 0], [1, 0], [0, 1]], [[{}, 0], [1, 0], [0, 1]], [[True, 0], [1, 0], [0, 1]],
+         [[0, 0], [1], [0, 1]], [[0, 0], [1, 0], [0, 10**400]]],
+    )
+    def test_vertex_coordinates_are_numbers(self, vertices, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"dim": 2, "vertices": vertices, "simplices": {"2": [[0, 1, 2]]}}))
+        self._expect_schema_error(["mesh", "validate", "--mesh", str(bad)], capsys, "field 'vertices'")
+
+    @pytest.mark.parametrize("entry", ['"0.5"', "{}", "true"])
+    def test_images_and_velocities_are_numbers(self, entry, square_files, capsys):
+        tmp, _, body_path, cx = square_files
+        flux_path = _scaled_flux_file(tmp, cx, 0)
+        io.save_chain(io.load_chain(body_path, mesh=cx).boundary(), tmp / "surf.json", "square.json")
+        (tmp / "vel.json").write_text(f'{{"mesh": "square.json", "components": [[{entry}, 0, 0, 0], [0, 0, 0, 0]]}}')
+        (tmp / "map.json").write_text(f'{{"mesh": "square.json", "images": [[{entry}, 0], [1, 0], [1, 1], [0, 1]]}}')
+        capsys.readouterr()
+        argv = ["flux", "eval", "--flux", str(flux_path), "--surface", str(tmp / "surf.json")]
+        self._expect_schema_error(argv + ["--velocity", str(tmp / "vel.json")], capsys, "field 'components'")
+        argv = ["stress", "report", "--flux", str(flux_path), "--map", str(tmp / "map.json"),
+                "--body", str(body_path), "--velocity", str(tmp / "vel.json")]
+        self._expect_schema_error(argv, capsys, "field 'images'")
+
     def test_vertex_id_beyond_any_index(self, tmp_path, capsys):
         bad = tmp_path / "m.json"
         rows = [[0, 1, 10**30]]

@@ -65,6 +65,15 @@ class TestBuildComplex:
         with pytest.raises(ValueError, match="vertex 1 has a non-finite coordinate"):
             build_complex([[0, 0], [1, bad], [0, 1]], {2: [(0, 1, 2)]})
 
+    @pytest.mark.parametrize("bad", [2.7, float("nan"), 1e30, "2"])
+    def test_non_integer_vertex_id_rejected(self, bad):
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            build_complex([[0, 0], [1, 0], [0, 1]], {2: [(0, 1, bad)]})
+
+    @pytest.mark.parametrize("ids", [[(0, 1, 2)], [(0, 1, 2.0)], np.array([[0, 1, 2]], dtype=np.uint8)])
+    def test_integer_vertex_ids_accepted(self, ids):
+        assert build_complex([[0, 0], [1, 0], [0, 1]], {2: ids}).simplices[2] == [(0, 1, 2)]
+
     def test_shared_diagonal_sign_consistent(self, square):
         # the diagonal appears once and receives opposite signs from the two triangles
         diag = square.index[1][frozenset((0, 2))]

@@ -7,7 +7,9 @@ brings back the second representation.  Form fields and current densities
 are coefficient arrays over roughbody.poly's monomial tables; the dict
 `Poly` and its `compose_affine` live only in tests/reference_poly.py.
 There is one half-space splitter: mesh.py's `_cut_vertices` and
-`_split_ids`, which no other module of the library names.
+`_split_ids`, which no other module of the library names.  The two-body
+overlay `common_refinement` and its pair-at-a-time facet test
+`_coplanar_overlap` live only in tests/reference_overlay.py.
 """
 
 import ast
@@ -57,3 +59,14 @@ def test_one_half_space_splitter():
         if names.search(line)
     ]
     assert not hits, "cut through mesh.refine_by_halfspace instead:\n" + "\n".join(hits)
+
+
+def test_no_two_body_overlay():
+    names = re.compile(r"\b(common_refinement|_coplanar_overlap)\b")
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(Path(roughbody.__file__).parent.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if names.search(line)
+    ]
+    assert not hits, "trace the part's boundary with bodies.trace instead:\n" + "\n".join(hits)
