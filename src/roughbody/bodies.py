@@ -221,9 +221,6 @@ class GeneralizedBody:
     bodies: list[Body]
     report: CauchyReport
 
-    def level(self, k: int) -> Body:
-        return self.bodies[k]
-
 
 def koch_generalized_body(levels: int, eps: float = 1e-2, method: str = "mass") -> GeneralizedBody:
     """Koch snowflake as a certified prefractal sequence on one common mesh.

@@ -50,7 +50,7 @@ class MassBudgetExceeded(RoughBodyError):
 
 
 class LPNumericalFailure(RoughBodyError):
-    """The simplex solver failed to produce a verified optimum."""
+    """An LP solver stalled, or a dual certificate rejected its result."""
 
 
 class EmptyRegion(RoughBodyError):

@@ -19,10 +19,9 @@ scaled into feasibility (|phi_i| <= vol_k(i), |(delta phi)_j| <=
 vol_k+1(j)), proves the lower bound t.phi within CERT_RTOL * M(T) of the
 value M(R) + M(S).
 
-An interior-point result that fails this check is solved again on the
-dense tableau of `simplex_lp.solve_lp`, and `solver` then reads
-"dense-simplex".  No benchmark operation and no test except the one that
-forces it takes this fallback.
+The input alone picks the solver, and a result is never solved twice: one
+that fails the check raises LPNumericalFailure from `certify`, naming the
+solver, the duality gap and the scale of the certificate.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .chains import Chain
 from .errors import LPNumericalFailure, TooFewChains
 from .mesh import Complex, kvectors
 from .netsimplex import min_cost_circulation
-from .simplex_lp import solve_lp
 
 CERT_RTOL = 1e-9  # accepted duality gap, relative to M(T)
 S_DROP = 1e-12  # fill coefficients below this times max|t| are dropped
@@ -79,10 +77,7 @@ def flat_norm(T: Chain) -> FlatDecomposition:
     lp = (t / tau, vol_k / nu, vol_k1 / nu)
     if arcs is not None:
         return _certified(T, tau, nu, "network-simplex", *_solve_flow(*lp, *arcs))
-    try:
-        return _certified(T, tau, nu, "interior-point", *_solve_interior(*lp, faces, signs))
-    except LPNumericalFailure:
-        return _certified(T, tau, nu, "dense-simplex", *_solve_dense(*lp, faces, signs))
+    return _certified(T, tau, nu, "interior-point", *_solve_interior(*lp, faces, signs))
 
 
 def _certified(T, tau, nu, solver, s, phi, iterations) -> FlatDecomposition:
@@ -268,22 +263,6 @@ def _cholesky_solve(L, r, block=64):
     return w
 
 
-def _solve_dense(t, vol_k, vol_k1, faces, signs):
-    """Fill, certificate and pivots from the sign-split LP on the dense tableau.
-
-    The certificate is the equality duals: phi_i = vol_k(i) minus the final
-    reduced cost of the r+ column i.
-    """
-    m, p = t.size, vol_k1.size
-    B = np.zeros((m, p))
-    np.add.at(B, (faces, np.arange(p)[:, None]), signs)
-    c = np.concatenate([vol_k, vol_k, vol_k1, vol_k1])
-    basis = [i if t[i] >= 0 else m + i for i in range(m)]
-    res = solve_lp(c, np.hstack([np.eye(m), -np.eye(m), B, -B]), t, basis=basis)
-    s = res.x[2 * m : 2 * m + p] - res.x[2 * m + p :]
-    return s, vol_k - res.reduced[:m], res.iterations
-
-
 def flat_distance(A: Chain, B: Chain) -> float:
     """Flat distance F(A - B) on the common complex."""
     return flat_norm(A - B).value
@@ -312,8 +291,11 @@ def certify_cauchy(
     method "flat" solves the LP for each difference; method "mass" uses
     mass(T_{i+1} - T_i), a rigorous upper bound for the flat distance
     (take S = 0), which certifies the Cauchy property without an LP solve.
-    Fewer than two chains raise TooFewChains.
+    Any other method raises ValueError, and fewer than two chains raise
+    TooFewChains.
     """
+    if method not in ("flat", "mass"):
+        raise ValueError(f"method must be 'flat' or 'mass', got {method!r}")
     if len(chains) < 2:
         raise TooFewChains(f"need at least two chains, got {len(chains)}")
     for ch in chains[1:]:

@@ -30,8 +30,8 @@ from .forms import Cochain, FormField
 from .mesh import (
     Complex,
     _first_seen,
-    _longest_edges,
     _row_codes,
+    _too_thin,
     build_complex,
     first_overlapping_pair,
     row_wedges,
@@ -138,7 +138,7 @@ class PAMap:
             ok = (key[:, 1:] != key[:, :-1]).all(axis=1)
             if k > 0:
                 C = points[img]
-                ok &= simplex_volumes(C) > DEGEN_TOL * np.maximum(_longest_edges(C) ** k, 1e-300)
+                ok &= ~_too_thin(C, simplex_volumes(C))
             rows = np.flatnonzero(ok)
             pos, first = _first_seen(_row_codes(key[rows], nv=len(points))[0])
             table[k] = img[rows][first]

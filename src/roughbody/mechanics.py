@@ -57,9 +57,6 @@ class Configuration:
     def image_complex(self) -> Complex:
         return self.map.image_complex
 
-    def jacobian_det(self, top_idx: int) -> float:
-        return float(self.map.dets[top_idx])
-
     def push(self, T: Chain) -> Chain:
         return pushforward(self.map, T)
 
@@ -314,9 +311,9 @@ def stress_report(
     n = config.source.dim
     if config.map.target_dim != n:
         raise OrientationReversal("material frame needs equal source and target dimensions")
-    for idx in T.idx.tolist():
-        if config.jacobian_det(idx) <= 0.0:
-            raise OrientationReversal(f"simplex {idx} has non-positive Jacobian")
+    flipped = T.idx[config.map.dets[T.idx] <= 0.0]
+    if flipped.size:
+        raise OrientationReversal(f"simplex {flipped[0]} has non-positive Jacobian")
 
     vp = virtual_power_report(cochains, config, T, v)
     forms = [whitney_realize(X) for X in cochains]

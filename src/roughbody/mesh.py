@@ -358,16 +358,17 @@ def build_complex(vertices, simplices, check_overlap: bool = True) -> Complex:
 
     Faces of the given simplices are derived automatically; a face shared by
     several simplices is stored once.  Raises ValueError for a vertex with a
-    non-finite coordinate, DegenerateSimplex for simplices of numerically
-    zero volume (below DEGENERACY_TOL times the longest edge to the power k)
-    and NonManifoldOverlap when two same-degree simplices have intersecting
-    relative interiors (top degree and explicitly given degrees are tested;
-    disable with check_overlap=False for trusted input).  The overlap test
-    is one exact sweep per tested degree on the vertices and id rows (see
-    first_overlapping_pair): for full-dimensional simplices a float filter
-    with Shewchuk's forward error bounds proves most pairs disjoint, and the
-    integer separating-axis test decides every other pair.  Shared faces
-    never count, and no overlap is too shallow to be found.
+    non-finite coordinate or a degree outside 0..n, DegenerateSimplex for
+    simplices of numerically zero volume (below DEGENERACY_TOL times the
+    longest edge to the power k) and NonManifoldOverlap when two same-degree
+    simplices have intersecting relative interiors (top degree and
+    explicitly given degrees are tested; disable with check_overlap=False
+    for trusted input).  The overlap test is one exact sweep per tested
+    degree on the vertices and id rows (see first_overlapping_pair): for
+    full-dimensional simplices a float filter with Shewchuk's forward error
+    bounds proves most pairs disjoint, and the integer separating-axis test
+    decides every other pair.  Shared faces never count, and no overlap is
+    too shallow to be found.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] not in (1, 2, 3):
@@ -380,6 +381,8 @@ def build_complex(vertices, simplices, check_overlap: bool = True) -> Complex:
     arrays: dict[int, np.ndarray] = {0: np.arange(nv, dtype=np.intp)[:, None]}
     explicit_degrees = set()
     for k in sorted(simplices):
+        if not 0 <= k <= vertices.shape[1]:
+            raise ValueError(f"simplex degree {k} is outside 0..{vertices.shape[1]}")
         if len(simplices[k]) == 0:
             continue
         S = _simplex_rows(simplices[k], k)

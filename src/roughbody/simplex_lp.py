@@ -2,12 +2,12 @@
 
 `solve_lp` solves   min c.x   s.t.  A x = b,  x >= 0.
 
-It is the fallback of `flatnorm.flat_norm`, run only when an
-interior-point result fails the dual certificate; the network simplex and
-the interior-point method solve every flat norm first.  The tableau is
-dense and cubic in cost, so it suits small problems only.  Bland's rule
-guarantees termination on the degenerate problems that chain geometry
-produces routinely.
+No module of the library calls it: the network simplex and the
+interior-point method solve every flat norm, and a result the certificate
+rejects raises instead of being solved again.  It stays only while the
+benchmark's layer tracer (bench/layers.py) names it.  The tableau is dense
+and cubic in cost, so it suits small problems only.  Bland's rule
+guarantees termination on degenerate problems.
 
 `simplex_interiors_intersect` decides whether two simplices share a point
 of their relative interiors.  It needs no LP and no tolerance: the float

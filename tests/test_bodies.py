@@ -152,6 +152,10 @@ class TestKoch:
         for k, d in enumerate(gb.report.distances):
             assert d <= A0 / 3.0 * (4.0 / 9.0) ** k + 1e-9
 
+    def test_unknown_method_is_rejected(self):
+        with pytest.raises(ValueError, match="'flat' or 'mass', got 'flatt'"):
+            koch_generalized_body(2, eps=0.2, method="flatt")
+
 
 class TestOverlayAndTrace:
     def test_identical_squares(self, square):

@@ -630,6 +630,14 @@ class TestFileSchema:
                 "--body", str(body_path), "--velocity", str(tmp / "vel.json")]
         self._expect_schema_error(argv, capsys, "field 'images'")
 
+    @pytest.mark.parametrize("simplices", [{"-1": [[]], "2": [[0, 1, 2]]}, {"3": [[0, 1, 2, 3]]}])
+    def test_degree_outside_the_ambient_range(self, simplices, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]], "simplices": simplices}))
+        assert main(["mesh", "validate", "--mesh", str(bad)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValueError" and "outside 0..2" in err["error"], err
+
     def test_vertex_id_beyond_any_index(self, tmp_path, capsys):
         bad = tmp_path / "m.json"
         rows = [[0, 1, 10**30]]

@@ -164,6 +164,17 @@ class TestCertifyCauchy:
         bound = certify_cauchy([A, B], eps=1e9, method="mass")
         assert flat.distances[0] <= bound.distances[0] + 1e-10
 
+    def test_unknown_method_raises_before_any_solve(self, grid44, rng, monkeypatch):
+        from roughbody import flatnorm
+
+        def no_solve(T):
+            raise AssertionError("solved an LP")
+
+        monkeypatch.setattr(flatnorm, "flat_norm", no_solve)
+        A = random_chain(grid44, 1, rng)
+        with pytest.raises(ValueError, match="'flat' or 'mass'"):
+            certify_cauchy([A, -A], method="flatt")
+
 
 class TestCochainFlatNorm:
     def test_dx_cochain(self, square):
@@ -313,7 +324,8 @@ class TestSolverDispatch:
             assert dec.value == pytest.approx(highs_flat_norm(T), rel=1e-7)
             _assert_certified(T, dec)
 
-    def test_uncertified_interior_point_falls_back_to_dense(self, monkeypatch):
+    def test_uncertified_interior_point_raises(self, monkeypatch):
+        # a result the certificate rejects is an error, never solved a second way
         from roughbody import flatnorm
 
         solve = flatnorm._solve_interior
@@ -324,10 +336,8 @@ class TestSolverDispatch:
 
         monkeypatch.setattr(flatnorm, "_solve_interior", halved)
         T = random_chain(CUBE, 1, np.random.default_rng(0))
-        dec = flat_norm(T)
-        assert dec.solver == "dense-simplex"
-        _assert_certified(T, dec)
-        assert dec.value == pytest.approx(highs_flat_norm(T), rel=1e-7)
+        with pytest.raises(LPNumericalFailure, match=r"^interior-point: duality gap "):
+            flat_norm(T)
 
 
 class TestAgainstHighs:

@@ -426,7 +426,7 @@ class TestStressReport:
         icx = config.image_complex
         Xs = cochain_tuple(icx, rng)
         v = VirtualVelocity.constant(icx, [0.0, 0.0])
-        with pytest.raises(OrientationReversal):
+        with pytest.raises(OrientationReversal, match=rf"^simplex {body_chain.idx[0]} has non-positive Jacobian$"):
             stress_report(Xs, config, body_chain, v)
 
 

@@ -41,7 +41,14 @@ class TestBuildComplex:
 
     def test_tetrahedron_in_the_plane_is_degenerate(self):
         with pytest.raises(DegenerateSimplex):
-            build_complex([[0, 0], [1, 0], [0, 1], [1, 1]], {3: [(0, 1, 2, 3)]})
+            build_complex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], {3: [(0, 1, 2, 3)]})
+
+    @pytest.mark.parametrize(
+        "simplices", [{-1: [()], 2: [(0, 1, 2)]}, {3: [(0, 1, 2, 3)]}, {2: [(0, 1, 2)], 3: []}]
+    )
+    def test_degree_outside_the_ambient_range(self, simplices):
+        with pytest.raises(ValueError, match=r"simplex degree -?\d is outside 0\.\.2"):
+            build_complex([[0, 0], [1, 0], [0, 1], [1, 1]], simplices)
 
     def test_overlapping_triangles_rejected(self):
         verts = [[0, 0], [1, 0], [0, 1], [0.2, 0.2], [1.2, 0.2], [0.2, 1.2]]

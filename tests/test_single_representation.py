@@ -9,7 +9,10 @@ are coefficient arrays over roughbody.poly's monomial tables; the dict
 There is one half-space splitter: mesh.py's `_cut_vertices` and
 `_split_ids`, which no other module of the library names.  The two-body
 overlay `common_refinement` and its pair-at-a-time facet test
-`_coplanar_overlap` live only in tests/reference_overlay.py.
+`_coplanar_overlap` live only in tests/reference_overlay.py.  A flat norm
+is accepted by its certificate alone: no module but simplex_lp.py names the
+dense-tableau `solve_lp`, and none solves a rejected result again as
+"dense-simplex".
 """
 
 import ast
@@ -70,3 +73,13 @@ def test_no_two_body_overlay():
         if names.search(line)
     ]
     assert not hits, "trace the part's boundary with bodies.trace instead:\n" + "\n".join(hits)
+
+
+def test_no_dense_tableau_fallback():
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(Path(roughbody.__file__).parent.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "dense-simplex" in line or (path.name != "simplex_lp.py" and re.search(r"\bsolve_lp\b", line))
+    ]
+    assert not hits, "a rejected certificate raises LPNumericalFailure instead:\n" + "\n".join(hits)
