@@ -9,8 +9,9 @@ linear map between coefficient vectors goes (the boundary, sums, refinement
 carries, pushforwards and materialized currents).  A carry gathers only the
 pieces of the chain's own simplices, so its cost follows the support.  The
 `coeffs` property is a fresh {index: value} dict, a read-only view kept for
-callers outside the library.  Cross-complex arithmetic is rejected; build
-an explicit common refinement first (rough-bodies provides one).
+callers outside the library.  Cross-complex arithmetic is rejected; carry
+the chains onto one complex first (mesh.refine_by_halfspace,
+mesh.barycentric_refine, or bodies.trace for a part's boundary).
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from .mechanics import (
     stress_report,
     virtual_power_report,
 )
-from .mesh import barycentric_refine, sort_parity
+from .mesh import _row_codes, barycentric_refine, sort_parity
 from .sharp import SharpField, boundary_product, check_product_bounds, multiply
 
 
@@ -68,7 +68,7 @@ def cmd_mesh_validate(args) -> int:
     report = {
         "dim": cx.dim,
         "vertices": int(cx.vertices.shape[0]),
-        "simplices": {str(k): cx.n_simplices(k) for k in sorted(cx.simplices)},
+        "simplices": {str(k): len(a) for k, a in sorted(cx.arrays.items())},
         "valid": True,
     }
     _emit(report, args.out)
@@ -160,6 +160,8 @@ def _campaign(args, check: str, trial, verdict) -> int:
     the report fields that follow "check", "trials" and "seed", among them
     "passed".
     """
+    if args.trials < 0:
+        raise ValueError(f"--trials must be a count >= 0, got {args.trials}")
     seed = _seed(args)
     rng = np.random.default_rng(seed)
     rows = [{"trial": t, **trial(rng)} for t in range(args.trials)]
@@ -274,20 +276,21 @@ def _rekey_cochain(X: Cochain, target) -> Cochain:
     complex merges vertices; a simplex matches the target simplex on the
     matched vertices, and its coefficient changes sign with the vertex order.
     """
-    src = X.complex
-    k = X.degree
+    k, src = X.degree, X.complex
+    nt = len(target.vertices)
     h = DEGEN_TOL * target.diameter() or 1.0
-    where = {p: v for v, p in enumerate(map(tuple, np.round(target.vertices / h).tolist()))}
-    vmap = [where.get(p) for p in map(tuple, np.round(src.vertices / h).tolist())]
-    out: dict[int, float] = {}
-    for i, a in zip(X.idx.tolist(), X.val.tolist()):
-        img = [vmap[v] for v in src.simplices[k][i]]
-        j = target.index[k].get(frozenset(img))
-        if j is None:
-            raise SchemaViolation("flux mesh does not match the configuration's image mesh")
-        stored = target.simplices[k][j]
-        out[j] = int(sort_parity([stored.index(v) for v in img])) * a
-    return Cochain(target, k, out)
+    grid = np.round(np.vstack([target.vertices, src.vertices]) / h)
+    cls = np.unique(grid, axis=0, return_inverse=True)[1].ravel()  # grid point of each vertex, target's first
+    owner = np.full(len(cls), -1)  # per grid point, the target vertex on it
+    owner[cls[:nt]] = np.arange(nt)
+    img = owner[cls[nt:]][src.arrays[k][X.idx]]
+    stored = target.arrays[k]
+    want, have = _row_codes(np.sort(img, axis=1), np.sort(stored, axis=1), nv=nt)
+    order = np.argsort(have)
+    j = order[np.minimum(np.searchsorted(have, want, sorter=order), len(order) - 1)]
+    if (img < 0).any() or (have[j] != want).any() or len(np.unique(j)) < len(j):
+        raise SchemaViolation("flux mesh does not match the configuration's image mesh")
+    return Cochain.from_terms(target, k, j, sort_parity(img) * sort_parity(stored[j]) * X.val)
 
 
 def cmd_stress_report(args) -> int:

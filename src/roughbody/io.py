@@ -17,13 +17,17 @@ string or an object among them is a schema error.  A file whose top level
 is not a JSON object is a schema error.  A flux is the tuple of its n
 (n-1)-cochain components; any other degree or component count is a schema
 error.  Its recorded s and b are written for the reader and not read back.
-Mesh references are resolved relative to the referencing file.
+Mesh references are resolved relative to the referencing file.  A mesh
+degree key is str(k); another spelling ("02", " 2", "+2") is a schema error,
+so two keys never name one degree.  One encoder, dumps_report, writes
+files and reports.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +85,9 @@ def load_mesh(path, check_overlap: bool = True) -> Complex:
         _fail(path, "field 'simplices' must map degree strings to index lists")
     simplices = {}
     for key, lst in data["simplices"].items():
-        try:
-            k = int(key)
-        except ValueError:
-            _fail(path, f"simplex degree '{key}' is not an integer")
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+            _fail(path, f"simplex degree '{key}' is not an integer written as str(k)")
+        k = int(key)
         if type(lst) is not list or not all(type(s) is list and all(type(v) is int for v in s) for s in lst):
             _fail(path, f"degree-{k} simplices must be lists of integer vertex ids")  # a boolean is not one
         simplices[k] = lst
@@ -92,12 +95,9 @@ def load_mesh(path, check_overlap: bool = True) -> Complex:
 
 
 def save_mesh(cx: Complex, path) -> None:
-    data = {
-        "dim": cx.dim,
-        "vertices": [[float(v) for v in row] for row in cx.vertices],
-        "simplices": {str(cx.top_degree): [list(s) for s in cx.simplices[cx.top_degree]]},
-    }
-    _dump(data, path)
+    top = cx.top_degree
+    data = {"dim": cx.dim, "vertices": cx.vertices.tolist(), "simplices": {str(top): cx.arrays[top].tolist()}}
+    Path(path).write_text(dumps_report(data))
 
 
 def _resolve_mesh(data, path, cache: dict | None = None) -> Complex:
@@ -173,7 +173,7 @@ def save_chain(chain: Chain, path, mesh_path, role: str | None = None) -> None:
     data = {"mesh": str(mesh_path), "degree": chain.degree, "coefficients": coefficient_list(chain)}
     if role:
         data["role"] = role
-    _dump(data, path)
+    Path(path).write_text(dumps_report(data))
 
 
 def load_cochain(path, mesh: Complex | None = None, cache: dict | None = None) -> Cochain:
@@ -181,7 +181,8 @@ def load_cochain(path, mesh: Complex | None = None, cache: dict | None = None) -
 
 
 def save_cochain(cochain: Cochain, path, mesh_path) -> None:
-    _dump({"mesh": str(mesh_path), "degree": cochain.degree, "coefficients": coefficient_list(cochain)}, path)
+    data = {"mesh": str(mesh_path), "degree": cochain.degree, "coefficients": coefficient_list(cochain)}
+    Path(path).write_text(dumps_report(data))
 
 
 def load_flux(path) -> tuple[Cochain, ...]:
@@ -198,7 +199,8 @@ def load_flux(path) -> tuple[Cochain, ...]:
 def save_flux(cochains, path, mesh_path, s: float, b: float) -> None:
     """Write a flux's cochain components with its declared constants s and b."""
     components = [coefficient_list(X) for X in cochains]
-    _dump({"mesh": str(mesh_path), "degree": cochains[0].degree, "components": components, "s": s, "b": b}, path)
+    data = {"mesh": str(mesh_path), "degree": cochains[0].degree, "components": components, "s": s, "b": b}
+    Path(path).write_text(dumps_report(data))
 
 
 def mesh_reference(path) -> str:
@@ -231,35 +233,13 @@ def load_sharp_field(path, mesh: Complex | None = None):
     return SharpField(cx, _floats(data["values"], (nv,), path, "field 'values' must list one number per vertex"))
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars and arrays to plain Python values."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj]
-    return obj
-
-
-def _dump(data, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(_plain(data), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def dumps_report(data) -> str:
-    """Deterministic JSON for reports (sorted keys, repr floats).
+    """Deterministic JSON (sorted keys, repr floats): the one encoder of files and reports.
 
-    The bytes of json.dumps(_plain(data), sort_keys=True, indent=1) plus a
-    newline, joined from strings: with an indent, json.dumps runs its
-    pure-Python encoder, which takes several times as long.
+    The bytes of json.dumps(data, sort_keys=True, indent=1) plus a newline,
+    numpy scalars and arrays written as the Python values they hold, joined
+    from strings: with an indent, json.dumps runs its pure-Python encoder,
+    which takes several times as long.
     """
     return _encode(data, "\n") + "\n"
 
@@ -283,7 +263,7 @@ def _key_text(key) -> str:
 
 
 def _encode(obj, pad: str) -> str:
-    """obj as json.dumps(_plain(obj), sort_keys=True, indent=1) writes it, its lines indented by pad."""
+    """obj as json.dumps(obj, sort_keys=True, indent=1) writes it (numpy values as Python ones), indented by pad."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)

@@ -6,8 +6,8 @@ arrays: faces[j, i] is the facet of simplex j opposite its vertex i, and
 signs[j, i] is that facet's incidence.  Faces are derived automatically
 and a shared face is stored once, which makes "boundary of boundary = 0"
 structural.  The tuple lists `simplices` and the frozenset-keyed `index`
-are views of these arrays, each built on first use (`simplices` per
-degree).
+are views of these arrays for callers outside the library, each built on
+first use (`simplices` per degree); the library reads the arrays.
 
 Simplex geometry has one home.  `kvectors` holds every determinant: the
 k-vectors of the edges of whole degrees of simplices, from which come

@@ -28,6 +28,23 @@ def square_files(tmp_path):
     return tmp_path, mesh_path, body_path, cx
 
 
+def _plain(obj):
+    """Recursively convert numpy scalars and arrays to plain Python values: the oracle's input to json.dumps."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj]
+    return obj
+
+
 _REPORT_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -61,12 +78,48 @@ _REPORTS = st.recursive(
 @given(_REPORTS)
 def test_dumps_report_writes_the_bytes_of_json_dumps(data):
     try:
-        want = json.dumps(io._plain(data), sort_keys=True, indent=1) + "\n"
+        want = json.dumps(_plain(data), sort_keys=True, indent=1) + "\n"
     except TypeError:
         with pytest.raises(TypeError):
             io.dumps_report(data)
         return
     assert io.dumps_report(data) == want
+
+
+def test_every_file_is_written_by_the_report_encoder(tmp_path):
+    # each save_* writes the bytes json.dumps gives for the same data
+    from roughbody.bodies import koch_prefractal
+    from roughbody.forms import Cochain
+    from roughbody.generate import random_chain
+
+    def written(save, obj, *args):
+        save(obj, tmp_path / "f.json", *args)
+        return (tmp_path / "f.json").read_text()
+
+    def want(data):
+        return json.dumps(_plain(data), sort_keys=True, indent=1) + "\n"
+
+    rng = np.random.default_rng(5)
+    body = koch_prefractal(3)
+    kx = body.complex
+    top = kx.top_degree
+    mesh = {"dim": kx.dim, "vertices": [[float(v) for v in row] for row in kx.vertices],
+            "simplices": {str(top): [list(s) for s in kx.simplices[top]]}}
+    assert written(io.save_mesh, kx) == want(mesh)
+    assert written(io.save_chain, body.chain, "k.json", "body") == want(
+        {"mesh": "k.json", "degree": 2, "coefficients": list(body.chain.coeffs.items()), "role": "body"}
+    )
+    cube = cube_mesh(2, 2, 2)
+    T = random_chain(cube, 1, rng)
+    X = Cochain.from_terms(cube, 1, T.idx, T.val)
+    cochain = {"mesh": "c.json", "degree": 1, "coefficients": list(X.coeffs.items())}
+    assert written(io.save_cochain, X, "c.json") == want(cochain)
+    grid = grid_mesh(3, 3)
+    flux = [Cochain.from_terms(grid, 1, T.idx, T.val) for T in (random_chain(grid, 1, rng) for _ in range(2))]
+    components = [list(Y.coeffs.items()) for Y in flux]
+    assert written(io.save_flux, flux, "g.json", 0.5, np.float64(2.0)) == want(
+        {"mesh": "g.json", "degree": 1, "components": components, "s": 0.5, "b": np.float64(2.0)}
+    )
 
 
 class TestIO:
@@ -375,6 +428,20 @@ def test_rekey_cochain_is_scale_invariant(scale):
         assert Y.coeffs[j] == (a if tgt.simplices[1][j] == (u, v) else -a)
 
 
+def test_rekey_cochain_rejects_two_simplices_on_one():
+    # the two copies of the origin in the source land on the target's one origin
+    from roughbody.cli import _rekey_cochain
+    from roughbody.forms import Cochain
+    from roughbody.mesh import build_complex
+
+    verts = [[0, 0], [1, 0], [0, 1], [0, 0], [-1, 0], [0, -1]]
+    src = build_complex(np.array(verts, dtype=float), {2: [(0, 1, 2), (3, 4, 5)]}, check_overlap=False)
+    tgt = build_complex(np.array(verts[:3] + verts[4:], dtype=float), {2: [(0, 1, 2), (0, 3, 4)]}, check_overlap=False)
+    with pytest.raises(SchemaViolation, match="flux mesh does not match"):
+        _rekey_cochain(Cochain(src, 0, {0: 1.0, 3: 2.0}), tgt)
+    assert _rekey_cochain(Cochain(src, 0, {0: 1.0, 4: 2.0}), tgt).coeffs == {0: 1.0, 3: 2.0}
+
+
 def _scaled_flux_file(tmp, cx, e):
     """A flux file built from two seeded 1-cochains scaled by 2^e."""
     from roughbody.forms import Cochain
@@ -637,6 +704,40 @@ class TestFileSchema:
         assert main(["mesh", "validate", "--mesh", str(bad)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "ValueError" and "outside 0..2" in err["error"], err
+
+    @pytest.mark.parametrize("key", ["02", " 2", "+2"])
+    def test_degree_key_is_written_as_str_k(self, key, tmp_path, capsys):
+        # int(key) would read each as degree 2 and drop one of the two triangles
+        bad = tmp_path / "m.json"
+        simplices = {"2": [[0, 1, 2]], key: [[1, 3, 2]]}
+        bad.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]], "simplices": simplices}))
+        self._expect_schema_error(["mesh", "validate", "--mesh", str(bad)], capsys, f"degree '{key}'")
+
+    def test_flux_mesh_off_the_image(self, square_files, capsys):
+        # the flux's mesh has vertex 2 moved, so no image vertex lies on it
+        tmp, mesh_path, body_path, cx = square_files
+        flux = json.loads(_scaled_flux_file(tmp, cx, 0).read_text())
+        simplices = json.loads(mesh_path.read_text())["simplices"]
+        moved = {"dim": 2, "vertices": [[0, 0], [1, 0], [1.25, 1.5], [0, 1]], "simplices": simplices}
+        (tmp / "moved.json").write_text(json.dumps(moved))
+        (tmp / "mflux.json").write_text(json.dumps({**flux, "mesh": "moved.json"}))
+        (tmp / "map.json").write_text(json.dumps({"mesh": "square.json", "images": cx.vertices.tolist()}))
+        (tmp / "vel.json").write_text(json.dumps({"mesh": "square.json", "components": [[0.5] * 4, [0.0] * 4]}))
+        capsys.readouterr()
+        argv = ["stress", "report", "--flux", str(tmp / "mflux.json"), "--map", str(tmp / "map.json"),
+                "--body", str(body_path), "--velocity", str(tmp / "vel.json")]
+        self._expect_schema_error(argv, capsys, "flux mesh does not match")
+
+    @pytest.mark.parametrize("name", ["stokes", "product-rule", "virtual-power", "balance"])
+    def test_trials_is_a_count(self, name, square_files, capsys):
+        tmp, mesh_path, _, cx = square_files
+        source = ["--flux", str(_scaled_flux_file(tmp, cx, 0))] if name == "balance" else ["--mesh", str(mesh_path)]
+        capsys.readouterr()
+        assert main(["verify", name, *source, "--trials", "-3"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValueError" and "--trials" in err["error"], err
+        assert main(["verify", name, *source, "--trials", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 0
 
     def test_vertex_id_beyond_any_index(self, tmp_path, capsys):
         bad = tmp_path / "m.json"

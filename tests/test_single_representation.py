@@ -12,7 +12,11 @@ overlay `common_refinement` and its pair-at-a-time facet test
 `_coplanar_overlap` live only in tests/reference_overlay.py.  A flat norm
 is accepted by its certificate alone: no module but simplex_lp.py names the
 dense-tableau `solve_lp`, and none solves a rejected result again as
-"dense-simplex".
+"dense-simplex".  Files and reports have one JSON encoder,
+io.dumps_report: no module calls json.dump, and only io.py names
+json.dumps.  Simplices are read as the `Complex.arrays` rows: the tuple
+lists `simplices` and the frozenset-keyed `index` are views that only
+mesh.py, which defines them, names.
 """
 
 import ast
@@ -24,13 +28,16 @@ import roughbody
 _FORBIDDEN = re.compile(r"\.coeffs\b|\b_arrays\(")
 
 
+def _lines(skip: str = ""):
+    """(file name, line number, line) of every module under roughbody but `skip`."""
+    for path in sorted(Path(roughbody.__file__).parent.rglob("*.py")):
+        if path.name != skip:
+            for n, line in enumerate(path.read_text().splitlines(), 1):
+                yield path.name, n, line
+
+
 def test_no_module_reads_the_dict_view():
-    hits = [
-        f"{path.name}:{n}: {line.strip()}"
-        for path in sorted(Path(roughbody.__file__).parent.rglob("*.py"))
-        for n, line in enumerate(path.read_text().splitlines(), 1)
-        if _FORBIDDEN.search(line)
-    ]
+    hits = [f"{name}:{n}: {line.strip()}" for name, n, line in _lines() if _FORBIDDEN.search(line)]
     assert not hits, "read the idx/val arrays instead:\n" + "\n".join(hits)
 
 
@@ -54,32 +61,38 @@ def test_no_module_uses_the_dict_polynomial():
 
 def test_one_half_space_splitter():
     names = re.compile(r"\b(_split_ids|_cut_vertices)\b")
-    hits = [
-        f"{path.name}:{n}: {line.strip()}"
-        for path in sorted(Path(roughbody.__file__).parent.rglob("*.py"))
-        if path.name != "mesh.py"
-        for n, line in enumerate(path.read_text().splitlines(), 1)
-        if names.search(line)
-    ]
+    hits = [f"{name}:{n}: {line.strip()}" for name, n, line in _lines(skip="mesh.py") if names.search(line)]
     assert not hits, "cut through mesh.refine_by_halfspace instead:\n" + "\n".join(hits)
 
 
 def test_no_two_body_overlay():
     names = re.compile(r"\b(common_refinement|_coplanar_overlap)\b")
-    hits = [
-        f"{path.name}:{n}: {line.strip()}"
-        for path in sorted(Path(roughbody.__file__).parent.rglob("*.py"))
-        for n, line in enumerate(path.read_text().splitlines(), 1)
-        if names.search(line)
-    ]
+    hits = [f"{name}:{n}: {line.strip()}" for name, n, line in _lines() if names.search(line)]
     assert not hits, "trace the part's boundary with bodies.trace instead:\n" + "\n".join(hits)
 
 
 def test_no_dense_tableau_fallback():
     hits = [
-        f"{path.name}:{n}: {line.strip()}"
-        for path in sorted(Path(roughbody.__file__).parent.rglob("*.py"))
-        for n, line in enumerate(path.read_text().splitlines(), 1)
-        if "dense-simplex" in line or (path.name != "simplex_lp.py" and re.search(r"\bsolve_lp\b", line))
+        f"{name}:{n}: {line.strip()}"
+        for name, n, line in _lines()
+        if "dense-simplex" in line or (name != "simplex_lp.py" and re.search(r"\bsolve_lp\b", line))
     ]
     assert not hits, "a rejected certificate raises LPNumericalFailure instead:\n" + "\n".join(hits)
+
+
+def test_one_json_encoder():
+    hits = [
+        f"{name}:{n}: {line.strip()}"
+        for name, n, line in _lines()
+        if re.search(r"\bjson\.dump\(", line) or (name != "io.py" and re.search(r"\bjson\.dumps\b", line))
+    ]
+    assert not hits, "write through io.dumps_report instead:\n" + "\n".join(hits)
+
+
+def test_simplices_are_read_as_arrays():
+    hits = [
+        f"{name}:{n}: {line.strip()}"
+        for name, n, line in _lines(skip="mesh.py")
+        if re.search(r"\.simplices\b|\.index\[", line)
+    ]
+    assert not hits, "read the rows of Complex.arrays instead:\n" + "\n".join(hits)
